@@ -4,7 +4,9 @@ The polytope of a positroid is the convex hull of the 0/1 indicator
 vectors of its bases.  Its inequality description is the level equation
 (coordinates sum to k), the box constraints 0 <= x_i <= 1, and one cut
 per cyclic interval [a..b]: the coordinates in the interval sum to at
-most the matroid rank of the interval.
+most the largest number of them any basis holds.  Cut bounds and the
+vertex checks run on bitmasks of the bases; a cut whose bound reaches
+min(k, width) follows from the boxes and the level equation alone.
 
 Every computation below runs over the integers and fractions.Fraction;
 floating point never appears.  Vertices are 0/1, so degenerate facets
@@ -160,7 +162,7 @@ class PositroidPolytope:
     interval_cuts: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
+        verts = tuple(tuple(map(int, v)) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         cuts = tuple(((int(a), int(b)), int(r)) for (a, b), r in self.interval_cuts)
         object.__setattr__(self, "interval_cuts", cuts)
@@ -169,17 +171,19 @@ class PositroidPolytope:
         for v in verts:
             if len(v) != self.n:
                 raise ValueError(f"vertex {v} does not live in dimension {self.n}")
-            if any(x not in (0, 1) for x in v):
+            if not {0, 1}.issuperset(v):
                 raise ValueError(f"vertex {v} is not a 0/1 indicator vector")
             if sum(v) != self.k:
                 raise ValueError(f"vertex {v} has {sum(v)} ones, expected {self.k}")
+        masks = [sum(x << i for i, x in enumerate(v)) for v in verts]
         for (a, b), bound in cuts:
-            row = self.cut_coefficients(a, b)
-            for v in verts:
-                if _dot(row, v) > bound:
-                    raise ValueError(
-                        f"vertex {v} violates the cut for interval [{a}, {b}] <= {bound}"
-                    )
+            members = cyclic_interval(a, b, self.n)
+            if bound >= min(self.k, len(members)):
+                continue  # no 0/1 vector with k ones can break it
+            cut = sum(1 << (i - 1) for i in members)
+            if max(map(int.bit_count, map(cut.__and__, masks))) > bound:
+                v = next(v for v, mask in zip(verts, masks) if (mask & cut).bit_count() > bound)
+                raise ValueError(f"vertex {v} violates the cut for interval [{a}, {b}] <= {bound}")
 
     def cut_coefficients(self, a: int, b: int) -> tuple[int, ...]:
         members = set(cyclic_interval(a, b, self.n))
@@ -200,17 +204,25 @@ class PositroidPolytope:
 
 
 def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
-    """Indicator vertices plus one rank cut per cyclic interval."""
-    verts = tuple(
-        sorted(tuple(1 if i in b else 0 for i in range(1, m.n + 1)) for b in m.bases)
-    )
+    """Indicator vertices plus one rank cut per cyclic interval.
+
+    A cut's bound is the most elements of the interval any basis holds.
+    Widening an interval by one element raises that by at most one, so
+    each bound takes one pass over the basis bitmasks, which stops at the
+    first basis that reaches the bound of the narrower interval plus one.
+    """
+    n, k = m.n, m.k
+    masks = [sum(1 << (i - 1) for i in b) for b in m.bases]
+    verts = tuple(sorted(tuple(mask >> i & 1 for i in range(n)) for mask in masks))
     cuts = []
-    for a in range(1, m.n + 1):
-        for width in range(1, m.n):
-            b = a + width - 1
-            bound = matroid_rank(m, cyclic_interval(a, b, m.n))
-            cuts.append(((a, b), bound))
-    return PositroidPolytope(m.n, m.k, verts, tuple(cuts))
+    for a in range(1, n + 1):
+        cut = bound = 0
+        for width in range(1, n):
+            cut |= 1 << (a + width - 2) % n
+            if bound < k and bound + 1 in map(int.bit_count, map(cut.__and__, masks)):
+                bound += 1
+            cuts.append(((a, a + width - 1), bound))
+    return PositroidPolytope(n, k, verts, tuple(cuts))
 
 
 def polytope_dimension(p: PositroidPolytope) -> int:

@@ -3,8 +3,12 @@
 A positroid of rank k on {1..n} is the matroid whose bases are the
 k-subsets H with H >=_i I_i for every term of a Grassmann necklace, where
 >=_i compares sorted subsets componentwise in the cyclic order starting
-at i.  Basis enumeration filters all C(n, k) subsets, which is fine at
-desk scale (n up to around 30 with small k).
+at i.  Equivalently H meets every cyclic interval [a..b] in at most its
+rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).  The bases come from
+a depth-first search pruned by those interval ranks, so its work follows
+the number of bases rather than C(n, k); a fixed step budget stops it
+with ValueError on cells with too many bases to list.  Components and
+dimensions come from the decorated permutation without the bases.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from .necklace import (
     validate_necklace,
 )
 from .perms import DecoratedPermutation, affine_lift
+
+# Steps (search nodes) ``positroid_from_necklace`` may take before giving up.
+BASIS_SEARCH_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,15 @@ class ExchangeFailure:
 
 
 def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
-    """Bases are the k-subsets dominating every necklace term in its order.
+    """Bases are the k-subsets within every cyclic-interval cut.
+
+    A depth-first search decides the elements 1..n in turn on integer
+    bitmasks.  Taking an element is refused as soon as some cyclic
+    interval through it holds more chosen elements than its rank
+    r[a, b]; leaving one out is refused once too few elements remain to
+    reach k.  Only intervals whose rank lies below min(k, width) can
+    refuse anything.  The search gives up with ValueError after
+    ``BASIS_SEARCH_STEPS`` steps.
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
@@ -106,21 +121,42 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     if violation is not None:
         raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
-    # Precompute the sorted position vector of each term in its own order.
-    targets = []
-    for i in range(1, n + 1):
-        targets.append(sorted((x - i) % n for x in nk.term(i)))
-    bases = []
-    for combo in itertools.combinations(range(1, n + 1), k):
-        ok = True
-        for i in range(1, n + 1):
-            hpos = sorted((x - i) % n for x in combo)
-            if any(h < t for h, t in zip(hpos, targets[i - 1])):
-                ok = False
-                break
-        if ok:
-            bases.append(frozenset(combo))
-    return Positroid(n, k, frozenset(bases))
+    # checks[e]: (mask, rank) of the binding intervals tested when element
+    # e + 1 is taken.  An interval [a..b] inside 1..n is tested at b only:
+    # the chosen elements of a longer interval from a lie in [a..e] while
+    # e is being decided, and r[a, e] is the smaller rank.  An interval
+    # that wraps past n is tested at each element of a..n; without any
+    # chosen there it holds no more than [1..b - n], tested already.
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(a, a + n - 1):
+            rank = cyclic_interval_rank(nk, a, b)
+            if rank < min(k, b - a + 1):
+                mask = sum(1 << (x - 1) for x in cyclic_interval(a, b, n))
+                for x in range(a, n + 1) if b > n else (b,):
+                    checks[x - 1].append((mask, rank))
+    bases: list[int] = []
+    # (next element e + 1, chosen bitmask, chosen count).  An explicit stack,
+    # since a recursive closure would sit in a reference cycle and keep the
+    # bases alive until the cyclic garbage collector ran.
+    stack = [(0, 0, 0)]
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > BASIS_SEARCH_STEPS:
+            raise ValueError(f"basis search gave up after {BASIS_SEARCH_STEPS} steps "
+                             f"(n = {n}, k = {k}): too many bases to list")
+        e, mask, size = stack.pop()
+        if size == k:
+            bases.append(mask)
+            continue
+        if n - e > k - size:
+            stack.append((e + 1, mask, size))
+        taken = mask | 1 << e
+        if all((taken & m).bit_count() <= r for m, r in checks[e]):
+            stack.append((e + 1, taken, size + 1))
+    return Positroid(n, k, frozenset(
+        frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases))
 
 
 def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
@@ -172,39 +208,48 @@ def circuits(m: Positroid) -> tuple[frozenset[int], ...]:
     return tuple(sorted(found, key=sorted))
 
 
-def connected_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
-    """Partition of {1..n} into matroid connected components.
+def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
+    """Partition of {1..n} into the connected components of the positroid.
 
-    Two elements lie in a common component exactly when some circuit
-    contains both.  That relation coincides with single-element basis
-    exchange: e and f share a circuit iff some basis B has e in B, f
-    outside, and B - e + f again a basis.  The exchange form is what gets
-    computed; loops and coloops end up as singletons.  For a positroid the
-    result is non-crossing in the cyclic order.
+    The components are the blocks of the noncrossing closure of the cycle
+    partition of the permutation (Ardila-Rincon-Williams, arXiv:1308.2698);
+    fixed points, the loops and coloops, stay singletons.  One sweep over
+    1..n keeps a stack of the blocks seen but not yet finished, oldest at
+    the bottom.  An element of a block lower in the stack closes over
+    every block above it, and each of those still has an element to come,
+    so they cross it and merge into it.
+
+    >>> from .perms import DecoratedPermutation, Permutation
+    >>> connected_components(DecoratedPermutation.uniform(Permutation((3, 2, 1, 4))))
+    ((1, 3), (2,), (4,))
+    >>> connected_components(DecoratedPermutation(Permutation((3, 4, 1, 2)), {}))
+    ((1, 2, 3, 4),)
     """
-    parent = {e: e for e in m.ground}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for b in m.bases:
-        outside = m.ground - b
-        for e in b:
-            for f in outside:
-                if (b - {e}) | {f} in m.bases:
-                    union(e, f)
-    blocks: dict[int, list[int]] = {}
-    for e in sorted(m.ground):
-        blocks.setdefault(find(e), []).append(e)
-    return tuple(tuple(v) for _, v in sorted(blocks.items()))
+    n = dp.n
+    block = [0] * (n + 1)  # block[x]: the least element of the block holding x
+    for i in range(1, n + 1):
+        j = i
+        while not block[j]:
+            block[j] = i
+            j = dp.perm(j)
+    last = [0] * (n + 1)
+    for x in range(1, n + 1):
+        last[block[x]] = x
+    stack: list[int] = []
+    for x in range(1, n + 1):
+        b = block[x]
+        if b not in stack:
+            stack.append(b)
+        while stack[-1] != b:
+            top = stack.pop()
+            last[b] = max(last[b], last[top])
+            block = [b if c == top else c for c in block]
+        if last[b] == x:
+            stack.pop()
+    members: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        members.setdefault(block[x], []).append(x)
+    return tuple(tuple(v) for v in members.values())
 
 
 def gale_minimum(m: Positroid, shift: int) -> frozenset[int]:

@@ -14,6 +14,11 @@ from .perms import BoundedAffinePermutation, Color, DecoratedPermutation, Wiring
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b", "#e377c2")
 
 
+def _escape(text: str) -> str:
+    """Text content for SVG: the three characters XML reserves there, escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_open(width: int, height: int) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -95,8 +100,9 @@ def _wiring_svg(word: WiringWord, labels: Sequence[str]) -> str:
     for cx, cy in markers:
         out.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="#2ca02c"/>')
     for w in range(1, n + 1):
-        out.append(f'<text x="6" y="{y(w) + 4}">{labels[w - 1]}</text>')
-        out.append(f'<text x="{x1 + 6}" y="{y(rank_of[w]) + 4}">{labels[w - 1]}</text>')
+        label = _escape(labels[w - 1])
+        out.append(f'<text x="6" y="{y(w) + 4}">{label}</text>')
+        out.append(f'<text x="{x1 + 6}" y="{y(rank_of[w]) + 4}">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -21,7 +21,7 @@ from .perms import (
     anti_exceedance_count,
     word_to_permutation,
 )
-from .polytope import PositroidPolytope, enumerate_facets, polytope_dimension, polytope_from_positroid
+from .polytope import PositroidPolytope, enumerate_facets, polytope_from_positroid
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
 from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, permutation_at
 
@@ -46,6 +46,7 @@ class AnalysisReport:
     polytope: PositroidPolytope
     facet_count: int | None
     components: tuple[tuple[int, ...], ...]
+    polytope_dim: int
 
     @property
     def permutation(self) -> Permutation:
@@ -69,7 +70,7 @@ def build_report(
     dim = cell_dimension(state)
     poly = polytope_from_positroid(m)
     facet_count = len(enumerate_facets(poly)) if with_facets else None
-    components = connected_components(m)
+    components = connected_components(state)
     report = AnalysisReport(
         ref_date,
         end_date,
@@ -83,6 +84,7 @@ def build_report(
         poly,
         facet_count,
         components,
+        state.n - len(components),  # a matroid polytope's dimension (Feichtner-Sturmfels)
     )
     _assert_consistent(report)
     return report
@@ -110,12 +112,25 @@ def check_report(report: AnalysisReport) -> None:
         raise ConsistencyError("necklace does not re-derive from the reported state")
     if affine_lift(report.state) != report.lift:
         raise ConsistencyError("affine lift does not re-derive from the reported state")
+    n, k = report.state.n, report.k
+    if report.cell_dim != k * (n - k) - _affine_length(report.lift):
+        raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
     if cell_dimension(report.state) != report.cell_dim:
         raise ConsistencyError("cell dimension does not re-derive from the reported state")
-    n = report.state.n
     word = WiringWord(n, tuple(e.position for e in report.crossings))
     if word_to_permutation(word) != report.permutation:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")
+
+
+def _affine_length(lift: BoundedAffinePermutation) -> int:
+    """Inversions (i, j) of the affine permutation: 1 <= i <= n, i < j, f(i) > f(j).
+
+    f(j + n) = f(j) + n, and f(j) >= j rules out j >= i + n.
+    (Knutson-Lam-Speyer, arXiv:0903.3694.)
+    """
+    f, n = lift.f, lift.n
+    return sum(1 for i in range(1, n + 1) for j in range(i + 1, i + n)
+               if f[i - 1] > f[(j - 1) % n] + (j - 1) // n * n)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -145,7 +160,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "cell_dimension": report.cell_dim,
         "polytope": {
             "vertex_count": len(report.polytope.vertices),
-            "affine_dimension": polytope_dimension(report.polytope),
+            "affine_dimension": report.polytope_dim,
             "facet_count": report.facet_count,
         },
         "noncrossing_partition": [list(block) for block in report.components],

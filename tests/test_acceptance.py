@@ -254,10 +254,10 @@ def test_criterion_8_noncrossing_partitions():
 
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
-            blocks = connected_components(positroid_from_decorated(state))
+            blocks = connected_components(state)
             assert not crosses(blocks, n)
 
-    double_swap = positroid_from_decorated(DecoratedPermutation(Permutation((2, 1, 4, 3)), {}))
+    double_swap = DecoratedPermutation(Permutation((2, 1, 4, 3)), {})
     assert connected_components(double_swap) == ((1, 2), (3, 4))
     announce(8, "components are non-crossing for all cells n <= 5; {2,1,4,3} splits {1,2},{3,4}")
 

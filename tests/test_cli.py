@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from datetime import date
 from pathlib import Path
 
 import pytest
 
 from stockpolytope import (
+    ConsistencyError,
     build_report,
     check_report,
     load_sample_table,
@@ -112,6 +114,33 @@ def test_facets_gate_for_large_tables(capsys, tmp_path):
     assert "n <= 8" in err
 
 
+def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
+    # Rank q at the end holds the stock of reference rank q + 15 (mod 30):
+    # the top cell of Gr(15, 30), whose C(30, 15) bases are far too many.
+    n, k = 30, 15
+    tickers = [f"T{s:02d}" for s in range(n)]
+    end_rank = [(r - 1 - k) % n + 1 for r in range(1, n + 1)]
+    rows = ["date," + ",".join(tickers),
+            "2020-01-01," + ",".join(f"{10 + s}.00" for s in range(n)),
+            "2020-01-02," + ",".join(f"{9 + q}.00" for q in end_rank)]
+    path = tmp_path / "top30.csv"
+    path.write_text("\n".join(rows) + "\n")
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "stockpolytope", "analyze", str(path),
+         "--ref-date", "2020-01-01", "--end-date", "2020-01-02"],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - started < 10.0
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: basis search")
+    assert "(n = 30, k = 15)" in result.stderr
+
+
 def test_chain_text(capsys):
     code, out, _ = run_cli(capsys, "chain", str(SAMPLE), *RANGE)
     assert code == 0
@@ -183,6 +212,13 @@ def test_report_roundtrip_and_check():
     assert json.loads(report_to_json(report)) == as_dict
     text = report_to_text(report)
     assert "5 vertices" in text and "5 facets" in text
+
+
+def test_check_catches_corrupted_cell_dimension():
+    report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
+    report.cell_dim += 1
+    with pytest.raises(ConsistencyError, match=r"k\(n-k\) - l\(f\)"):
+        check_report(report)
 
 
 def test_sample_csv_text_matches_packaged_file():

@@ -13,16 +13,20 @@ from stockpolytope import (
     connected_components,
     cyclic_interval,
     cyclic_interval_rank,
+    decorated_from_necklace,
     gale_geq,
     interval_rank_summands,
     matroid_rank,
     necklace_from_decorated,
     necklace_of_positroid,
+    polytope_dimension,
+    polytope_from_positroid,
     positroid_from_decorated,
     positroid_from_necklace,
     verify_exchange_axiom,
 )
 from conftest import brute_circuits, components_from_circuits
+from oracles import exchange_components, subset_filter_bases
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -94,10 +98,10 @@ def test_cell_dimension_examples():
 
 
 def test_connected_components_examples():
-    assert connected_components(positroid_from_necklace(EQ1)) == ((1, 2, 3, 4),)
+    assert connected_components(decorated_from_necklace(EQ1)) == ((1, 2, 3, 4),)
     identity = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
-    assert connected_components(positroid_from_decorated(identity)) == ((1,), (2,), (3,), (4,))
-    assert connected_components(positroid_from_decorated(dp((2, 1, 4, 3)))) == ((1, 2), (3, 4))
+    assert connected_components(identity) == ((1,), (2,), (3,), (4,))
+    assert connected_components(dp((2, 1, 4, 3))) == ((1, 2), (3, 4))
 
 
 def test_circuits_of_market_positroid():
@@ -112,7 +116,7 @@ def test_components_match_circuit_oracle():
     for n in range(1, 5):
         for state in all_decorated_permutations(n):
             m = positroid_from_decorated(state)
-            assert connected_components(m) == components_from_circuits(m)
+            assert connected_components(state) == components_from_circuits(m)
 
 
 def test_noncrossing_property_spot():
@@ -131,8 +135,7 @@ def test_noncrossing_property_spot():
 
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
-            m = positroid_from_decorated(state)
-            assert not crossing_blocks(connected_components(m), n)
+            assert not crossing_blocks(connected_components(state), n)
 
 
 def test_exchange_and_necklace_recovery_small():
@@ -153,3 +156,24 @@ def test_rank_consistency_small():
                 for b in range(a, a + n + 1):
                     expected = matroid_rank(m, cyclic_interval(a, b, n))
                     assert cyclic_interval_rank(nk, a, b) == expected
+
+
+def test_bases_components_cuts_and_dimension_match_oracles():
+    cells = 0
+    for n in range(1, 7):
+        for state in all_decorated_permutations(n):
+            nk = necklace_from_decorated(state)
+            m = positroid_from_necklace(nk)
+            assert m.bases == subset_filter_bases(nk), state
+            blocks = connected_components(state)
+            assert blocks == exchange_components(m), state
+            poly = polytope_from_positroid(m)
+            assert poly.interval_cuts == tuple(
+                ((a, a + w - 1), matroid_rank(m, cyclic_interval(a, a + w - 1, n)))
+                for a in range(1, n + 1)
+                for w in range(1, n)
+            ), state
+            assert polytope_dimension(poly) == n - len(blocks), state
+            cells += 1
+    assert cells == 2371
+

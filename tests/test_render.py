@@ -5,6 +5,7 @@ import pytest
 from stockpolytope import (
     Color,
     DecoratedPermutation,
+    all_decorated_permutations,
     Permutation,
     WiringWord,
     affine_lift,
@@ -124,3 +125,16 @@ def test_unknown_format_rejected():
     state = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
     with pytest.raises(ValueError):
         render_chords(state, fmt="png")
+
+
+def test_every_svg_parses_with_hostile_tickers():
+    svg = "{http://www.w3.org/2000/svg}text"
+    tickers = ("AT&T", "<b>", '"q"', "]]>")
+    for word in (WiringWord(4, ()), WORD, WiringWord(4, (2, 1, 3, 2, 1))):
+        root = ET.fromstring(render_wiring(word, tickers))
+        texts = [t.text for t in root.iter(svg)]
+        assert sorted(texts) == sorted(tickers * 2)
+    for n in range(1, 5):
+        for state in all_decorated_permutations(n):
+            ET.fromstring(render_chords(state))
+            ET.fromstring(render_hooks(affine_lift(state), interval_rank_summands(state)))
