@@ -7,6 +7,9 @@ per cyclic interval [a..b]: the coordinates in the interval sum to at
 most the largest number of them any basis holds.  Cut bounds and the
 vertex checks run on bitmasks of the bases; a cut whose bound reaches
 min(k, width) follows from the boxes and the level equation alone.
+Facets come from the same description: each is cut out by one of these
+inequalities, so finding them means testing each inequality's tight
+vertices, not searching vertex subsets.
 
 Every computation below runs over the integers and fractions.Fraction;
 floating point never appears.  Vertices are 0/1, so degenerate facets
@@ -16,10 +19,8 @@ where a floating-point hull code could misjudge them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .necklace import cyclic_interval, necklace_from_decorated
@@ -36,7 +37,7 @@ Number = int | Fraction
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (inputs are tiny: dimensions up to 8).
+# Exact linear algebra helpers (small inputs: facets are found for n <= 8 only).
 # ---------------------------------------------------------------------------
 
 
@@ -57,82 +58,6 @@ def _independent_rows(vectors: Sequence[Sequence[Number]]) -> list[int]:
         basis.append((pc, [v / piv for v in row]))
         chosen.append(idx)
     return chosen
-
-
-def _solve_square_int(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
-    """Solve an integer square system exactly; None when singular.
-
-    Fraction-free (Bareiss) forward elimination keeps everything in int
-    until the final back substitution, which matters in the vertex
-    enumeration loop.
-    """
-    m = len(rows)
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    prev = 1
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        for r in range(col + 1, m):
-            f = aug[r][col]
-            rowr = aug[r]
-            rowc = aug[col]
-            for c in range(col, m + 1):
-                rowr[c] = (rowr[c] * pv - f * rowc[c]) // prev
-        prev = pv
-    xs: list[Fraction] = [Fraction(0)] * m
-    for r in range(m - 1, -1, -1):
-        acc = Fraction(aug[r][m])
-        for c in range(r + 1, m):
-            acc -= aug[r][c] * xs[c]
-        xs[r] = acc / aug[r][r]
-    return tuple(xs)
-
-
-def _nullspace_vector(rows: Sequence[Sequence[Number]], ncols: int) -> tuple[Fraction, ...] | None:
-    """The one-dimensional kernel of the row system, or None otherwise."""
-    reduced = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(reduced)) if reduced[i][c] != 0), None)
-        if piv is None:
-            continue
-        reduced[r], reduced[piv] = reduced[piv], reduced[r]
-        pv = reduced[r][c]
-        reduced[r] = [x / pv for x in reduced[r]]
-        for i in range(len(reduced)):
-            if i != r and reduced[i][c] != 0:
-                f = reduced[i][c]
-                reduced[i] = [x - f * y for x, y in zip(reduced[i], reduced[r])]
-        pivots.append(c)
-        r += 1
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    out = [Fraction(0)] * ncols
-    out[free] = Fraction(1)
-    for row_i, pc in enumerate(pivots):
-        out[pc] = -reduced[row_i][free]
-    return tuple(out)
-
-
-def _primitive(values: Iterable[Fraction]) -> tuple[int, ...]:
-    """Scale rationals by a positive factor to coprime integers."""
-    vals = [Fraction(v) for v in values]
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 def _dot(a: Sequence[Number], b: Sequence[Number]) -> Number:
@@ -189,19 +114,6 @@ class PositroidPolytope:
         members = set(cyclic_interval(a, b, self.n))
         return tuple(1 if i in members else 0 for i in range(1, self.n + 1))
 
-    def contains(self, point: Sequence[Number]) -> bool:
-        """Membership in the inequality description (not just the hull)."""
-        if len(point) != self.n:
-            return False
-        if any(x < 0 or x > 1 for x in point):
-            return False
-        if sum(point) != self.k:
-            return False
-        for (a, b), bound in self.interval_cuts:
-            if _dot(self.cut_coefficients(a, b), point) > bound:
-                return False
-        return True
-
 
 def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
     """Indicator vertices plus one rank cut per cyclic interval.
@@ -232,81 +144,14 @@ def polytope_dimension(p: PositroidPolytope) -> int:
     return len(_independent_rows(diffs))
 
 
-def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """Enumerate the vertices of the inequality system by brute force.
-
-    Works directly from the H-description: every basic feasible point is
-    the unique solution of the level equation plus n-1 tight, independent
-    inequalities.  Interval cuts whose bound reaches min(k, width) are
-    implied by the boxes and the level equation, so dropping them leaves
-    the same polyhedron and the same extreme points; candidate solutions
-    are still checked against the complete system.  Independent of the
-    vertex set stored on the polytope, which makes this the cross-check
-    for the basis indicator construction.
-
-    The search runs in three stages.  Boxes plus the level equation alone
-    have exactly the 0/1 vectors with k ones as basic feasible points
-    (n-1 tight boxes fix n-1 coordinates, the level equation forces the
-    last one to an integer inside [0, 1]).  Each remaining cut then
-    slices the candidate set: points on the far side are dropped and
-    every segment between a strictly kept and a strictly dropped point
-    contributes its intersection with the cut hyperplane, which covers
-    all edges and therefore all new vertices.  Finally a candidate counts
-    as a vertex only if it is feasible for the complete system and the
-    constraints tight at it have full rank n.
-    """
-    n, k = p.n, p.k
-    if n > 7:
-        raise ValueError("brute-force vertex enumeration is limited to n <= 7")
-    essential: list[tuple[tuple[int, ...], int]] = []
-    for (a, b), bound in p.interval_cuts:
-        width = min(b - a + 1, n)
-        if bound >= min(k, width):
-            continue  # implied by the boxes and the level equation
-        essential.append((p.cut_coefficients(a, b), bound))
-    essential = sorted(set(essential))
-
-    candidates: set[tuple[Fraction, ...]] = {
-        tuple(Fraction(1) if i in ones else Fraction(0) for i in range(n))
-        for ones in itertools.combinations(range(n), k)
-    }
-    for coeffs, bound in essential:
-        scores = {v: _dot(coeffs, v) - bound for v in candidates}
-        kept = {v for v, s in scores.items() if s <= 0}
-        inside = sorted(v for v, s in scores.items() if s < 0)
-        outside = sorted(v for v, s in scores.items() if s > 0)
-        for u in inside:
-            su = scores[u]
-            for w in outside:
-                t = -su / (scores[w] - su)
-                kept.add(tuple(a + t * (b - a) for a, b in zip(u, w)))
-        candidates = kept
-
-    # Full description for the basic-feasibility test.
-    all_rows: list[tuple[tuple[int, ...], int]] = [((1,) * n, k)]
-    for i in range(n):
-        all_rows.append((tuple(-1 if j == i else 0 for j in range(n)), 0))
-        all_rows.append((tuple(1 if j == i else 0 for j in range(n)), 1))
-    for (a, b), bound in p.interval_cuts:
-        all_rows.append((p.cut_coefficients(a, b), bound))
-
-    found = []
-    for point in candidates:
-        if not p.contains(point):
-            continue
-        tight = [coeffs for coeffs, rhs in all_rows if _dot(coeffs, point) == rhs]
-        if len(_independent_rows(tight)) == n:
-            found.append(point)
-    return tuple(sorted(set(found)))
-
-
 @dataclass(frozen=True)
 class Facet:
     """A facet as a supporting inequality and its incident vertices.
 
     The inequality normal . x <= offset holds on the whole polytope and
-    is tight exactly on ``vertices``; the normal is a primitive integer
-    vector in the span of the vertex differences.
+    is tight exactly on ``vertices``.  It is the defining inequality the
+    facet came from: -x_i <= 0, x_i <= 1 or an interval cut, with its own
+    coefficients, not a normal projected into the affine hull.
     """
 
     normal: tuple[int, ...]
@@ -315,78 +160,39 @@ class Facet:
 
 
 def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
-    """Exact facet list by brute force over vertex subsets.
+    """Facets among the inequalities that define the polytope.
 
-    Searches all d-subsets of vertices for supporting hyperplanes inside
-    the affine hull (d is the polytope dimension), then deduplicates by
-    incidence set.  Cost grows steeply with the vertex count; the n <= 8
-    gate keeps this at desk scale.
+    The polytope is the hypersimplex cut by the cyclic-interval rank
+    inequalities (Ardila-Rincon-Williams, arXiv:1308.2698), and every
+    facet of a polytope is cut out by one inequality of any system that
+    defines it.  So the candidates x_i >= 0, x_i <= 1 and the interval
+    cuts, in that order, are tested: one gives a facet when the vertices
+    it holds tight are a proper, non-empty subset whose affine span has
+    dimension d - 1.  Candidates with the same tight set count once, as
+    the first of them.  The n <= 8 gate keeps this at desk scale.
+
+    >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
+    >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
+    >>> market = polytope_from_positroid(positroid_from_necklace(eq1))
+    >>> sorted(len(f.vertices) for f in enumerate_facets(market))
+    [3, 3, 3, 3, 4]
     """
     if p.n > 8:
         raise ValueError("ambient size too large for desk-scale facet search (n <= 8)")
-    verts = p.vertices
-    if len(verts) == 1:
-        return ()
-    v0 = verts[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts]
-    frame_idx = _independent_rows(diffs)
-    frame = [diffs[i] for i in frame_idx]
-    d = len(frame)
-    if d == 0:
-        return ()
-    gram = [[_dot(fi, fj) for fj in frame] for fi in frame]
-    coords = []
-    for v in verts:
-        rel = tuple(a - b for a, b in zip(v, v0))
-        rhs = [_dot(f, rel) for f in frame]
-        alpha = _solve_square_int(gram, rhs)
-        assert alpha is not None
-        coords.append(alpha)
-
-    supports: dict[frozenset[int], tuple[tuple[Fraction, ...], Fraction]] = {}
-    for subset in itertools.combinations(range(len(verts)), d):
-        rows = [tuple(coords[i]) + (Fraction(-1),) for i in subset]
-        kernel = _nullspace_vector(rows, d + 1)
-        if kernel is None:
-            continue
-        gamma, off = kernel[:d], kernel[d]
-        if all(g == 0 for g in gamma):
-            continue
-        vals = [_dot(gamma, c) - off for c in coords]
-        has_pos = any(v > 0 for v in vals)
-        has_neg = any(v < 0 for v in vals)
-        if has_pos and has_neg:
-            continue
-        if not has_pos and not has_neg:
-            continue  # everything on the hyperplane: not a proper face
-        if has_pos:
-            gamma = tuple(-g for g in gamma)
-            off = -off
-            vals = [-v for v in vals]
-        incidence = frozenset(i for i, v in enumerate(vals) if v == 0)
-        supports.setdefault(incidence, (gamma, off))
-
+    d = polytope_dimension(p)
+    units = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
+    candidates = [(tuple(-x for x in e), 0) for e in units] + [(e, 1) for e in units]
+    candidates += [(p.cut_coefficients(a, b), bound) for (a, b), bound in p.interval_cuts]
+    seen: set[tuple[tuple[int, ...], ...]] = set()
     facets = []
-    for incidence, (gamma, _off) in supports.items():
-        gamma_int = _primitive(gamma)
-        weights = _solve_square_int(gram, list(gamma_int))
-        assert weights is not None
-        ambient = [
-            sum(weights[j] * frame[j][col] for j in range(d)) for col in range(p.n)
-        ]
-        some_incident = next(iter(incidence))
-        offset = _dot(ambient, verts[some_incident])
-        scaled = _primitive(list(ambient) + [offset])
-        normal, offset_int = scaled[:-1], scaled[-1]
-        below = sum(1 for v in verts if _dot(normal, v) <= offset_int)
-        if below != len(verts):
-            normal = tuple(-x for x in normal)
-            offset_int = -offset_int
-        for v in verts:
-            value = _dot(normal, v)
-            assert value <= offset_int
-        tight = tuple(sorted(verts[i] for i in incidence))
-        facets.append(Facet(normal, offset_int, tight))
+    for normal, offset in candidates:
+        tight = tuple(v for v in p.vertices if _dot(normal, v) == offset)
+        if tight in seen or not 0 < len(tight) < len(p.vertices):
+            continue
+        seen.add(tight)
+        diffs = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
+        if len(_independent_rows(diffs)) == d - 1:
+            facets.append(Facet(normal, offset, tight))
     return tuple(sorted(facets, key=lambda f: f.vertices))
 
 

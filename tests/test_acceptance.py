@@ -44,11 +44,11 @@ from stockpolytope import (
     positroid_from_necklace,
     validate_necklace,
     verify_exchange_axiom,
-    vertices_from_inequalities,
     word_to_permutation,
 )
 from stockpolytope.cli import main
 from conftest import reduced_affine_chains
+from oracles import vertices_from_inequalities
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"

@@ -114,17 +114,23 @@ def test_facets_gate_for_large_tables(capsys, tmp_path):
     assert "n <= 8" in err
 
 
-def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
-    # Rank q at the end holds the stock of reference rank q + 15 (mod 30):
-    # the top cell of Gr(15, 30), whose C(30, 15) bases are far too many.
-    n, k = 30, 15
+def write_top_cell_csv(tmp_path, n, k):
+    # Rank q at the end holds the stock of reference rank q + k (mod n):
+    # the top cell of Gr(k, n), whose bases are all C(n, k) k-subsets.
     tickers = [f"T{s:02d}" for s in range(n)]
     end_rank = [(r - 1 - k) % n + 1 for r in range(1, n + 1)]
     rows = ["date," + ",".join(tickers),
             "2020-01-01," + ",".join(f"{10 + s}.00" for s in range(n)),
             "2020-01-02," + ",".join(f"{9 + q}.00" for q in end_rank)]
-    path = tmp_path / "top30.csv"
+    path = tmp_path / f"top{n}.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
+    # C(30, 15) bases are far too many to list.
+    n, k = 30, 15
+    path = write_top_cell_csv(tmp_path, n, k)
     started = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "stockpolytope", "analyze", str(path),
@@ -139,6 +145,26 @@ def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: basis search")
     assert "(n = 30, k = 15)" in result.stderr
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
+def test_facets_of_7_and_8_stock_top_cells(tmp_path, n, k):
+    # The hypersimplex with 2 <= k <= n - 2 has 2n facets, x_i >= 0 and
+    # x_i <= 1; a search over vertex subsets would face C(35, 6) and
+    # C(70, 7) of them here.
+    path = write_top_cell_csv(tmp_path, n, k)
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "stockpolytope", "analyze", str(path),
+         "--ref-date", "2020-01-01", "--end-date", "2020-01-02", "--facets", "--check"],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - started < 5.0
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["k"] == k
+    assert report["polytope"]["facet_count"] == 2 * n
 
 
 def test_chain_text(capsys):

@@ -18,10 +18,10 @@ from stockpolytope import (
     polytope_from_positroid,
     positroid_from_decorated,
     positroid_from_necklace,
-    vertices_from_inequalities,
     word_to_permutation,
 )
 from conftest import cached_dim, cached_positroid, reduced_words
+from oracles import subset_search_facets, vertices_from_inequalities
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -99,6 +99,27 @@ def test_facet_inequalities_hold_with_equality_pattern():
                     assert value == facet.offset
                 else:
                     assert value < facet.offset
+
+
+def test_facets_match_subset_search_oracle_n5():
+    # Each facet is cut out by one defining inequality, so testing the box
+    # and interval-cut candidates must find the oracle's incidence sets.
+    cells = 0
+    for n in range(1, 6):
+        for state in all_decorated_permutations(n):
+            poly = polytope_from_positroid(positroid_from_decorated(state))
+            facets = enumerate_facets(poly)
+            expected = subset_search_facets(poly)
+            assert [f.vertices for f in facets] == [f.vertices for f in expected], state
+            for facet in facets:
+                for v in poly.vertices:
+                    value = sum(c * x for c, x in zip(facet.normal, v))
+                    if v in facet.vertices:
+                        assert value == facet.offset, (state, facet)
+                    else:
+                        assert value < facet.offset, (state, facet)
+            cells += 1
+    assert cells == 414
 
 
 def test_facet_gate():
