@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class Color(Enum):
@@ -246,6 +246,45 @@ def affine_lift(dp: DecoratedPermutation) -> BoundedAffinePermutation:
         else:
             out.append(i if dp.color_of(i) is Color.RIGHT else i + n)
     return BoundedAffinePermutation(n, tuple(out))
+
+
+def affine_length(lift: BoundedAffinePermutation) -> int:
+    """Inversions (i, j) of the affine permutation: 1 <= i <= n, i < j, f(i) > f(j).
+
+    f(j + n) = f(j) + n.  The inversions split by the residues of i and j:
+    positions a < b of the lift carry |(f(b) - f(a)) // n| of them
+    (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Prop. 8.3.1).
+    The cell of the lift has dimension k(n - k) minus this length
+    (Knutson-Lam-Speyer, arXiv:0903.3694).
+
+    >>> affine_length(BoundedAffinePermutation(4, (2, 4, 5, 7)))
+    1
+    >>> affine_length(BoundedAffinePermutation(4, (4, 2, 3, 5)))
+    2
+    """
+    f, n = lift.f, lift.n
+    return sum(abs((f[b] - f[a]) // n) for b in range(n) for a in range(b))
+
+
+def affine_length_near(lift: BoundedAffinePermutation, positions: Iterable[int]) -> int:
+    """The part of ``affine_length`` carried by position pairs that meet ``positions``.
+
+    Positions are 1-based.  When two lifts differ only at ``positions``,
+    their lengths differ by the difference of these parts, which costs
+    O(n) work per position instead of O(n^2).
+
+    >>> lift = BoundedAffinePermutation(4, (4, 2, 3, 5))
+    >>> affine_length_near(lift, (1,)), affine_length_near(lift, (3, 4))
+    (2, 1)
+    """
+    f, n = lift.f, lift.n
+    near = sorted({p - 1 for p in positions})
+    total = 0
+    for a in near:
+        fa = f[a]
+        total += sum(abs((fa - x) // n) for x in f[:a]) + sum(abs((x - fa) // n) for x in f[a + 1:])
+    # a pair with both ends near was counted from each end
+    return total - sum(abs((f[b] - f[a]) // n) for i, b in enumerate(near) for a in near[:i])
 
 
 def remove_letter(word: WiringWord, index: int) -> WiringWord:

@@ -27,7 +27,11 @@ from .necklace import cyclic_interval, necklace_from_decorated
 from .perms import (
     Color,
     DecoratedPermutation,
+    Permutation,
     WiringWord,
+    affine_length,
+    affine_length_near,
+    affine_lift,
     remove_letter,
     word_to_permutation,
 )
@@ -211,8 +215,13 @@ def _apply_rule(rule: ColorRule, perm_fixed: Iterable[int]) -> dict[int, Color]:
 
 @dataclass(frozen=True)
 class CellStep:
+    """The cell after one prefix of a word: its label, decorated state and dimension.
+
+    The dimension is k(n - k) - l(f) for the affine lift f of ``state``
+    (Knutson-Lam-Speyer, arXiv:0903.3694).
+    """
+
     label: str
-    word: WiringWord
     state: DecoratedPermutation
     dimension: int
 
@@ -223,7 +232,8 @@ class CellChain:
 
     Appending a crossing to a reduced word raises the dimension by one;
     a re-crossing can drop it again, and such steps are reported as they
-    come, never suppressed.
+    come, never suppressed.  Each step after the first costs O(n): one
+    swap of the running arrangement and an update of the affine length.
     """
 
     steps: tuple[CellStep, ...]
@@ -244,18 +254,36 @@ def decomposition_chain(
     of intermediate products carry no market data, so their color comes
     from ``fixed_point_color``: a constant or a callable mapping the fixed
     point to a Color.
+
+    One arrangement runs along the word, and each letter p swaps its
+    entries p and p + 1.  A step's dimension is k(n - k) - l(f) for the
+    affine lift f (Knutson-Lam-Speyer, arXiv:0903.3694).  The length l(f)
+    is counted in full once, on the empty prefix; after that only the
+    lift positions a step changes (p and p + 1 under a constant or
+    pointwise color rule) are re-counted, against every other position,
+    so a step costs O(n).
     """
-    m = len(word.letters)
+    m, n = len(word.letters), word.n
     if labels is None:
         labels = [str(t) for t in range(m + 1)]
     if len(labels) != m + 1:
         raise ValueError(f"expected {m + 1} labels, got {len(labels)}")
+    line = list(range(1, n + 1))
     steps = []
     for t in range(m + 1):
-        prefix = word.prefix(t)
-        perm = word_to_permutation(prefix)
+        if t:
+            p = word.letters[t - 1]
+            line[p - 1], line[p] = line[p], line[p - 1]
+        perm = Permutation(tuple(line))
         dp = DecoratedPermutation(perm, _apply_rule(fixed_point_color, perm.fixed_points()))
-        steps.append(CellStep(str(labels[t]), prefix, dp, cell_dimension(dp)))
+        lift = affine_lift(dp)
+        if t == 0:
+            length = affine_length(lift)
+        else:
+            changed = [i for i, (u, v) in enumerate(zip(lift.f, prev.f), start=1) if u != v]
+            length += affine_length_near(lift, changed) - affine_length_near(prev, changed)
+        steps.append(CellStep(str(labels[t]), dp, lift.k * (n - lift.k) - length))
+        prev = lift
     return CellChain(tuple(steps))
 
 

@@ -5,10 +5,12 @@ k-subsets H with H >=_i I_i for every term of a Grassmann necklace, where
 >=_i compares sorted subsets componentwise in the cyclic order starting
 at i.  Equivalently H meets every cyclic interval [a..b] in at most its
 rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).  The bases come from
-a depth-first search pruned by those interval ranks, so its work follows
-the number of bases rather than C(n, k); a fixed step budget stops it
-with ValueError on cells with too many bases to list.  Components and
-dimensions come from the decorated permutation without the bases.
+a depth-first search pruned by those interval ranks.  It prunes only an
+interval that already holds too many chosen elements, so it can spend
+many steps on dead ends; a fixed step budget stops it with ValueError
+when the steps run out, which happens on some cells with only a few
+thousand bases.  Components and dimensions come from the decorated
+permutation without the bases.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     while stack:
         steps += 1
         if steps > BASIS_SEARCH_STEPS:
-            raise ValueError(f"basis search gave up after {BASIS_SEARCH_STEPS} steps "
-                             f"(n = {n}, k = {k}): too many bases to list")
+            raise ValueError(f"basis search ran out of its budget of {BASIS_SEARCH_STEPS} steps "
+                             f"(n = {n}, k = {k}) before it finished listing the bases")
         e, mask, size = stack.pop()
         if size == k:
             bases.append(mask)

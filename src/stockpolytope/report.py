@@ -17,11 +17,17 @@ from .perms import (
     DecoratedPermutation,
     Permutation,
     WiringWord,
+    affine_length,
     affine_lift,
     anti_exceedance_count,
     word_to_permutation,
 )
-from .polytope import PositroidPolytope, enumerate_facets, polytope_from_positroid
+from .polytope import (
+    PositroidPolytope,
+    enumerate_facets,
+    polytope_dimension,
+    polytope_from_positroid,
+)
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
 from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, permutation_at
 
@@ -113,24 +119,15 @@ def check_report(report: AnalysisReport) -> None:
     if affine_lift(report.state) != report.lift:
         raise ConsistencyError("affine lift does not re-derive from the reported state")
     n, k = report.state.n, report.k
-    if report.cell_dim != k * (n - k) - _affine_length(report.lift):
+    if report.cell_dim != k * (n - k) - affine_length(report.lift):
         raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
     if cell_dimension(report.state) != report.cell_dim:
         raise ConsistencyError("cell dimension does not re-derive from the reported state")
+    if polytope_dimension(report.polytope) != report.polytope_dim:
+        raise ConsistencyError("polytope dimension differs from the affine rank of the vertices")
     word = WiringWord(n, tuple(e.position for e in report.crossings))
     if word_to_permutation(word) != report.permutation:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")
-
-
-def _affine_length(lift: BoundedAffinePermutation) -> int:
-    """Inversions (i, j) of the affine permutation: 1 <= i <= n, i < j, f(i) > f(j).
-
-    f(j + n) = f(j) + n, and f(j) >= j rules out j >= i + n.
-    (Knutson-Lam-Speyer, arXiv:0903.3694.)
-    """
-    f, n = lift.f, lift.n
-    return sum(1 for i in range(1, n + 1) for j in range(i + 1, i + n)
-               if f[i - 1] > f[(j - 1) % n] + (j - 1) // n * n)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

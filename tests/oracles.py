@@ -15,6 +15,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from stockpolytope import (
+    BoundedAffinePermutation,
     Facet,
     GrassmannNecklace,
     Positroid,
@@ -23,6 +24,17 @@ from stockpolytope import (
 )
 
 Number = int | Fraction
+
+
+def affine_inversions(lift: BoundedAffinePermutation) -> int:
+    """Inversions (i, j) of the affine permutation: 1 <= i <= n, i < j, f(i) > f(j).
+
+    f(j + n) = f(j) + n, and f(j) >= j rules out j >= i + n, so every
+    pair is listed and tested one by one.
+    """
+    f, n = lift.f, lift.n
+    return sum(1 for i in range(1, n + 1) for j in range(i + 1, i + n)
+               if f[i - 1] > f[(j - 1) % n] + (j - 1) // n * n)
 
 
 def subset_filter_bases(nk: GrassmannNecklace) -> frozenset[frozenset[int]]:

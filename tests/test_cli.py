@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from stockpolytope.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
 RANGE = ["--ref-date", "2013-05-15", "--end-date", "2013-06-03"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,7 @@ def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: basis search")
     assert "(n = 30, k = 15)" in result.stderr
+    assert "too many bases" not in result.stderr
 
 
 @pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
@@ -184,6 +187,16 @@ def test_chain_json(capsys):
     assert [s["dimension"] for s in data["steps"]] == [0, 1, 2, 3]
     assert data["steps"][0]["position"] is None
     assert data["steps"][1]["position"] == 1
+
+
+@pytest.mark.parametrize("end", ["2013-06-03", "2013-06-05"])
+@pytest.mark.parametrize("fmt, suffix", [(["--format", "json"], "json"), ([], "txt")])
+def test_chain_matches_goldens(capsys, end, fmt, suffix):
+    # Up to 2013-06-05 the four stocks re-cross back down to a 1-cell.
+    code, out, err = run_cli(capsys, "chain", str(SAMPLE), "--ref-date", "2013-05-15",
+                             "--end-date", end, *fmt)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"chain_2013-05-15_{end}.{suffix}").read_text()
 
 
 def test_chain_no_crossings(capsys):
@@ -245,6 +258,13 @@ def test_check_catches_corrupted_cell_dimension():
     report.cell_dim += 1
     with pytest.raises(ConsistencyError, match=r"k\(n-k\) - l\(f\)"):
         check_report(report)
+
+
+def test_check_catches_raised_polytope_dimension():
+    report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
+    raised = dataclasses.replace(report, polytope_dim=report.polytope_dim + 1)
+    with pytest.raises(ConsistencyError, match="affine rank of the vertices"):
+        check_report(raised)
 
 
 def test_sample_csv_text_matches_packaged_file():

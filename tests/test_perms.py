@@ -8,6 +8,8 @@ from stockpolytope import (
     DecoratedPermutation,
     Permutation,
     WiringWord,
+    affine_length,
+    affine_length_near,
     affine_lift,
     all_decorated_permutations,
     anti_exceedance_count,
@@ -17,6 +19,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from conftest import compose, simple_transposition
+from oracles import affine_inversions
 
 
 def test_permutation_validates_bijection():
@@ -102,6 +105,19 @@ def test_lift_k_matches_anti_exceedances_and_is_injective():
             assert lift.k == anti_exceedance_count(dp)
             assert lift.f not in seen, (dp, seen[lift.f])
             seen[lift.f] = dp
+
+
+def test_affine_length_matches_inversion_oracle():
+    # Every decorated permutation with n <= 6: the residue-pair sum equals
+    # the pair-by-pair inversion count, and the part near every position
+    # is the whole length.
+    for n in range(1, 7):
+        for dp in all_decorated_permutations(n):
+            lift = affine_lift(dp)
+            length = affine_inversions(lift)
+            assert affine_length(lift) == length, dp
+            assert affine_length_near(lift, range(1, n + 1)) == length, dp
+            assert affine_length_near(lift, ()) == 0
 
 
 def test_k_invariant_under_cyclic_shift():
