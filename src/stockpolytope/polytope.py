@@ -1,29 +1,27 @@
-"""Positroid polytopes with exact rational arithmetic.
+"""Positroid polytopes, read off one closure of their prefix sums.
 
 The polytope of a positroid is the convex hull of the 0/1 indicator
 vectors of its bases.  Its inequality description is the level equation
 (coordinates sum to k), the box constraints 0 <= x_i <= 1, and one cut
 per cyclic interval [a..b]: the coordinates in the interval sum to at
-most the largest number of them any basis holds.  Cut bounds and the
-vertex checks run on bitmasks of the bases; a cut whose bound reaches
-min(k, width) follows from the boxes and the level equation alone.
-Facets come from the same description: each is cut out by one of these
-inequalities, so finding them means testing each inequality's tight
-vertices, not searching vertex subsets.
+most the largest number of them any basis holds (Ardila-Rincon-Williams,
+arXiv:1308.2698).  Cut bounds and the vertex checks run on bitmasks of
+the bases; a cut whose bound reaches min(k, width) follows from the
+boxes and the level equation alone.
 
-Every computation below runs over the integers and fractions.Fraction;
-floating point never appears.  Vertices are 0/1, so degenerate facets
-(like the square face of the four-stock example) are classified exactly,
-where a floating-point hull code could misjudge them.
+Each of these inequalities bounds a difference of prefix sums
+x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
+math/0501246): its dimension and facets come from ``prefix_closure`` in
+integer arithmetic, with no row reduction and no vertex-subset search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .necklace import cyclic_interval, necklace_from_decorated
+from .necklace import cyclic_interval
 from .perms import (
     Color,
     DecoratedPermutation,
@@ -35,38 +33,7 @@ from .perms import (
     remove_letter,
     word_to_permutation,
 )
-from .positroid import Positroid, cell_dimension, matroid_rank, positroid_from_decorated
-
-Number = int | Fraction
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra helpers (small inputs: facets are found for n <= 8 only).
-# ---------------------------------------------------------------------------
-
-
-def _independent_rows(vectors: Sequence[Sequence[Number]]) -> list[int]:
-    """Indices of a maximal linearly independent subset, chosen greedily."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    chosen: list[int] = []
-    for idx, vec in enumerate(vectors):
-        row = [Fraction(x) for x in vec]
-        for pivot_col, brow in basis:
-            if row[pivot_col] != 0:
-                factor = row[pivot_col]
-                row = [r - factor * b for r, b in zip(row, brow)]
-        pc = next((c for c, v in enumerate(row) if v != 0), None)
-        if pc is None:
-            continue
-        piv = row[pc]
-        basis.append((pc, [v / piv for v in row]))
-        chosen.append(idx)
-    return chosen
-
-
-def _dot(a: Sequence[Number], b: Sequence[Number]) -> Number:
-    return sum(x * y for x, y in zip(a, b))
-
+from .positroid import Positroid, cell_dimension, matroid_rank, positroid_from_decorated, prefix_closure
 
 # ---------------------------------------------------------------------------
 # The polytope itself.
@@ -141,11 +108,20 @@ def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
     return PositroidPolytope(n, k, verts, tuple(cuts))
 
 
+def _class_count(d: Sequence[Sequence[int]]) -> int:
+    """Classes of nodes i, j with P_i - P_j fixed (d[i][j] + d[j][i] = 0)."""
+    return sum(1 for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i)))
+
+
 def polytope_dimension(p: PositroidPolytope) -> int:
-    """Dimension of the affine hull of the vertex set, exactly."""
-    v0 = p.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
-    return len(_independent_rows(diffs))
+    """Dimension of the polytope: its classes of fixed prefix-sum differences, less one.
+
+    >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
+    >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
+    >>> polytope_dimension(polytope_from_positroid(positroid_from_necklace(eq1)))
+    3
+    """
+    return _class_count(prefix_closure(p.n, p.k, p.interval_cuts)) - 1
 
 
 @dataclass(frozen=True)
@@ -170,10 +146,12 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
     inequalities (Ardila-Rincon-Williams, arXiv:1308.2698), and every
     facet of a polytope is cut out by one inequality of any system that
     defines it.  So the candidates x_i >= 0, x_i <= 1 and the interval
-    cuts, in that order, are tested: one gives a facet when the vertices
-    it holds tight are a proper, non-empty subset whose affine span has
-    dimension d - 1.  Candidates with the same tight set count once, as
-    the first of them.  The n <= 8 gate keeps this at desk scale.
+    cuts, each a bound P_j - P_i <= c, are tested in that order.  One
+    holds a proper face tight when the closure has d[i][j] = c but not
+    d[j][i] = -c; the face adds P_i - P_j <= -c, closed in O(n^2), and
+    is a facet when it has one class fewer than the polytope.  Candidates
+    with the same face (the same closure) count once, as the first.  The
+    n <= 8 gate keeps this at desk scale.
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
@@ -181,21 +159,30 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
     >>> sorted(len(f.vertices) for f in enumerate_facets(market))
     [3, 3, 3, 3, 4]
     """
-    if p.n > 8:
+    n, k = p.n, p.k
+    if n > 8:
         raise ValueError("ambient size too large for desk-scale facet search (n <= 8)")
-    d = polytope_dimension(p)
-    units = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
-    candidates = [(tuple(-x for x in e), 0) for e in units] + [(e, 1) for e in units]
-    candidates += [(p.cut_coefficients(a, b), bound) for (a, b), bound in p.interval_cuts]
+    d = prefix_closure(n, k, p.interval_cuts)
+    facet_classes = _class_count(d) - 1
+    # (normal, offset, i, j, c): normal . x <= offset is P_j - P_i <= c.
+    candidates = [(tuple(-(t == i) for t in range(n)), 0, i + 1, i, 0) for i in range(n)]
+    candidates += [(tuple(int(t == i) for t in range(n)), 1, i, i + 1, 1) for i in range(n)]
+    candidates += [(p.cut_coefficients(a, b), r, a - 1, b, r) if b <= n else
+                   (p.cut_coefficients(a, b), r, a - 1, b - n, r - k)
+                   for (a, b), r in p.interval_cuts]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     facets = []
-    for normal, offset in candidates:
-        tight = tuple(v for v in p.vertices if _dot(normal, v) == offset)
-        if tight in seen or not 0 < len(tight) < len(p.vertices):
+    for normal, offset, i, j, c in candidates:
+        if d[i][j] != c or d[j][i] == -c:
             continue
-        seen.add(tight)
-        diffs = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
-        if len(_independent_rows(diffs)) == d - 1:
+        to_i = [row[j] - c for row in d]  # from each node, on to i by the new bound
+        face = tuple([tuple([x if x < t + y else t + y for x, y in zip(row, d[i])])
+                      for row, t in zip(d, to_i)])
+        if face in seen:
+            continue
+        seen.add(face)
+        if _class_count(face) == facet_classes:
+            tight = tuple(v for v in p.vertices if sum(map(mul, normal, v)) == offset)
             facets.append(Facet(normal, offset, tight))
     return tuple(sorted(facets, key=lambda f: f.vertices))
 

@@ -4,29 +4,24 @@ A positroid of rank k on {1..n} is the matroid whose bases are the
 k-subsets H with H >=_i I_i for every term of a Grassmann necklace, where
 >=_i compares sorted subsets componentwise in the cyclic order starting
 at i.  Equivalently H meets every cyclic interval [a..b] in at most its
-rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).  The bases come from
-a depth-first search pruned by those interval ranks.  It prunes only an
-interval that already holds too many chosen elements, so it can spend
-many steps on dead ends; a fixed step budget stops it with ValueError
-when the steps run out, which happens on some cells with only a few
-thousand bases.  Components and dimensions come from the decorated
-permutation without the bases.
+rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).
+
+Each cut bounds a difference of prefix sums x_1 + ... + x_j, so the
+polytope is alcoved (Lam-Postnikov, math/0501246): the bases, and in
+``polytope`` its dimension and facets, come from ``prefix_closure``.
+Components and dimensions come from the decorated permutation without
+the bases.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable
 
-from .necklace import (
-    GrassmannNecklace,
-    cyclic_interval,
-    cyclic_interval_rank,
-    necklace_from_decorated,
-    validate_necklace,
-)
-from .perms import DecoratedPermutation, affine_lift
+from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated, validate_necklace
+from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count
 
 # Steps (search nodes) ``positroid_from_necklace`` may take before giving up.
 BASIS_SEARCH_STEPS = 200_000
@@ -102,16 +97,45 @@ class ExchangeFailure:
     element: int
 
 
+def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
+    """The tightest bounds d[i][j] >= P_j - P_i over a positroid polytope.
+
+    P_j = x_1 + ... + x_j on the nodes 0..n.  The boxes 0 <= x_j <= 1
+    give d[j-1][j] = 1 and d[j][j-1] = 0, the level equation gives
+    d[0][n] = k and d[n][0] = -k, and a cut ((a, b), r) on the cyclic
+    interval [a..b] gives d[a-1][b] <= r, or d[a-1][b-n] <= r - k when it
+    wraps past n.  One Floyd-Warshall pass closes the system, after which
+    every bound is attained by a point of the polytope.
+
+    >>> d = prefix_closure(4, 2, [((1, 2), 1)])  # x1 + x2 <= 1, so x3 + x4 >= 1
+    >>> d[0][2], -d[4][2]
+    (1, 1)
+    """
+    d = [[j - i if i <= j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    d[0][n], d[n][0] = k, -k
+    for (a, b), r in cuts:
+        i, j, bound = (a - 1, b, r) if b <= n else (a - 1, b - n, r - k)
+        d[i][j] = min(d[i][j], bound)
+    nodes = range(n + 1)
+    for m, through in enumerate(d):
+        for row in d:
+            via = row[m]
+            for j in nodes:
+                if via + through[j] < row[j]:
+                    row[j] = via + through[j]
+    return d
+
+
 def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     """Bases are the k-subsets within every cyclic-interval cut.
 
-    A depth-first search decides the elements 1..n in turn on integer
-    bitmasks.  Taking an element is refused as soon as some cyclic
-    interval through it holds more chosen elements than its rank
-    r[a, b]; leaving one out is refused once too few elements remain to
-    reach k.  Only intervals whose rank lies below min(k, width) can
-    refuse anything.  The search gives up with ValueError after
-    ``BASIS_SEARCH_STEPS`` steps.
+    A depth-first search fixes the prefix sums P_1, P_2, ... in turn, each
+    to a value v with P_i - d[e][i] <= v <= P_i + d[i][e] for the fixed
+    P_i, i < e, where d is the ``prefix_closure`` of the cuts r[a, b].  A
+    closed network of difference constraints is decomposable
+    (Dechter-Meiri-Pearl, 1991): every value leads on to a basis, so the
+    search takes at most 1 + n steps per basis.  It gives up with
+    ValueError after ``BASIS_SEARCH_STEPS`` steps.
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
@@ -123,24 +147,14 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     if violation is not None:
         raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
-    # checks[e]: (mask, rank) of the binding intervals tested when element
-    # e + 1 is taken.  An interval [a..b] inside 1..n is tested at b only:
-    # the chosen elements of a longer interval from a lie in [a..e] while
-    # e is being decided, and r[a, e] is the smaller rank.  An interval
-    # that wraps past n is tested at each element of a..n; without any
-    # chosen there it holds no more than [1..b - n], tested already.
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(a, a + n - 1):
-            rank = cyclic_interval_rank(nk, a, b)
-            if rank < min(k, b - a + 1):
-                mask = sum(1 << (x - 1) for x in cyclic_interval(a, b, n))
-                for x in range(a, n + 1) if b > n else (b,):
-                    checks[x - 1].append((mask, rank))
+    d = prefix_closure(n, k, (((a, b), cyclic_interval_rank(nk, a, b))
+                              for a in range(1, n + 1) for b in range(a, a + n - 1)))
+    columns = list(zip(*d))
+    prefix: list[int] = []  # P_0, ..., P_e along the path to the current node
     bases: list[int] = []
-    # (next element e + 1, chosen bitmask, chosen count).  An explicit stack,
-    # since a recursive closure would sit in a reference cycle and keep the
-    # bases alive until the cyclic garbage collector ran.
+    # (node e, the value of P_e, bitmask of the elements chosen in 1..e).
+    # An explicit stack, since a recursive closure would sit in a reference
+    # cycle and keep the bases alive until the cyclic garbage collector ran.
     stack = [(0, 0, 0)]
     steps = 0
     while stack:
@@ -148,15 +162,15 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
         if steps > BASIS_SEARCH_STEPS:
             raise ValueError(f"basis search ran out of its budget of {BASIS_SEARCH_STEPS} steps "
                              f"(n = {n}, k = {k}) before it finished listing the bases")
-        e, mask, size = stack.pop()
-        if size == k:
+        e, value, mask = stack.pop()
+        del prefix[e:]
+        prefix.append(value)
+        if e == n:
             bases.append(mask)
             continue
-        if n - e > k - size:
-            stack.append((e + 1, mask, size))
-        taken = mask | 1 << e
-        if all((taken & m).bit_count() <= r for m, r in checks[e]):
-            stack.append((e + 1, taken, size + 1))
+        lo = max(map(sub, prefix, d[e + 1]))
+        hi = min(map(add, prefix, columns[e + 1]))
+        stack.extend((e + 1, v, mask | (v - value) << e) for v in range(lo, hi + 1))
     return Positroid(n, k, frozenset(
         frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases))
 
@@ -286,10 +300,7 @@ def cell_dimension(dp: DecoratedPermutation) -> int:
     >>> cell_dimension(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
     3
     """
-    nk = necklace_from_decorated(dp)
-    lift = affine_lift(dp)
-    total = sum(cyclic_interval_rank(nk, i, lift.f[i - 1]) for i in range(1, dp.n + 1))
-    return total - nk.k**2
+    return sum(interval_rank_summands(dp)) - anti_exceedance_count(dp) ** 2
 
 
 def interval_rank_summands(dp: DecoratedPermutation) -> tuple[int, ...]:

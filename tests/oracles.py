@@ -87,8 +87,8 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
 
 
-# Exact linear algebra for the polytope oracles.  The row reduction is a
-# copy of the package's, so that a fault there cannot hide in both sides.
+# Exact linear algebra for the polytope oracles, over fractions.Fraction.
+# The package reads dimensions and facets off a prefix-sum closure instead.
 
 
 def _independent_rows(vectors: Sequence[Sequence[Number]]) -> list[int]:
@@ -108,6 +108,12 @@ def _independent_rows(vectors: Sequence[Sequence[Number]]) -> list[int]:
         basis.append((pc, [v / piv for v in row]))
         chosen.append(idx)
     return chosen
+
+
+def affine_dimension(vertices: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of the points, by exact row reduction."""
+    v0 = vertices[0]
+    return len(_independent_rows([tuple(a - b for a, b in zip(v, v0)) for v in vertices[1:]]))
 
 
 def _solve_square_int(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:

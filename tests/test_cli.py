@@ -150,6 +150,38 @@ def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
     assert "too many bases" not in result.stderr
 
 
+def write_split_market_csv(tmp_path, swap):
+    # 30 stocks over two dates: the 15 cheapest fall and the 15 dearest
+    # rise, each keeping its rank, so ranks 1..15 are LEFT fixed points
+    # and the cell has the single basis {1..15}.  With ``swap`` the stocks
+    # of ranks 15 and 16 trade places, and {1..14, 16} is a basis too.
+    end = [50 + q if q <= 15 else 200 + q for q in range(1, 31)]
+    if swap:
+        end[14], end[15] = 180, 170
+    rows = ["date," + ",".join(f"T{q:02d}" for q in range(1, 31)),
+            "2020-01-01," + ",".join(f"{100 + q}.00" for q in range(1, 31)),
+            "2020-01-02," + ",".join(f"{p}.00" for p in end)]
+    path = tmp_path / "split.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("swap, bases", [
+    (False, [list(range(1, 16))]),
+    (True, [list(range(1, 16)), list(range(1, 15)) + [16]]),
+])
+def test_analyze_lists_few_bases_of_30_stocks(capsys, tmp_path, swap, bases):
+    # The listing's steps grow with the bases, not with n or C(n, k).
+    path = write_split_market_csv(tmp_path, swap)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", "2020-01-01",
+                             "--end-date", "2020-01-02", "--check")
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    assert report["k"] == 15
+    assert report["bases"] == bases
+    assert report["polytope"]["vertex_count"] == len(bases)
+
+
 @pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
 def test_facets_of_7_and_8_stock_top_cells(tmp_path, n, k):
     # The hypersimplex with 2 <= k <= n - 2 has 2n facets, x_i >= 0 and

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockpolytope import (
     Color,
@@ -25,8 +27,9 @@ from stockpolytope import (
     positroid_from_necklace,
     verify_exchange_axiom,
 )
+from stockpolytope import positroid
 from conftest import brute_circuits, components_from_circuits
-from oracles import exchange_components, subset_filter_bases
+from oracles import affine_dimension, exchange_components, subset_filter_bases
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -158,13 +161,16 @@ def test_rank_consistency_small():
                     assert cyclic_interval_rank(nk, a, b) == expected
 
 
-def test_bases_components_cuts_and_dimension_match_oracles():
+def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
     cells = 0
     for n in range(1, 7):
         for state in all_decorated_permutations(n):
             nk = necklace_from_decorated(state)
+            expected = subset_filter_bases(nk)
+            # The listing takes at most 1 + n steps per basis: no dead ends.
+            monkeypatch.setattr(positroid, "BASIS_SEARCH_STEPS", 1 + n * len(expected))
             m = positroid_from_necklace(nk)
-            assert m.bases == subset_filter_bases(nk), state
+            assert m.bases == expected, state
             blocks = connected_components(state)
             assert blocks == exchange_components(m), state
             poly = polytope_from_positroid(m)
@@ -173,7 +179,25 @@ def test_bases_components_cuts_and_dimension_match_oracles():
                 for a in range(1, n + 1)
                 for w in range(1, n)
             ), state
-            assert polytope_dimension(poly) == n - len(blocks), state
+            assert polytope_dimension(poly) == affine_dimension(poly.vertices) == n - len(blocks), state
             cells += 1
     assert cells == 2371
 
+
+@st.composite
+def decorated_permutations(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    colors = {i: draw(st.sampled_from(Color)) for i in perm.fixed_points()}
+    return DecoratedPermutation(perm, colors)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(decorated_permutations())
+def test_closure_matches_oracles_on_random_cells(state):
+    nk = necklace_from_decorated(state)
+    m = positroid_from_necklace(nk)
+    assert m.bases == subset_filter_bases(nk)
+    poly = polytope_from_positroid(m)
+    assert polytope_dimension(poly) == affine_dimension(poly.vertices)
+    assert polytope_dimension(poly) == state.n - len(connected_components(state))
