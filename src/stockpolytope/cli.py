@@ -15,7 +15,7 @@ from .necklace import necklace_from_decorated
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, permutation_at, read_price_csv
+from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, permutation_at, rankings, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import ConsistencyError, build_report, check_report, report_to_json, report_to_text
 
@@ -110,8 +110,8 @@ def _cmd_render(args) -> str:
         events = crossing_stream(table, ref, end)
         word = WiringWord(table.n_stocks, tuple(e.position for e in events))
         return render_wiring(word, table.tickers, fmt=args.format)
-    perm = permutation_at(table, ref, end)
-    state = decorate(perm, table, ref, end)
+    chain = rankings(table, up_to=end, since=ref)
+    state = decorate(permutation_at(table, ref, end, chain=chain), table, ref, end, chain=chain)
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)
     lift = affine_lift(state)

@@ -164,15 +164,15 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
         raise ValueError("ambient size too large for desk-scale facet search (n <= 8)")
     d = prefix_closure(n, k, p.interval_cuts)
     facet_classes = _class_count(d) - 1
-    # (normal, offset, i, j, c): normal . x <= offset is P_j - P_i <= c.
-    candidates = [(tuple(-(t == i) for t in range(n)), 0, i + 1, i, 0) for i in range(n)]
-    candidates += [(tuple(int(t == i) for t in range(n)), 1, i, i + 1, 1) for i in range(n)]
-    candidates += [(p.cut_coefficients(a, b), r, a - 1, b, r) if b <= n else
-                   (p.cut_coefficients(a, b), r, a - 1, b - n, r - k)
+    # (i, j, c, sign, a, b, offset): sign * (x_a + ... + x_b) <= offset, over the
+    # cyclic interval [a, b], is P_j - P_i <= c.  Only a facet builds its normal.
+    candidates = [(i + 1, i, 0, -1, i + 1, i + 1, 0) for i in range(n)]
+    candidates += [(i, i + 1, 1, 1, i + 1, i + 1, 1) for i in range(n)]
+    candidates += [(a - 1, b, r, 1, a, b, r) if b <= n else (a - 1, b - n, r - k, 1, a, b, r)
                    for (a, b), r in p.interval_cuts]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     facets = []
-    for normal, offset, i, j, c in candidates:
+    for i, j, c, sign, a, b, offset in candidates:
         if d[i][j] != c or d[j][i] == -c:
             continue
         to_i = [row[j] - c for row in d]  # from each node, on to i by the new bound
@@ -182,6 +182,7 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
             continue
         seen.add(face)
         if _class_count(face) == facet_classes:
+            normal = tuple(sign * x for x in p.cut_coefficients(a, b))
             tight = tuple(v for v in p.vertices if sum(map(mul, normal, v)) == offset)
             facets.append(Facet(normal, offset, tight))
     return tuple(sorted(facets, key=lambda f: f.vertices))

@@ -18,6 +18,15 @@ Conventions, fixed once here:
   repeated left-to-right passes, giving exactly inversion-count many
   events per day.
 
+A command ranks its window once.  A date whose prices are pairwise
+distinct ranks the same whatever order came before it, so ``rankings``
+starts at the last such date at or before the reference date (else at
+the first date) and gives, date for date, the rankings of a chain from
+the first date: the tie convention is kept exactly.  ``permutation_at``,
+``crossing_stream`` and ``decorate`` share that one chain as ``chain=``.
+``parse_price_csv`` checks every row of the file, inside the window or
+not, and ``PriceTable`` checks each price once.
+
 Tables are immutable and all functions are pure, so per-date analyses
 can run concurrently without coordination.
 """
@@ -26,10 +35,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from importlib import resources
+from itertools import pairwise
 
 from .perms import Color, DecoratedPermutation, Permutation
 
@@ -59,6 +69,7 @@ class PriceTable:
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
     prices: tuple[tuple[Decimal, ...], ...]
+    _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -77,9 +88,14 @@ class PriceTable:
         for row in self.prices:
             if len(row) != len(self.tickers):
                 raise ValueError("every row needs one price per ticker")
-            for p in row:
-                if not isinstance(p, Decimal) or not p.is_finite() or p <= 0:
-                    raise ValueError(f"prices must be positive decimals, got {p!r}")
+            try:
+                positive = all(map(Decimal.is_finite, row)) and min(row) > 0
+            except TypeError:  # Decimal.is_finite of something else
+                positive = False
+            if not positive:
+                bad = next(p for p in row if not isinstance(p, Decimal) or not p.is_finite() or p <= 0)
+                raise ValueError(f"prices must be positive decimals, got {bad!r}")
+        object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.dates)})
 
     @property
     def n_stocks(self) -> int:
@@ -87,8 +103,8 @@ class PriceTable:
 
     def date_index(self, d: date) -> int:
         try:
-            return self.dates.index(d)
-        except ValueError:
+            return self._index[d]
+        except KeyError:
             raise ValueError(f"unknown date {d.isoformat()}") from None
 
     def price(self, d: date, stock: int) -> Decimal:
@@ -112,6 +128,9 @@ class Ranking:
         return self.order.index(stock) + 1
 
 
+RankingChain = tuple[Ranking, ...]  # consecutive dates, as ``rankings`` returns them
+
+
 @dataclass(frozen=True)
 class CrossingEvent:
     """One adjacent rank swap: ranks ``position`` and ``position + 1``.
@@ -127,15 +146,55 @@ class CrossingEvent:
     stocks: tuple[int, int]
 
 
+def _csv_rows(data: str | bytes) -> list[list[str]]:
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
+    reader = csv.reader(io.StringIO(data))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise PriceCsvError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+
+
+def _blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _first_bad_price(tickers: tuple[str, ...], rows: list[list[str]], stop: int) -> PriceCsvError | None:
+    """The error for the first bad price on the data lines before line ``stop``, if any."""
+    for line_no, row in enumerate(rows[1 : stop - 1], start=2):
+        if _blank(row):
+            continue
+        for ticker, cell in zip(tickers, map(str.strip, row[1:])):
+            try:
+                value = Decimal(cell)
+            except InvalidOperation:
+                value = None
+            if value is None or not value.is_finite():
+                return PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker)
+            if value <= 0:
+                return PriceCsvError(f"non-positive price {cell!r}", row=line_no, column=ticker)
+    return None
+
+
 def parse_price_csv(data: str | bytes) -> PriceTable:
     """Parse ``date,<ticker>,...`` CSV text into a PriceTable.
 
     Rows may arrive in any date order and come out sorted.  Malformed
-    numbers, non-positive prices, duplicate dates or tickers, and row
-    length mismatches raise PriceCsvError with the offending location.
+    numbers, non-positive prices, duplicate dates or tickers, row length
+    mismatches, undecodable bytes and unreadable CSV raise PriceCsvError
+    with the offending location: the first problem in file order.
+
+    Every row is checked, whatever dates a later analysis asks for.  Each
+    price is checked once, as ``PriceTable`` is built; only when a check
+    fails are the cells read again one by one, to name the bad one.
     """
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(data)
     if not rows:
         raise PriceCsvError("empty input")
     header = [cell.strip() for cell in rows[0]]
@@ -153,36 +212,30 @@ def parse_price_csv(data: str | bytes) -> PriceTable:
         seen_tickers.add(t)
 
     parsed: dict[date, tuple[Decimal, ...]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(tickers) + 1:
-            raise PriceCsvError(
-                f"expected {len(tickers) + 1} fields, got {len(cells)}", row=line_no
-            )
-        try:
-            d = date.fromisoformat(cells[0])
-        except ValueError:
-            raise PriceCsvError(f"bad ISO-8601 date {cells[0]!r}", row=line_no, column="date") from None
-        if d in parsed:
-            raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
-        prices = []
-        for ticker, cell in zip(tickers, cells[1:]):
+    try:
+        for line_no, row in enumerate(rows[1:], start=2):
+            if _blank(row):
+                continue
+            if len(row) != len(tickers) + 1:
+                raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
+            cell = row[0].strip()
             try:
-                value = Decimal(cell)
-            except InvalidOperation:
-                raise PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker) from None
-            if not value.is_finite():
-                raise PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker)
-            if value <= 0:
-                raise PriceCsvError(f"non-positive price {cell!r}", row=line_no, column=ticker)
-            prices.append(value)
-        parsed[d] = tuple(prices)
-    if not parsed:
-        raise PriceCsvError("no data rows")
-    dates = tuple(sorted(parsed))
-    return PriceTable(tickers, dates, tuple(parsed[d] for d in dates))
+                d = date.fromisoformat(cell)
+            except ValueError:
+                raise PriceCsvError(f"bad ISO-8601 date {cell!r}", row=line_no, column="date") from None
+            if d in parsed:
+                raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
+            parsed[d] = tuple(map(Decimal, row[1:]))
+        if not parsed:
+            raise PriceCsvError("no data rows")
+        dates = tuple(sorted(parsed))
+        return PriceTable(tickers, dates, tuple(parsed[d] for d in dates))
+    except (InvalidOperation, ValueError) as exc:
+        # Read the cells before the failing line (all of them when Decimal or
+        # PriceTable refused a price) one by one: a bad price on an earlier
+        # line is the first problem in file order, and this names its cell.
+        stop = getattr(exc, "row", None) or len(rows) + 1
+        raise _first_bad_price(tickers, rows, stop) or exc from None
 
 
 def read_price_csv(path) -> PriceTable:
@@ -199,110 +252,115 @@ def load_sample_table() -> PriceTable:
     return parse_price_csv(sample_csv_text())
 
 
-def rankings(table: PriceTable, up_to: date | None = None) -> tuple[Ranking, ...]:
-    """Rankings for every date, chained so that ties never reorder.
+def rankings(table: PriceTable, up_to: date | None = None, since: date | None = None) -> RankingChain:
+    """The ranking chain through ``up_to`` (the last date by default).
 
     The first date sorts by (price, ticker); every later date stably
     re-sorts the previous order by the day's prices, so equal prices keep
     their standing instead of fabricating a crossing.
+
+    A date whose prices are pairwise distinct ranks the same whatever
+    order came before it.  So the chain starts at the last such date at
+    or before ``since``, or at the first date when ``since`` is None or
+    no such date exists, and from there on it holds exactly the rankings
+    of a chain from the first date.  ``chain[0].date`` is where it starts.
     """
+    latest = table.date_index(since) if since is not None else 0
     stop = table.date_index(up_to) if up_to is not None else len(table.dates) - 1
-    first = sorted(range(table.n_stocks), key=lambda s: (table.prices[0][s], table.tickers[s]))
-    out = [Ranking(table.dates[0], tuple(first))]
-    for di in range(1, stop + 1):
-        row = table.prices[di]
-        order = sorted(out[-1].order, key=lambda s: row[s])
-        out.append(Ranking(table.dates[di], tuple(order)))
+    n = table.n_stocks
+    start = next((i for i in range(min(latest, stop), 0, -1) if len(set(table.prices[i])) == n), 0)
+    row = table.prices[start]
+    order = tuple(sorted(range(n), key=lambda s: (row[s], table.tickers[s])))
+    out = [Ranking(table.dates[start], order)]
+    for di in range(start + 1, stop + 1):
+        order = tuple(sorted(order, key=table.prices[di].__getitem__))
+        out.append(Ranking(table.dates[di], order))
     return tuple(out)
 
 
 def rank_at_date(table: PriceTable, d: date) -> Ranking:
     """Deterministic ranking of one date (same table, same result)."""
-    return rankings(table, up_to=d)[-1]
+    return rankings(table, up_to=d, since=d)[-1]
 
 
-def _check_range(table: PriceTable, ref_date: date, target_date: date) -> tuple[int, int]:
-    ri = table.date_index(ref_date)
-    ti = table.date_index(target_date)
+def _window(table: PriceTable, ref_date: date, target_date: date, chain: RankingChain | None) -> RankingChain:
+    """The rankings from the reference to the target date, taken from ``chain`` or ranked anew."""
+    ri, ti = table.date_index(ref_date), table.date_index(target_date)
     if ti < ri:
         raise ValueError(
             f"target date {target_date.isoformat()} is before reference {ref_date.isoformat()}"
         )
-    return ri, ti
+    chain = chain or rankings(table, up_to=target_date, since=ref_date)
+    start = table.date_index(chain[0].date)
+    if not start <= ri <= ti < start + len(chain):
+        raise ValueError(f"the chain does not cover {ref_date.isoformat()} to {target_date.isoformat()}")
+    return chain[ri - start : ti - start + 1]
 
 
-def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Permutation:
+def permutation_at(
+    table: PriceTable, ref_date: date, target_date: date, *, chain: RankingChain | None = None
+) -> Permutation:
     """Permutation of reference ranks after the crossings up to the target.
 
     Entry q is the reference-date rank of the stock holding rank q at the
     target date; the identity when the dates coincide.  Equals the left
-    to right product of ``crossing_stream`` over the same range.
+    to right product of ``crossing_stream`` over the same range.  The
+    rankings come from ``chain``, a ``rankings`` result that covers the
+    range, or from a chain ranked for the range alone.
     """
-    ri, ti = _check_range(table, ref_date, target_date)
-    chain = rankings(table, up_to=target_date)
-    ref_rank = {s: r for r, s in enumerate(chain[ri].order, start=1)}
-    return Permutation(tuple(ref_rank[s] for s in chain[ti].order))
+    window = _window(table, ref_date, target_date, chain)
+    ref_rank = {s: r for r, s in enumerate(window[0].order, start=1)}
+    return Permutation(tuple(ref_rank[s] for s in window[-1].order))
 
 
-def _bubble_word(values: list[int]) -> list[int]:
-    # Repeated left-to-right passes; swap positions are 1-based and the
-    # total count equals the inversion number of the input.
-    word = []
-    swapped = True
-    while swapped:
-        swapped = False
-        for p in range(1, len(values)):
-            if values[p - 1] > values[p]:
-                values[p - 1], values[p] = values[p], values[p - 1]
-                word.append(p)
-                swapped = True
-    return word
-
-
-def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
+def crossing_stream(
+    table: PriceTable, ref_date: date, end_date: date, *, chain: RankingChain | None = None
+) -> tuple[CrossingEvent, ...]:
     """All crossing events between consecutive dates of the range.
 
-    Each daily transition decomposes into adjacent swaps via bubble sort;
-    applying a date's events in ``seq`` order to the previous ranking
-    yields the date's ranking, and the concatenated stream multiplies to
-    ``permutation_at(ref_date, end_date)``.
+    Each daily transition decomposes into adjacent swaps by bubble sort,
+    in repeated left-to-right passes over the previous ranking: applying
+    a date's events in ``seq`` order to it yields the date's ranking, and
+    the concatenated stream multiplies to ``permutation_at(ref_date,
+    end_date)``.  ``chain`` is as there.
     """
-    ri, ti = _check_range(table, ref_date, end_date)
-    chain = rankings(table, up_to=end_date)
     events = []
-    for di in range(ri + 1, ti + 1):
-        prev = chain[di - 1]
-        cur = chain[di]
-        today_rank = {s: r for r, s in enumerate(cur.order, start=1)}
-        word = _bubble_word([today_rank[s] for s in prev.order])
-        arrangement = list(prev.order)
-        for seq, p in enumerate(word):
-            involved = (arrangement[p - 1], arrangement[p])
-            events.append(CrossingEvent(cur.date, seq, p, involved))
-            arrangement[p - 1], arrangement[p] = arrangement[p], arrangement[p - 1]
+    for prev, cur in pairwise(_window(table, ref_date, end_date, chain)):
+        today = {s: r for r, s in enumerate(cur.order)}
+        arrangement, first = list(prev.order), len(events)
+        swapped = True
+        while swapped:
+            swapped = False
+            for p in range(1, len(arrangement)):
+                lower, upper = arrangement[p - 1], arrangement[p]
+                if today[lower] > today[upper]:
+                    events.append(CrossingEvent(cur.date, len(events) - first, p, (lower, upper)))
+                    arrangement[p - 1], arrangement[p] = upper, lower
+                    swapped = True
     return tuple(events)
 
 
 def decorate(
-    perm: Permutation, table: PriceTable, ref_date: date, target_date: date
+    perm: Permutation, table: PriceTable, ref_date: date, target_date: date,
+    *, chain: RankingChain | None = None,
 ) -> DecoratedPermutation:
     """Color the fixed points by the net price move since the reference.
 
     A fixed point's stock kept its rank; its cord points RIGHT when the
     price rose or is unchanged, LEFT when it fell.  ``perm`` must be the
-    permutation of the same date range.
+    permutation of the same date range; ``chain`` is as in
+    ``permutation_at``.
     """
-    expected = permutation_at(table, ref_date, target_date)
-    if perm != expected:
+    window = _window(table, ref_date, target_date, chain)
+    if perm != permutation_at(table, ref_date, target_date, chain=window):
         raise ValueError(
             f"permutation {perm.images} does not match the table between "
             f"{ref_date.isoformat()} and {target_date.isoformat()}"
         )
-    ref_ranking = rank_at_date(table, ref_date)
+    before = table.prices[table.date_index(ref_date)]
+    after = table.prices[table.date_index(target_date)]
     colors = {}
     for i in perm.fixed_points():
-        stock = ref_ranking.order[i - 1]
-        before = table.price(ref_date, stock)
-        after = table.price(target_date, stock)
-        colors[i] = Color.RIGHT if after >= before else Color.LEFT
+        stock = window[0].order[i - 1]
+        colors[i] = Color.RIGHT if after[stock] >= before[stock] else Color.LEFT
     return DecoratedPermutation(perm, colors)

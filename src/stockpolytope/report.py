@@ -29,7 +29,7 @@ from .polytope import (
     polytope_from_positroid,
 )
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
-from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, permutation_at
+from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, permutation_at, rankings
 
 SCHEMA_VERSION = 1
 
@@ -66,10 +66,11 @@ class AnalysisReport:
 def build_report(
     table: PriceTable, ref_date: date, end_date: date, with_facets: bool = False
 ) -> AnalysisReport:
-    """Run the whole pipeline for one date range."""
-    perm = permutation_at(table, ref_date, end_date)
-    state = decorate(perm, table, ref_date, end_date)
-    events = crossing_stream(table, ref_date, end_date)
+    """Run the whole pipeline for one date range, from one ranking chain."""
+    chain = rankings(table, up_to=end_date, since=ref_date)
+    perm = permutation_at(table, ref_date, end_date, chain=chain)
+    state = decorate(perm, table, ref_date, end_date, chain=chain)
+    events = crossing_stream(table, ref_date, end_date, chain=chain)
     nk = necklace_from_decorated(state)
     lift = affine_lift(state)
     m = positroid_from_necklace(nk)

@@ -1,15 +1,21 @@
-"""Brute-force oracles for the positroid routines that now use theorems.
+"""Brute-force oracles for the routines that now use theorems or shortcuts.
 
 Each public function here is an earlier, search-based version of a
 routine in ``stockpolytope`` or, for ``vertices_from_inequalities``, the
 vertex set of the inequality description found without the bases; they
-are kept so the tests can compare both sides on every small cell.  None
-of them is fast; all of them follow the definitions directly.
+are kept so the tests can compare both sides on every small cell.  The
+price oracles are the earlier parser, which checks cell by cell, and the
+ranking chain that always starts at the first date.  None of them is
+fast; all of them follow the definitions directly.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+from datetime import date
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -20,6 +26,9 @@ from stockpolytope import (
     GrassmannNecklace,
     Positroid,
     PositroidPolytope,
+    PriceCsvError,
+    PriceTable,
+    Ranking,
     validate_necklace,
 )
 
@@ -350,3 +359,73 @@ def subset_search_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
         tight = tuple(sorted(verts[i] for i in incidence))
         facets.append(Facet(normal, offset_int, tight))
     return tuple(sorted(facets, key=lambda f: f.vertices))
+
+
+def per_cell_parse(data: str | bytes) -> PriceTable:
+    """Price CSV parsed and checked cell by cell, in file order.
+
+    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` and unreadable
+    CSV raises ``csv.Error`` here, as nothing wraps them.
+    """
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise PriceCsvError("empty input")
+    header = [cell.strip() for cell in rows[0]]
+    if not header or header[0] != "date":
+        raise PriceCsvError("header must start with 'date'", row=1, column="1")
+    tickers = tuple(header[1:])
+    if not tickers:
+        raise PriceCsvError("header names no tickers", row=1)
+    seen_tickers: set[str] = set()
+    for pos, t in enumerate(tickers, start=2):
+        if not t:
+            raise PriceCsvError("empty ticker name", row=1, column=str(pos))
+        if t in seen_tickers:
+            raise PriceCsvError(f"duplicate ticker {t!r}", row=1, column=str(pos))
+        seen_tickers.add(t)
+
+    parsed: dict[date, tuple[Decimal, ...]] = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        cells = [cell.strip() for cell in row]
+        if len(cells) != len(tickers) + 1:
+            raise PriceCsvError(
+                f"expected {len(tickers) + 1} fields, got {len(cells)}", row=line_no
+            )
+        try:
+            d = date.fromisoformat(cells[0])
+        except ValueError:
+            raise PriceCsvError(f"bad ISO-8601 date {cells[0]!r}", row=line_no, column="date") from None
+        if d in parsed:
+            raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
+        prices = []
+        for ticker, cell in zip(tickers, cells[1:]):
+            try:
+                value = Decimal(cell)
+            except InvalidOperation:
+                raise PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker) from None
+            if not value.is_finite():
+                raise PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker)
+            if value <= 0:
+                raise PriceCsvError(f"non-positive price {cell!r}", row=line_no, column=ticker)
+            prices.append(value)
+        parsed[d] = tuple(prices)
+    if not parsed:
+        raise PriceCsvError("no data rows")
+    dates = tuple(sorted(parsed))
+    return PriceTable(tickers, dates, tuple(parsed[d] for d in dates))
+
+
+def first_date_rankings(table: PriceTable) -> tuple[Ranking, ...]:
+    """The ranking of every date, chained from the first one.
+
+    The first date sorts by (price, ticker); every later date stably
+    re-sorts the previous order by the day's prices.
+    """
+    first = sorted(range(table.n_stocks), key=lambda s: (table.prices[0][s], table.tickers[s]))
+    out = [Ranking(table.dates[0], tuple(first))]
+    for row, d in zip(table.prices[1:], table.dates[1:]):
+        out.append(Ranking(d, tuple(sorted(out[-1].order, key=lambda s: row[s]))))
+    return tuple(out)

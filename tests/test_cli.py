@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 import time
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from stockpolytope import (
     report_to_text,
     sample_csv_text,
 )
+from stockpolytope import prices
 from stockpolytope.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
@@ -100,6 +101,71 @@ def test_analyze_bad_csv(capsys, tmp_path):
     )
     assert code == 2
     assert "non-positive" in err
+
+
+def test_analyze_undecodable_csv(capsys, tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"date,X\n2020-01-01,1.00\n2020-01-02,\xa31.50\n")
+    code, out, err = run_cli(
+        capsys, "analyze", str(bad), "--ref-date", "2020-01-01", "--end-date", "2020-01-01"
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: row 3: undecodable byte 0xa3")
+
+
+def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None):
+    # 30 stocks with pairwise distinct prices that all rise by a cent a day;
+    # every seventh date two neighbours trade places for that day only.
+    tickers = [f"T{s:02d}" for s in range(30)]
+    rows = ["date," + ",".join(tickers)]
+    for t in range(n_dates):
+        cents = [1000 * (s + 1) + t for s in range(30)]
+        if t % 7 == 3:
+            a = t % 29
+            cents[a], cents[a + 1] = cents[a + 1], cents[a]
+        cells = [f"{c // 100}.{c % 100:02d}" for c in cents]
+        if t + 2 == bad_cell_row:
+            cells[5] = "1.2.3"
+        rows.append((date(2001, 1, 1) + timedelta(days=t)).isoformat() + "," + ",".join(cells))
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+LATE_WINDOW = ["--ref-date", "2001-07-16", "--end-date", "2002-03-24"]  # dates 196 to 447
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["analyze"], ["--check"]), (["chain"], ["--format", "json"]),
+    (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
+], ids=["analyze", "chain", "wiring", "chords", "hooks"])
+def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags):
+    # Wrap ``rankings`` wherever the package holds it and count the dates it ranks.
+    path = write_late_window_csv(tmp_path)
+    original = prices.rankings
+    ranked = []
+
+    def counted(*args, **kwargs):
+        chain = original(*args, **kwargs)
+        ranked.append(len(chain))
+        return chain
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stockpolytope":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    code, _, err = run_cli(capsys, *command, str(path), *LATE_WINDOW, *flags)
+    assert code == 0, err
+    assert ranked == [252]
+
+
+def test_bad_price_after_end_date_still_exits_2(capsys, tmp_path):
+    path = write_late_window_csv(tmp_path, bad_cell_row=590)
+    code, out, err = run_cli(capsys, "analyze", str(path), *LATE_WINDOW)
+    assert code == 2 and out == ""
+    assert err == "error: row 590, column T05: malformed number '1.2.3'\n"
 
 
 def test_facets_gate_for_large_tables(capsys, tmp_path):

@@ -1,7 +1,10 @@
-from datetime import date
+import csv
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockpolytope import (
     Color,
@@ -15,9 +18,11 @@ from stockpolytope import (
     parse_price_csv,
     permutation_at,
     rank_at_date,
+    rankings,
     word_to_permutation,
 )
 from conftest import compose, random_table
+from oracles import first_date_rankings, per_cell_parse
 
 REF = date(2013, 5, 15)
 
@@ -203,3 +208,166 @@ def test_rank_at_date_deterministic(sample_table):
     first = rank_at_date(sample_table, date(2013, 6, 3))
     for _ in range(5):
         assert rank_at_date(sample_table, date(2013, 6, 3)) == first
+
+
+def test_undecodable_bytes_name_their_row():
+    with pytest.raises(PriceCsvError) as err:
+        parse_price_csv(b"date,A\n2020-01-01,\xff1")
+    assert err.value.row == 2
+    assert "0xff" in str(err.value)
+    with pytest.raises(PriceCsvError) as err:  # after a byte-order mark
+        parse_price_csv(b"\xef\xbb\xbfdate,A\n2020-01-01,1\n2020-01-02,\xc3")
+    assert err.value.row == 3
+
+
+def test_unreadable_csv_raises_price_csv_error():
+    with pytest.raises(PriceCsvError) as err:
+        parse_price_csv("date,A\n2020-01-01,1\r2\n")
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "row, shown",
+    [
+        ((Decimal("1.5"), Decimal(0)), "Decimal('0')"),
+        ((Decimal("NaN"), Decimal(1)), "Decimal('NaN')"),
+        ((Decimal(1), 1.5), "1.5"),
+        ((Decimal(1), Decimal("-Infinity")), "Decimal('-Infinity')"),
+        ((Decimal(1),), None),
+    ],
+)
+def test_price_table_rejects_bad_rows(row, shown):
+    good = (Decimal(1), Decimal(2))
+    with pytest.raises(ValueError) as err:
+        PriceTable(("A", "B"), (date(2020, 1, 1), date(2020, 1, 2)), (good, row))
+    if shown is None:
+        assert "one price per ticker" in str(err.value)
+    else:
+        assert str(err.value) == f"prices must be positive decimals, got {shown}"
+
+
+def test_chain_starts_at_last_distinct_date_at_or_before_since():
+    # dates 0 and 2 have distinct prices; 1 and 3 hold ties
+    table = table_from(
+        ["2020-01-01,1,2,3", "2020-01-02,2,2,3", "2020-01-03,3,1,2", "2020-01-04,3,1,1"]
+    )
+    starts = [rankings(table, since=d)[0].date for d in table.dates]
+    assert starts == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 3), date(2020, 1, 3)]
+    assert rankings(table) == first_date_rankings(table)
+
+
+def test_chain_must_cover_the_range(sample_table):
+    end = date(2013, 6, 5)
+    chain = rankings(sample_table, up_to=end, since=REF)
+    assert permutation_at(sample_table, REF, end, chain=chain) == permutation_at(sample_table, REF, end)
+    with pytest.raises(ValueError, match="does not cover"):
+        permutation_at(sample_table, REF, end, chain=rankings(sample_table, up_to=date(2013, 6, 3)))
+    with pytest.raises(ValueError, match="does not cover"):
+        crossing_stream(sample_table, REF, end, chain=chain[1:])
+
+
+# Cell texts: mostly good prices, and now and then one near the edges of
+# what Decimal and the CSV reader accept.
+GOOD_CELLS = st.sampled_from(["1", "2.50", " 3.25 ", "+4", "1e3", "1E-2", "1_000", "\u0661\u0662", "\t7\t"])
+BAD_CELLS = st.one_of(
+    st.sampled_from(["0", "-0.00", "-1", " -2e1", "NaN", "-nan", "sNaN", "Inf", "-Infinity"]),
+    st.sampled_from(["1__0", "", " ", "abc", "1e999999999999999999", "1 2", "\u00a05\u2003",
+                     "\u0663.\u0665", '"8"', "\r", "\x00"]),
+    st.text(alphabet="0123456789.-+eE_ nNaIif\u0661\t\"\r", max_size=6),
+)
+DATES = [f"2020-01-0{d}" for d in range(1, 8)] + [" 2020-01-08 "]
+BAD_DATES = st.sampled_from(["2020-1-4", "", "x", "2020-02-30"])
+HEADERS = st.sampled_from(["time,A", "date,A,A", "date,A,", "date", ""])
+STRAY = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xef\xbb\xbf"])
+
+
+@st.composite
+def price_csv_inputs(draw):
+    """Price CSV text or bytes with a few rare faults: one in eight of each thing is bad."""
+
+    def rare(good, bad):
+        return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+    tickers = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))
+    lines = [rare(st.just("date," + ",".join(tickers)), HEADERS)]
+    for _ in range(draw(st.integers(0, 4))):
+        width = rare(st.just(len(tickers)), st.sampled_from([len(tickers) - 1, len(tickers) + 1]))
+        cells = [rare(st.sampled_from(DATES), BAD_DATES)]
+        lines.append(",".join(cells + [rare(GOOD_CELLS, BAD_CELLS) for _ in range(width)]))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    if draw(st.booleans()):
+        return text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(STRAY) + data[at:]
+    return data
+
+
+def _outcome(parse, data):
+    try:
+        table = parse(data)
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return exc
+    return (table.tickers, table.dates, [[str(p) for p in row] for row in table.prices])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(price_csv_inputs(), price_csv_inputs(), price_csv_inputs(), st.text(max_size=40),
+                 st.binary(max_size=40)))
+def test_parse_matches_per_cell_oracle(data):
+    got = _outcome(parse_price_csv, data)
+    want = _outcome(per_cell_parse, data)
+    if isinstance(want, UnicodeDecodeError):
+        assert isinstance(got, PriceCsvError)
+        assert got.row == want.object.count(b"\n", 0, want.start) + 1
+    elif isinstance(want, csv.Error):
+        assert isinstance(got, PriceCsvError) and got.row is not None
+    elif isinstance(want, Exception):
+        assert type(got) is type(want) is PriceCsvError
+        assert (str(got), got.row, got.column) == (str(want), want.row, want.column)
+    else:
+        assert got == want
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(1, 5), min_size=n, max_size=n), min_size=1, max_size=8))
+    tickers = tuple(draw(st.permutations("EDCBA"[:n])))
+    dates = tuple(date(2020, 1, 1) + timedelta(days=d) for d in range(len(rows)))
+    return PriceTable(tickers, dates, tuple(tuple(Decimal(v) for v in row) for row in rows))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_tables())
+def test_price_layers_match_first_date_chain(table):
+    oracle = first_date_rankings(table)
+    n, dates = table.n_stocks, table.dates
+    for ri, ref in enumerate(dates):
+        assert rank_at_date(table, ref) == oracle[ri]
+        anchor = max((i for i in range(1, ri + 1) if len(set(table.prices[i])) == n), default=0)
+        for ti in range(ri, len(dates)):
+            end = dates[ti]
+            chain = rankings(table, up_to=end, since=ref)
+            assert chain == oracle[anchor : ti + 1]
+            perm = permutation_at(table, ref, end)
+            ref_order, end_order = oracle[ri].order, oracle[ti].order
+            assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)
+            events = crossing_stream(table, ref, end)
+            assert all(ref < e.date <= end for e in events)
+            arrangement = list(ref_order)
+            for di in range(ri + 1, ti + 1):  # replay each day's swaps onto the oracle's rankings
+                day = [e for e in events if e.date == dates[di]]
+                assert [e.seq for e in day] == list(range(len(day)))
+                for e in day:
+                    p = e.position
+                    assert e.stocks == (arrangement[p - 1], arrangement[p])
+                    arrangement[p - 1], arrangement[p] = arrangement[p], arrangement[p - 1]
+                assert tuple(arrangement) == oracle[di].order
+            colors = decorate(perm, table, ref, end).colors_dict()
+            assert colors == {
+                i: Color.RIGHT if table.prices[ti][s] >= table.prices[ri][s] else Color.LEFT
+                for i, s in enumerate(ref_order, start=1)
+                if perm.images[i - 1] == i
+            }
