@@ -11,7 +11,6 @@ import json
 import sys
 from datetime import date
 
-from .necklace import necklace_from_decorated
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
@@ -115,7 +114,6 @@ def _cmd_render(args) -> str:
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)
     lift = affine_lift(state)
-    necklace_from_decorated(state)  # validates the state early
     return render_hooks(lift, interval_rank_summands(state), fmt=args.format)
 
 

@@ -17,7 +17,7 @@ integer arithmetic, with no row reduction and no vertex-subset search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -49,13 +49,15 @@ class PositroidPolytope:
     The level equation (sum of all coordinates equals k) and the box
     constraints 0 <= x_i <= 1 are implicit in every method that needs
     them.  Cuts cover the windows of width 1 to n-1; the full window is
-    the level equation itself.
+    the level equation itself.  ``closure`` is their ``prefix_closure``,
+    built once with the polytope.
     """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
     interval_cuts: tuple[tuple[tuple[int, int], int], ...]
+    closure: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(tuple(map(int, v)) for v in self.vertices)
@@ -80,6 +82,7 @@ class PositroidPolytope:
             if max(map(int.bit_count, map(cut.__and__, masks))) > bound:
                 v = next(v for v, mask in zip(verts, masks) if (mask & cut).bit_count() > bound)
                 raise ValueError(f"vertex {v} violates the cut for interval [{a}, {b}] <= {bound}")
+        object.__setattr__(self, "closure", prefix_closure(self.n, self.k, cuts))
 
     def cut_coefficients(self, a: int, b: int) -> tuple[int, ...]:
         members = set(cyclic_interval(a, b, self.n))
@@ -121,7 +124,7 @@ def polytope_dimension(p: PositroidPolytope) -> int:
     >>> polytope_dimension(polytope_from_positroid(positroid_from_necklace(eq1)))
     3
     """
-    return _class_count(prefix_closure(p.n, p.k, p.interval_cuts)) - 1
+    return _class_count(p.closure) - 1
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
     n, k = p.n, p.k
     if n > 8:
         raise ValueError("ambient size too large for desk-scale facet search (n <= 8)")
-    d = prefix_closure(n, k, p.interval_cuts)
+    d = p.closure
     facet_classes = _class_count(d) - 1
     # (i, j, c, sign, a, b, offset): sign * (x_a + ... + x_b) <= offset, over the
     # cyclic interval [a, b], is P_j - P_i <= c.  Only a facet builds its normal.

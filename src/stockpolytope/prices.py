@@ -154,7 +154,7 @@ def _csv_rows(data: str | bytes) -> list[list[str]]:
             bad = exc.object[exc.start]
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
-    reader = csv.reader(io.StringIO(data))
+    reader = csv.reader(io.StringIO(data, newline=""))
     try:
         return list(reader)
     except csv.Error as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import (
@@ -49,10 +50,14 @@ class AnalysisReport:
     lift: BoundedAffinePermutation
     positroid: Positroid
     cell_dim: int
-    polytope: PositroidPolytope
     facet_count: int | None
     components: tuple[tuple[int, ...], ...]
     polytope_dim: int
+
+    @cached_property
+    def polytope(self) -> PositroidPolytope:
+        """The vertex polytope of the bases, built on first read (``--facets``, ``--check``)."""
+        return polytope_from_positroid(self.positroid)
 
     @property
     def permutation(self) -> Permutation:
@@ -73,10 +78,6 @@ def build_report(
     events = crossing_stream(table, ref_date, end_date, chain=chain)
     nk = necklace_from_decorated(state)
     lift = affine_lift(state)
-    m = positroid_from_necklace(nk)
-    dim = cell_dimension(state)
-    poly = polytope_from_positroid(m)
-    facet_count = len(enumerate_facets(poly)) if with_facets else None
     components = connected_components(state)
     report = AnalysisReport(
         ref_date,
@@ -86,22 +87,19 @@ def build_report(
         events,
         nk,
         lift,
-        m,
-        dim,
-        poly,
-        facet_count,
+        positroid_from_necklace(nk),
+        lift.k * (state.n - lift.k) - affine_length(lift),
+        None,
         components,
         state.n - len(components),  # a matroid polytope's dimension (Feichtner-Sturmfels)
     )
+    if with_facets:
+        report.facet_count = len(enumerate_facets(report.polytope))
     _assert_consistent(report)
     return report
 
 
 def _assert_consistent(report: AnalysisReport) -> None:
-    if len(report.positroid.bases) != len(report.polytope.vertices):
-        raise ConsistencyError("basis count differs from polytope vertex count")
-    if any(len(t) != report.necklace.k for t in report.necklace.terms):
-        raise ConsistencyError("necklace term sizes disagree with k")
     if report.lift.k != report.necklace.k:
         raise ConsistencyError("affine lift k disagrees with the necklace")
     if anti_exceedance_count(report.state) != report.necklace.k:
@@ -157,7 +155,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "bases": sorted(sorted(b) for b in report.positroid.bases),
         "cell_dimension": report.cell_dim,
         "polytope": {
-            "vertex_count": len(report.polytope.vertices),
+            "vertex_count": len(report.positroid.bases),
             "affine_dimension": report.polytope_dim,
             "facet_count": report.facet_count,
         },

@@ -368,7 +368,7 @@ def per_cell_parse(data: str | bytes) -> PriceTable:
     CSV raises ``csv.Error`` here, as nothing wraps them.
     """
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise PriceCsvError("empty input")
     header = [cell.strip() for cell in rows[0]]

@@ -18,7 +18,7 @@ from stockpolytope import (
     report_to_text,
     sample_csv_text,
 )
-from stockpolytope import prices
+from stockpolytope import necklace, polytope, positroid, prices
 from stockpolytope.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
@@ -136,29 +136,47 @@ def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None):
 LATE_WINDOW = ["--ref-date", "2001-07-16", "--end-date", "2002-03-24"]  # dates 196 to 447
 
 
-@pytest.mark.parametrize("command, flags", [
-    (["analyze"], ["--check"]), (["chain"], ["--format", "json"]),
-    (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
-], ids=["analyze", "chain", "wiring", "chords", "hooks"])
-def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags):
-    # Wrap ``rankings`` wherever the package holds it and count the dates it ranks.
-    path = write_late_window_csv(tmp_path)
-    original = prices.rankings
-    ranked = []
+def record_calls(monkeypatch, original):
+    """Wrap ``original`` wherever the package holds it; returns the list of its results."""
+    results = []
 
-    def counted(*args, **kwargs):
-        chain = original(*args, **kwargs)
-        ranked.append(len(chain))
-        return chain
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "stockpolytope":
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counted)
+                    monkeypatch.setattr(module, key, recorded)
+    return results
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["analyze"], ["--check"]), (["chain"], ["--format", "json"]),
+    (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
+], ids=["analyze", "chain", "wiring", "chords", "hooks"])
+def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags):
+    path = write_late_window_csv(tmp_path)
+    chains = record_calls(monkeypatch, prices.rankings)
     code, _, err = run_cli(capsys, *command, str(path), *LATE_WINDOW, *flags)
     assert code == 0, err
-    assert ranked == [252]
+    assert [len(chain) for chain in chains] == [252]
+
+
+@pytest.mark.parametrize("command, calls", [
+    (["render", "hooks"], {necklace.necklace_from_decorated: 1}),
+    (["analyze"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
+    (["analyze", "--facets", "--check"],
+     {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 2}),
+], ids=["hooks", "analyze", "facets-check"])
+def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
+    # One cell: the bases' closure, plus one polytope with its own closure
+    # only when --facets or --check reads it.
+    results = {fn: record_calls(monkeypatch, fn) for fn in calls}
+    code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
+    assert code == 0, err
+    assert {fn: len(results[fn]) for fn in calls} == calls
 
 
 def test_bad_price_after_end_date_still_exits_2(capsys, tmp_path):

@@ -13,6 +13,7 @@ from stockpolytope import (
     affine_lift,
     all_decorated_permutations,
     anti_exceedance_count,
+    cell_dimension,
     inversions,
     is_reduced,
     remove_letter,
@@ -109,8 +110,8 @@ def test_lift_k_matches_anti_exceedances_and_is_injective():
 
 def test_affine_length_matches_inversion_oracle():
     # Every decorated permutation with n <= 6: the residue-pair sum equals
-    # the pair-by-pair inversion count, and the part near every position
-    # is the whole length.
+    # the pair-by-pair inversion count, the part near every position is
+    # the whole length, and k(n-k) minus it is the rank-sum cell dimension.
     for n in range(1, 7):
         for dp in all_decorated_permutations(n):
             lift = affine_lift(dp)
@@ -118,6 +119,7 @@ def test_affine_length_matches_inversion_oracle():
             assert affine_length(lift) == length, dp
             assert affine_length_near(lift, range(1, n + 1)) == length, dp
             assert affine_length_near(lift, ()) == 0
+            assert cell_dimension(dp) == lift.k * (n - lift.k) - length, dp
 
 
 def test_k_invariant_under_cyclic_shift():

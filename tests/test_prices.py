@@ -221,9 +221,18 @@ def test_undecodable_bytes_name_their_row():
 
 
 def test_unreadable_csv_raises_price_csv_error():
-    with pytest.raises(PriceCsvError) as err:
-        parse_price_csv("date,A\n2020-01-01,1\r2\n")
+    too_long = "1" * (csv.field_size_limit() + 1)
+    with pytest.raises(PriceCsvError, match="field larger than field limit") as err:
+        parse_price_csv(f"date,A\n2020-01-01,{too_long}\n")
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_lf_crlf_and_cr_line_endings_read_alike(end):
+    text = end.join(["date,A,B", "2020-01-01,1.5,2", "2020-01-02,1.25,3"]) + end
+    table = parse_price_csv(text)
+    assert table == parse_price_csv(text.encode())
+    assert table.prices == ((Decimal("1.5"), Decimal(2)), (Decimal("1.25"), Decimal(3)))
 
 
 @pytest.mark.parametrize(
