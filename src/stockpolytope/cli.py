@@ -7,7 +7,6 @@ internal consistency breach (which a correct build never produces).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import date
 
@@ -16,7 +15,7 @@ from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
 from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, permutation_at, rankings, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
-from .report import ConsistencyError, build_report, check_report, report_to_json, report_to_text
+from .report import ConsistencyError, build_report, chain_to_json, check_report, report_to_json, report_to_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,18 +82,7 @@ def _cmd_chain(args) -> str:
     table, ref, end = _load(args)
     events, chain = _chain_steps(table, ref, end)
     if args.format == "json":
-        steps = []
-        for t, step in enumerate(chain.steps):
-            steps.append(
-                {
-                    "index": t,
-                    "date": step.label,
-                    "position": None if t == 0 else events[t - 1].position,
-                    "permutation": list(step.state.perm.images),
-                    "dimension": step.dimension,
-                }
-            )
-        return json.dumps({"schema_version": 1, "steps": steps}, sort_keys=True, indent=2) + "\n"
+        return chain_to_json(events, chain)
     lines = []
     for t, step in enumerate(chain.steps):
         crossing = "-" if t == 0 else f"s{events[t - 1].position}"

@@ -1,4 +1,4 @@
-"""Positroids: Gale order, bases, rank machinery, and cell dimension.
+"""Positroids: bases, matroid rank, components, and cell dimension.
 
 A positroid of rank k on {1..n} is the matroid whose bases are the
 k-subsets H with H >=_i I_i for every term of a Grassmann necklace, where
@@ -15,7 +15,6 @@ the bases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable
@@ -28,42 +27,10 @@ BASIS_SEARCH_STEPS = 200_000
 
 
 @dataclass(frozen=True)
-class GaleOrder:
-    """The cyclic order shift < shift+1 < ... < shift-1 on {1..n}."""
-
-    n: int
-    shift: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.shift <= self.n:
-            raise ValueError(f"shift {self.shift} outside 1..{self.n}")
-
-    def position(self, x: int) -> int:
-        return (x - self.shift) % self.n
-
-    def sort(self, xs: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(xs, key=self.position))
-
-    def geq(self, h: Iterable[int], i: Iterable[int]) -> bool:
-        """Componentwise domination of sorted subsets in this order."""
-        hs = self.sort(h)
-        ks = self.sort(i)
-        if len(hs) != len(ks):
-            raise ValueError(f"subsets must have equal size, got {len(hs)} and {len(ks)}")
-        return all(self.position(a) >= self.position(b) for a, b in zip(hs, ks))
-
-
-def gale_geq(h: Iterable[int], i: Iterable[int], shift: int, n: int) -> bool:
-    """H >=_shift I on the ground set {1..n}."""
-    return GaleOrder(n, shift).geq(h, i)
-
-
-@dataclass(frozen=True)
 class Positroid:
     """Ground size, rank, and the set of bases.
 
-    The constructor checks shapes only; use ``verify_exchange_axiom`` to
-    test that a collection really is a matroid.
+    The constructor checks shapes only, not the basis exchange axiom.
     """
 
     n: int
@@ -86,15 +53,6 @@ class Positroid:
     @property
     def ground(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
-class ExchangeFailure:
-    """Witness (I, J, i) with no j in J - I making I - i + j a basis."""
-
-    basis_a: frozenset[int]
-    basis_b: frozenset[int]
-    element: int
 
 
 def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
@@ -179,20 +137,6 @@ def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
     return positroid_from_necklace(necklace_from_decorated(dp))
 
 
-def verify_exchange_axiom(m: Positroid) -> ExchangeFailure | None:
-    """Exhaustive basis-exchange check; None means the axiom holds.
-
-    For every pair of bases I, J and every i in I - J there must be some
-    j in J - I with (I - {i}) + {j} again a basis.
-    """
-    for a in m.bases:
-        for b in m.bases:
-            for i in a - b:
-                if not any((a - {i}) | {j} in m.bases for j in b - a):
-                    return ExchangeFailure(a, b, i)
-    return None
-
-
 def matroid_rank(m: Positroid, subset: Iterable[int]) -> int:
     """Size of the largest independent subset of ``subset``.
 
@@ -208,20 +152,6 @@ def matroid_rank(m: Positroid, subset: Iterable[int]) -> int:
         if best == cap:
             break
     return best
-
-
-def circuits(m: Positroid) -> tuple[frozenset[int], ...]:
-    """Minimal dependent sets, enumerated by size (never larger than k + 1)."""
-    found: list[frozenset[int]] = []
-    ground = sorted(m.ground)
-    for size in range(1, m.k + 2):
-        for combo in itertools.combinations(ground, size):
-            s = frozenset(combo)
-            if any(c <= s for c in found):
-                continue
-            if matroid_rank(m, s) < len(s):
-                found.append(s)
-    return tuple(sorted(found, key=sorted))
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
@@ -266,28 +196,6 @@ def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...
     for x in range(1, n + 1):
         members.setdefault(block[x], []).append(x)
     return tuple(tuple(v) for v in members.values())
-
-
-def gale_minimum(m: Positroid, shift: int) -> frozenset[int]:
-    """The basis below every other basis in the <=_shift Gale order.
-
-    Positroids have one for every shift (it is the necklace term I_shift).
-    Raises ValueError when no basis dominates from below, which means the
-    input is not a positroid.
-    """
-    order = GaleOrder(m.n, shift)
-    candidate = min(m.bases, key=lambda b: tuple(order.position(x) for x in order.sort(b)))
-    for b in m.bases:
-        if not order.geq(b, candidate):
-            raise ValueError(f"no Gale minimum at shift {shift}: {sorted(candidate)} "
-                             f"does not sit below {sorted(b)}")
-    return candidate
-
-
-def necklace_of_positroid(m: Positroid) -> GrassmannNecklace:
-    """Recover the necklace as the tuple of Gale minima."""
-    terms = tuple(gale_minimum(m, i) for i in range(1, m.n + 1))
-    return GrassmannNecklace(m.n, m.k, terms)
 
 
 def cell_dimension(dp: DecoratedPermutation) -> int:

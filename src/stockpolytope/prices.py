@@ -152,7 +152,8 @@ def _csv_rows(data: str | bytes) -> list[list[str]]:
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
-            line = exc.object.count(b"\n", 0, exc.start) + 1
+            before = exc.object[: exc.start]  # one row per \r\n, \r or \n, as the CSV reader reads them
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
             raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
     reader = csv.reader(io.StringIO(data, newline=""))
     try:

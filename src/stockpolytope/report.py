@@ -1,16 +1,23 @@
 """Analysis reports: the full pipeline output plus canonical serialization.
 
-JSON output is canonical: keys sorted, two-space indent, only strings and
-integers, trailing newline.  Identical inputs therefore produce byte
-identical documents.  The schema carries ``schema_version`` 1.
+JSON output is canonical: keys sorted, two-space indent, only strings,
+integers and null, trailing newline.  Identical inputs therefore produce
+byte identical documents.  The schemas carry ``schema_version`` 1.
+
+``report_to_json`` and ``chain_to_json`` lay their documents out with
+fixed templates, one f-string per crossing, decoration or chain step,
+keys already in sorted order.  The standard ``json`` encoder would run
+its pure-Python code under ``indent``; here strings go through its C
+escaper, and the standard encoder (``dumps`` with ``sort_keys=True,
+indent=2``, plus a newline) is the test oracle, byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _str
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import (
@@ -24,6 +31,7 @@ from .perms import (
     word_to_permutation,
 )
 from .polytope import (
+    CellChain,
     PositroidPolytope,
     enumerate_facets,
     polytope_dimension,
@@ -163,8 +171,63 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+# Newline plus indent for the depths of the documents.
+_P1, _P2, _P3, _P4 = "\n  ", "\n    ", "\n      ", "\n        "
+
+
+def _array(items, pad: str, fmt=str) -> str:
+    """A JSON array laid out as the standard encoder lays it out with ``indent=2``, at ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(fmt, items)) + pad + "]"
+
+
+def _null(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    """The report as canonical JSON: the values of ``report_to_dict``, laid out."""
+    d = report_to_dict(report)
+    crossings = [
+        f'{{{_P3}"date": {_str(c["date"])},{_P3}"position": {c["position"]},{_P3}"seq": {c["seq"]},'
+        f'{_P3}"stocks": [{_P4}{_str(c["stocks"][0])},{_P4}{_str(c["stocks"][1])}{_P3}]{_P2}}}'
+        for c in d["crossings"]
+    ]
+    decorations = [
+        f'{{{_P3}"color": {_str(c["color"])},{_P3}"point": {c["point"]}{_P2}}}' for c in d["decorations"]
+    ]
+    sets = lambda key: _array([_array(s, _P2) for s in d[key]], _P1)
+    poly = d["polytope"]
+    return (
+        f'{{{_P1}"affine_lift": {_array(d["affine_lift"], _P1)},'
+        f'{_P1}"bases": {sets("bases")},'
+        f'{_P1}"cell_dimension": {d["cell_dimension"]},'
+        f'{_P1}"crossings": {_array(crossings, _P1)},'
+        f'{_P1}"decorations": {_array(decorations, _P1)},'
+        f'{_P1}"k": {d["k"]},'
+        f'{_P1}"necklace": {sets("necklace")},'
+        f'{_P1}"noncrossing_partition": {sets("noncrossing_partition")},'
+        f'{_P1}"permutation": {_array(d["permutation"], _P1)},'
+        f'{_P1}"polytope": {{{_P2}"affine_dimension": {poly["affine_dimension"]},'
+        f'{_P2}"facet_count": {_null(poly["facet_count"])},{_P2}"vertex_count": {poly["vertex_count"]}{_P1}}},'
+        f'{_P1}"ref_date": {_str(d["ref_date"])},'
+        f'{_P1}"schema_version": {d["schema_version"]},'
+        f'{_P1}"target_date": {_str(d["target_date"])},'
+        f'{_P1}"tickers": {_array(d["tickers"], _P1, _str)}\n}}\n'
+    )
+
+
+def chain_to_json(events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
+    """The ``chain --format json`` document: one step per prefix of the crossings."""
+    steps = [
+        f'{{{_P3}"date": {_str(step.label)},{_P3}"dimension": {step.dimension},{_P3}"index": {t},'
+        f'{_P3}"permutation": {_array(step.state.perm.images, _P3)},'
+        f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
+        for t, step in enumerate(chain.steps)
+    ]
+    return f'{{\n  "schema_version": 1,\n  "steps": {_array(steps, _P1)}\n}}\n'
 
 
 def report_to_text(report: AnalysisReport) -> str:

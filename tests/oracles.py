@@ -5,7 +5,9 @@ routine in ``stockpolytope`` or, for ``vertices_from_inequalities``, the
 vertex set of the inequality description found without the bases; they
 are kept so the tests can compare both sides on every small cell.  The
 price oracles are the earlier parser, which checks cell by cell, and the
-ranking chain that always starts at the first date.  None of them is
+ranking chain that always starts at the first date.  The Gale order,
+basis exchange and circuit helpers at the end check positroids from
+their definitions; the package itself never needs them.  None of them is
 fast; all of them follow the definitions directly.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -29,6 +32,7 @@ from stockpolytope import (
     PriceCsvError,
     PriceTable,
     Ranking,
+    matroid_rank,
     validate_necklace,
 )
 
@@ -429,3 +433,93 @@ def first_date_rankings(table: PriceTable) -> tuple[Ranking, ...]:
     for row, d in zip(table.prices[1:], table.dates[1:]):
         out.append(Ranking(d, tuple(sorted(out[-1].order, key=lambda s: row[s]))))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class GaleOrder:
+    """The cyclic order shift < shift+1 < ... < shift-1 on {1..n}."""
+
+    n: int
+    shift: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.shift <= self.n:
+            raise ValueError(f"shift {self.shift} outside 1..{self.n}")
+
+    def position(self, x: int) -> int:
+        return (x - self.shift) % self.n
+
+    def sort(self, xs: Iterable[int]) -> tuple[int, ...]:
+        return tuple(sorted(xs, key=self.position))
+
+    def geq(self, h: Iterable[int], i: Iterable[int]) -> bool:
+        """Componentwise domination of sorted subsets in this order."""
+        hs = self.sort(h)
+        ks = self.sort(i)
+        if len(hs) != len(ks):
+            raise ValueError(f"subsets must have equal size, got {len(hs)} and {len(ks)}")
+        return all(self.position(a) >= self.position(b) for a, b in zip(hs, ks))
+
+
+def gale_geq(h: Iterable[int], i: Iterable[int], shift: int, n: int) -> bool:
+    """H >=_shift I on the ground set {1..n}."""
+    return GaleOrder(n, shift).geq(h, i)
+
+
+@dataclass(frozen=True)
+class ExchangeFailure:
+    """Witness (I, J, i) with no j in J - I making I - i + j a basis."""
+
+    basis_a: frozenset[int]
+    basis_b: frozenset[int]
+    element: int
+
+
+def verify_exchange_axiom(m: Positroid) -> ExchangeFailure | None:
+    """Exhaustive basis-exchange check; None means the axiom holds.
+
+    For every pair of bases I, J and every i in I - J there must be some
+    j in J - I with (I - {i}) + {j} again a basis.
+    """
+    for a in m.bases:
+        for b in m.bases:
+            for i in a - b:
+                if not any((a - {i}) | {j} in m.bases for j in b - a):
+                    return ExchangeFailure(a, b, i)
+    return None
+
+
+def circuits(m: Positroid) -> tuple[frozenset[int], ...]:
+    """Minimal dependent sets, enumerated by size (never larger than k + 1)."""
+    found: list[frozenset[int]] = []
+    ground = sorted(m.ground)
+    for size in range(1, m.k + 2):
+        for combo in itertools.combinations(ground, size):
+            s = frozenset(combo)
+            if any(c <= s for c in found):
+                continue
+            if matroid_rank(m, s) < len(s):
+                found.append(s)
+    return tuple(sorted(found, key=sorted))
+
+
+def gale_minimum(m: Positroid, shift: int) -> frozenset[int]:
+    """The basis below every other basis in the <=_shift Gale order.
+
+    Positroids have one for every shift (it is the necklace term I_shift).
+    Raises ValueError when no basis dominates from below, which means the
+    input is not a positroid.
+    """
+    order = GaleOrder(m.n, shift)
+    candidate = min(m.bases, key=lambda b: tuple(order.position(x) for x in order.sort(b)))
+    for b in m.bases:
+        if not order.geq(b, candidate):
+            raise ValueError(f"no Gale minimum at shift {shift}: {sorted(candidate)} "
+                             f"does not sit below {sorted(b)}")
+    return candidate
+
+
+def necklace_of_positroid(m: Positroid) -> GrassmannNecklace:
+    """Recover the necklace as the tuple of Gale minima."""
+    terms = tuple(gale_minimum(m, i) for i in range(1, m.n + 1))
+    return GrassmannNecklace(m.n, m.k, terms)

@@ -36,19 +36,17 @@ from stockpolytope import (
     load_sample_table,
     matroid_rank,
     necklace_from_decorated,
-    necklace_of_positroid,
     permutation_at,
     polytope_dimension,
     polytope_from_positroid,
     positroid_from_decorated,
     positroid_from_necklace,
     validate_necklace,
-    verify_exchange_axiom,
     word_to_permutation,
 )
 from stockpolytope.cli import main
 from conftest import reduced_affine_chains
-from oracles import vertices_from_inequalities
+from oracles import necklace_of_positroid, verify_exchange_axiom, vertices_from_inequalities
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"

@@ -325,6 +325,26 @@ def test_chain_no_crossings(capsys):
     assert lines[0].endswith("dim 0")
 
 
+def test_json_outputs_do_not_use_the_standard_encoder(capsys, monkeypatch):
+    # json.dumps with indent runs the pure-Python encoder; the writers lay the documents out.
+    text_out = run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--format", "text")
+    golden = (GOLDEN / "analyze_2013-05-15_2013-06-03.json").read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--format", "text") == text_out
+    assert run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--facets", "--check") == (0, golden, "")
+    code, out, err = run_cli(capsys, "analyze", str(SAMPLE), *RANGE)
+    assert (code, err) == (0, "")
+    assert out == golden.replace('"facet_count": 5', '"facet_count": null')
+    for end in ("2013-06-03", "2013-06-05"):
+        code, out, err = run_cli(capsys, "chain", str(SAMPLE), "--ref-date", "2013-05-15",
+                                 "--end-date", end, "--format", "json")
+        assert (code, out, err) == (0, (GOLDEN / f"chain_2013-05-15_{end}.json").read_text(), "")
+
+
 def test_render_modes(capsys):
     for mode in ("wiring", "chords", "hooks"):
         code, out, _ = run_cli(capsys, "render", mode, str(SAMPLE), *RANGE)

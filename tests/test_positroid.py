@@ -5,31 +5,35 @@ from hypothesis import strategies as st
 from stockpolytope import (
     Color,
     DecoratedPermutation,
-    GaleOrder,
     GrassmannNecklace,
     Permutation,
     Positroid,
     all_decorated_permutations,
     cell_dimension,
-    circuits,
     connected_components,
     cyclic_interval,
     cyclic_interval_rank,
     decorated_from_necklace,
-    gale_geq,
     interval_rank_summands,
     matroid_rank,
     necklace_from_decorated,
-    necklace_of_positroid,
     polytope_dimension,
     polytope_from_positroid,
     positroid_from_decorated,
     positroid_from_necklace,
-    verify_exchange_axiom,
 )
 from stockpolytope import positroid
 from conftest import brute_circuits, components_from_circuits
-from oracles import affine_dimension, exchange_components, subset_filter_bases
+from oracles import (
+    GaleOrder,
+    affine_dimension,
+    circuits,
+    exchange_components,
+    gale_geq,
+    necklace_of_positroid,
+    subset_filter_bases,
+    verify_exchange_axiom,
+)
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 

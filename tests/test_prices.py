@@ -218,6 +218,10 @@ def test_undecodable_bytes_name_their_row():
     with pytest.raises(PriceCsvError) as err:  # after a byte-order mark
         parse_price_csv(b"\xef\xbb\xbfdate,A\n2020-01-01,1\n2020-01-02,\xc3")
     assert err.value.row == 3
+    for end in (b"\n", b"\r\n", b"\r"):
+        with pytest.raises(PriceCsvError, match="row 3") as err:
+            parse_price_csv(end.join([b"date,A", b"2020-01-01,1", b"2020-01-02,\xa3"]) + end)
+        assert err.value.row == 3
 
 
 def test_unreadable_csv_raises_price_csv_error():
@@ -329,7 +333,8 @@ def test_parse_matches_per_cell_oracle(data):
     want = _outcome(per_cell_parse, data)
     if isinstance(want, UnicodeDecodeError):
         assert isinstance(got, PriceCsvError)
-        assert got.row == want.object.count(b"\n", 0, want.start) + 1
+        before = want.object[: want.start]
+        assert got.row == before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
     elif isinstance(want, csv.Error):
         assert isinstance(got, PriceCsvError) and got.row is not None
     elif isinstance(want, Exception):

@@ -1,0 +1,95 @@
+"""The JSON writers against the standard encoder, byte for byte."""
+
+import json
+from datetime import date
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stockpolytope import PriceTable, build_report, report_to_dict, report_to_json
+from stockpolytope.cli import _chain_steps
+from stockpolytope.report import chain_to_json
+from conftest import random_table
+
+HOSTILE = ('"q"', "back\\slash", "AT&T", "é", "€", "😀", "tab\there", "\x01")
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def chain_dict(events, chain) -> dict:
+    """The mapping ``chain --format json`` was encoded from before it had a writer."""
+    return {
+        "schema_version": 1,
+        "steps": [
+            {
+                "index": t,
+                "date": step.label,
+                "position": None if t == 0 else events[t - 1].position,
+                "permutation": list(step.state.perm.images),
+                "dimension": step.dimension,
+            }
+            for t, step in enumerate(chain.steps)
+        ],
+    }
+
+
+def assert_both_writers_match(table, ref, end, with_facets):
+    report = build_report(table, ref, end, with_facets=with_facets)
+    assert report_to_json(report) == dumps(report_to_dict(report))
+    events, chain = _chain_steps(table, ref, end)
+    assert chain_to_json(events, chain) == dumps(chain_dict(events, chain))
+    return report
+
+
+@st.composite
+def windows(draw):
+    n = draw(st.integers(1, 6))
+    n_dates = draw(st.integers(1, 12))
+    table = random_table(draw(st.integers(0, 10**6)), n, n_dates)
+    if draw(st.booleans()):
+        names = st.one_of(st.sampled_from(HOSTILE), st.text(min_size=1, max_size=4))
+        tickers = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+        table = PriceTable(tuple(tickers), table.dates, table.prices)
+    i = draw(st.integers(0, n_dates - 1))
+    j = draw(st.one_of(st.just(i), st.integers(i, n_dates - 1)))
+    return table, table.dates[i], table.dates[j]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(windows(), st.booleans())
+def test_writers_match_the_standard_encoder(window, with_facets):
+    assert_both_writers_match(*window, with_facets)
+
+
+def _two_dates(tickers, first, second) -> PriceTable:
+    dates = (date(2020, 1, 1), date(2020, 1, 2))
+    return PriceTable(tuple(tickers), dates, (tuple(map(Decimal, first)), tuple(map(Decimal, second))))
+
+
+@pytest.mark.parametrize("with_facets", [False, True])
+@pytest.mark.parametrize("case", ["one date", "all fall", "no fixed points"])
+def test_writers_match_on_edge_cells(case, with_facets):
+    n = len(HOSTILE)  # eight stocks, under the facet gate
+    low = [str(p) for p in range(1, n + 1)]
+    if case == "one date":  # ref == end: no crossings, one step, k = 0
+        table = _two_dates(HOSTILE, low, low)
+        ref = end = table.dates[0]
+    elif case == "all fall":  # every fixed point LEFT: k = n
+        table = _two_dates(HOSTILE, [str(p * 2) for p in range(1, n + 1)], low)
+        ref, end = table.dates
+    else:  # the lowest stock jumps to the top: an n-cycle
+        table = _two_dates(HOSTILE, low, [str(n + 1)] + low[1:])
+        ref, end = table.dates
+    report = assert_both_writers_match(table, ref, end, with_facets)
+    data = report_to_dict(report)
+    assert (data["polytope"]["facet_count"] is None) is not with_facets
+    if case == "one date":
+        assert data["k"] == 0 and data["crossings"] == [] and data["bases"] == [[]]
+    elif case == "all fall":
+        assert data["k"] == n and {d["color"] for d in data["decorations"]} == {"left"}
+    else:
+        assert data["decorations"] == [] and len(data["crossings"]) == n - 1
