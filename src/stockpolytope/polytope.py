@@ -4,15 +4,17 @@ The polytope of a positroid is the convex hull of the 0/1 indicator
 vectors of its bases.  Its inequality description is the level equation
 (coordinates sum to k), the box constraints 0 <= x_i <= 1, and one cut
 per cyclic interval [a..b]: the coordinates in the interval sum to at
-most the largest number of them any basis holds (Ardila-Rincon-Williams,
-arXiv:1308.2698).  Cut bounds and the vertex checks run on bitmasks of
-the bases; a cut whose bound reaches min(k, width) follows from the
-boxes and the level equation alone.
+most its necklace rank r[a, b] (Ardila-Rincon-Williams,
+arXiv:1308.2698).  A cut whose bound reaches min(k, width) follows from
+the boxes and the level equation alone.
 
 Each of these inequalities bounds a difference of prefix sums
 x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
-math/0501246): its dimension and facets come from ``prefix_closure`` in
-integer arithmetic, with no row reduction and no vertex-subset search.
+math/0501246).  ``positroid_from_necklace`` closes the cuts once with
+``prefix_closure`` and lists the bases from that closure; the polytope
+takes the same cuts and closure, and its dimension and facets come from
+the closure in integer arithmetic, with no row reduction and no
+vertex-subset search.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .perms import (
     remove_letter,
     word_to_permutation,
 )
-from .positroid import Positroid, cell_dimension, matroid_rank, positroid_from_decorated, prefix_closure
+from .positroid import Positroid, cell_dimension, matroid_rank, positroid_from_decorated
 
 # ---------------------------------------------------------------------------
 # The polytope itself.
@@ -50,20 +52,20 @@ class PositroidPolytope:
     constraints 0 <= x_i <= 1 are implicit in every method that needs
     them.  Cuts cover the windows of width 1 to n-1; the full window is
     the level equation itself.  ``closure`` is their ``prefix_closure``,
-    built once with the polytope.
+    which the dimension and the facets read; ``polytope_from_positroid``
+    passes the positroid's own.  The constructor checks the vertices'
+    shapes only.
     """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
     interval_cuts: tuple[tuple[tuple[int, int], int], ...]
-    closure: list[list[int]] = field(init=False, repr=False, compare=False)
+    closure: list[list[int]] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(tuple(map(int, v)) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        cuts = tuple(((int(a), int(b)), int(r)) for (a, b), r in self.interval_cuts)
-        object.__setattr__(self, "interval_cuts", cuts)
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         for v in verts:
@@ -73,16 +75,6 @@ class PositroidPolytope:
                 raise ValueError(f"vertex {v} is not a 0/1 indicator vector")
             if sum(v) != self.k:
                 raise ValueError(f"vertex {v} has {sum(v)} ones, expected {self.k}")
-        masks = [sum(x << i for i, x in enumerate(v)) for v in verts]
-        for (a, b), bound in cuts:
-            members = cyclic_interval(a, b, self.n)
-            if bound >= min(self.k, len(members)):
-                continue  # no 0/1 vector with k ones can break it
-            cut = sum(1 << (i - 1) for i in members)
-            if max(map(int.bit_count, map(cut.__and__, masks))) > bound:
-                v = next(v for v, mask in zip(verts, masks) if (mask & cut).bit_count() > bound)
-                raise ValueError(f"vertex {v} violates the cut for interval [{a}, {b}] <= {bound}")
-        object.__setattr__(self, "closure", prefix_closure(self.n, self.k, cuts))
 
     def cut_coefficients(self, a: int, b: int) -> tuple[int, ...]:
         members = set(cyclic_interval(a, b, self.n))
@@ -90,25 +82,17 @@ class PositroidPolytope:
 
 
 def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
-    """Indicator vertices plus one rank cut per cyclic interval.
+    """Indicator vertices of the bases, with the cuts and closure they were listed from.
 
-    A cut's bound is the most elements of the interval any basis holds.
-    Widening an interval by one element raises that by at most one, so
-    each bound takes one pass over the basis bitmasks, which stops at the
-    first basis that reaches the bound of the narrower interval plus one.
+    Every basis is a lattice point of that closure, so every vertex meets
+    every cut.  A positroid built from its bases alone carries no cuts:
+    build it with ``positroid_from_necklace``.
     """
-    n, k = m.n, m.k
-    masks = [sum(1 << (i - 1) for i in b) for b in m.bases]
-    verts = tuple(sorted(tuple(mask >> i & 1 for i in range(n)) for mask in masks))
-    cuts = []
-    for a in range(1, n + 1):
-        cut = bound = 0
-        for width in range(1, n):
-            cut |= 1 << (a + width - 2) % n
-            if bound < k and bound + 1 in map(int.bit_count, map(cut.__and__, masks)):
-                bound += 1
-            cuts.append(((a, a + width - 1), bound))
-    return PositroidPolytope(n, k, verts, tuple(cuts))
+    if m.closure is None:
+        raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
+    ground = range(1, m.n + 1)
+    verts = tuple(sorted(tuple(1 if i in b else 0 for i in ground) for b in m.bases))
+    return PositroidPolytope(m.n, m.k, verts, m.interval_cuts, m.closure)
 
 
 def _class_count(d: Sequence[Sequence[int]]) -> int:

@@ -7,15 +7,17 @@ at i.  Equivalently H meets every cyclic interval [a..b] in at most its
 rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).
 
 Each cut bounds a difference of prefix sums x_1 + ... + x_j, so the
-polytope is alcoved (Lam-Postnikov, math/0501246): the bases, and in
-``polytope`` its dimension and facets, come from ``prefix_closure``.
+polytope is alcoved (Lam-Postnikov, math/0501246).
+``positroid_from_necklace`` builds the cuts and their ``prefix_closure``
+once and lists the bases from them; the positroid keeps both, and
+``polytope`` reads its dimension and facets off that closure.
 Components and dimensions come from the decorated permutation without
 the bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, sub
 from typing import Iterable
 
@@ -31,11 +33,18 @@ class Positroid:
     """Ground size, rank, and the set of bases.
 
     The constructor checks shapes only, not the basis exchange axiom.
+    ``positroid_from_necklace`` also keeps the cuts ((a, b), r[a, b]) for
+    the cyclic intervals of width 1 to n-1 and their ``prefix_closure``,
+    the bases' H-description; one built from bases alone has neither.
+    Neither takes part in equality or the repr.
     """
 
     n: int
     k: int
     bases: frozenset[frozenset[int]]
+    interval_cuts: tuple[tuple[tuple[int, int], int], ...] | None = field(
+        default=None, compare=False, repr=False)
+    closure: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bases", frozenset(frozenset(b) for b in self.bases))
@@ -93,7 +102,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     closed network of difference constraints is decomposable
     (Dechter-Meiri-Pearl, 1991): every value leads on to a basis, so the
     search takes at most 1 + n steps per basis.  It gives up with
-    ValueError after ``BASIS_SEARCH_STEPS`` steps.
+    ValueError after ``BASIS_SEARCH_STEPS`` steps.  The positroid keeps
+    the cuts and d for its polytope.
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
@@ -105,8 +115,9 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     if violation is not None:
         raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
-    d = prefix_closure(n, k, (((a, b), cyclic_interval_rank(nk, a, b))
-                              for a in range(1, n + 1) for b in range(a, a + n - 1)))
+    cuts = tuple(((a, b), cyclic_interval_rank(nk, a, b))
+                 for a in range(1, n + 1) for b in range(a, a + n - 1))
+    d = prefix_closure(n, k, cuts)
     columns = list(zip(*d))
     prefix: list[int] = []  # P_0, ..., P_e along the path to the current node
     bases: list[int] = []
@@ -130,7 +141,7 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
         hi = min(map(add, prefix, columns[e + 1]))
         stack.extend((e + 1, v, mask | (v - value) << e) for v in range(lo, hi + 1))
     return Positroid(n, k, frozenset(
-        frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases))
+        frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases), cuts, d)
 
 
 def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:

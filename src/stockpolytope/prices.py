@@ -107,9 +107,6 @@ class PriceTable:
         except KeyError:
             raise ValueError(f"unknown date {d.isoformat()}") from None
 
-    def price(self, d: date, stock: int) -> Decimal:
-        return self.prices[self.date_index(d)][stock]
-
 
 @dataclass(frozen=True)
 class Ranking:

@@ -131,7 +131,8 @@ def check_report(report: AnalysisReport) -> None:
     if cell_dimension(report.state) != report.cell_dim:
         raise ConsistencyError("cell dimension does not re-derive from the reported state")
     if polytope_dimension(report.polytope) != report.polytope_dim:
-        raise ConsistencyError("polytope dimension differs from the affine rank of the vertices")
+        raise ConsistencyError("polytope dimension from the closure's classes differs from "
+                               "n minus the number of components")
     word = WiringWord(n, tuple(e.position for e in report.crossings))
     if word_to_permutation(word) != report.permutation:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")

@@ -9,8 +9,10 @@ from decimal import Decimal
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from stockpolytope import (
+    Color,
     DecoratedPermutation,
     Permutation,
     PriceTable,
@@ -119,6 +121,14 @@ def components_from_circuits(m) -> tuple[tuple[int, ...], ...]:
     for e in sorted(m.ground):
         blocks.setdefault(find(e), []).append(e)
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
+
+
+@st.composite
+def decorated_permutations(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    colors = {i: draw(st.sampled_from(Color)) for i in perm.fixed_points()}
+    return DecoratedPermutation(perm, colors)
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,14 @@
 Each public function here is an earlier, search-based version of a
 routine in ``stockpolytope`` or, for ``vertices_from_inequalities``, the
 vertex set of the inequality description found without the bases; they
-are kept so the tests can compare both sides on every small cell.  The
-price oracles are the earlier parser, which checks cell by cell, and the
-ranking chain that always starts at the first date.  The Gale order,
-basis exchange and circuit helpers at the end check positroids from
-their definitions; the package itself never needs them.  None of them is
-fast; all of them follow the definitions directly.
+are kept so the tests can compare both sides on every small cell.
+``bases_side_cuts`` finds the polytope's cut bounds from the bases, where
+the package takes them from the necklace ranks the bases were listed
+from.  The price oracles are the earlier parser, which checks cell by
+cell, and the ranking chain that always starts at the first date.  The
+Gale order, basis exchange and circuit helpers at the end check
+positroids from their definitions; the package itself never needs them.
+None of them is fast; all of them follow the definitions directly.
 """
 
 from __future__ import annotations
@@ -98,6 +100,27 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
     for e in sorted(m.ground):
         blocks.setdefault(find(e), []).append(e)
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
+
+
+def bases_side_cuts(m: Positroid) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The cut ((a, b), bound) of every cyclic interval of width 1 to n-1, from the bases.
+
+    A cut's bound is the most elements of the interval any basis holds.
+    Widening an interval by one element raises that by at most one, so
+    each bound takes one pass over the basis bitmasks, which stops at the
+    first basis that reaches the bound of the narrower interval plus one.
+    """
+    n, k = m.n, m.k
+    masks = [sum(1 << (i - 1) for i in b) for b in m.bases]
+    cuts = []
+    for a in range(1, n + 1):
+        cut = bound = 0
+        for width in range(1, n):
+            cut |= 1 << (a + width - 2) % n
+            if bound < k and bound + 1 in map(int.bit_count, map(cut.__and__, masks)):
+                bound += 1
+            cuts.append(((a, a + width - 1), bound))
+    return tuple(cuts)
 
 
 # Exact linear algebra for the polytope oracles, over fractions.Fraction.

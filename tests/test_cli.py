@@ -168,11 +168,11 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["render", "hooks"], {necklace.necklace_from_decorated: 1}),
     (["analyze"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--facets", "--check"],
-     {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 2}),
+     {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
 ], ids=["hooks", "analyze", "facets-check"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
-    # One cell: the bases' closure, plus one polytope with its own closure
-    # only when --facets or --check reads it.
+    # One cell: one closure, built with the bases, and the polytope that
+    # shares it only when --facets or --check reads it.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -399,7 +399,7 @@ def test_check_catches_corrupted_cell_dimension():
 def test_check_catches_raised_polytope_dimension():
     report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
     raised = dataclasses.replace(report, polytope_dim=report.polytope_dim + 1)
-    with pytest.raises(ConsistencyError, match="affine rank of the vertices"):
+    with pytest.raises(ConsistencyError, match="closure's classes differs from n minus the number of components"):
         check_report(raised)
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from stockpolytope import (
     Color,
@@ -12,6 +13,7 @@ from stockpolytope import (
     necklace_from_decorated,
     validate_necklace,
 )
+from conftest import decorated_permutations
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -78,6 +80,14 @@ def test_roundtrip_exhaustive_small():
             assert validate_necklace(nk) is None
             assert decorated_from_necklace(nk) == state
             assert all(len(t) == anti_exceedance_count(state) for t in nk.terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(decorated_permutations(max_n=30))
+def test_roundtrip_at_the_papers_scale(state):
+    nk = necklace_from_decorated(state)
+    assert validate_necklace(nk) is None
+    assert decorated_from_necklace(nk) == state
 
 
 def test_interval_rank_examples():

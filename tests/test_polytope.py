@@ -22,8 +22,9 @@ from stockpolytope import (
     positroid_from_necklace,
     word_to_permutation,
 )
+from stockpolytope.positroid import prefix_closure
 from conftest import cached_dim, cached_positroid, reduced_words
-from oracles import subset_search_facets, vertices_from_inequalities
+from oracles import necklace_of_positroid, subset_search_facets, vertices_from_inequalities
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -48,7 +49,10 @@ def test_market_polytope_vertices_and_cut():
 def test_single_vertex_polytope():
     from stockpolytope import Positroid
 
-    poly = polytope_from_positroid(Positroid(3, 0, {frozenset()}))
+    by_hand = Positroid(3, 0, {frozenset()})
+    with pytest.raises(ValueError, match="positroid_from_necklace"):
+        polytope_from_positroid(by_hand)  # bases alone carry no cuts
+    poly = polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(by_hand)))
     assert poly.vertices == ((0, 0, 0),)
     assert polytope_dimension(poly) == 0
     assert enumerate_facets(poly) == ()
@@ -69,11 +73,9 @@ def test_polytope_dimensions():
 
 def test_vertex_rejects_bad_input():
     with pytest.raises(ValueError):
-        PositroidPolytope(3, 1, ((1, 1, 0),), ())
+        PositroidPolytope(3, 1, ((1, 1, 0),), (), prefix_closure(3, 1, ()))
     with pytest.raises(ValueError):
-        PositroidPolytope(3, 1, ((2, -1, 0),), ())
-    with pytest.raises(ValueError):
-        PositroidPolytope(3, 1, ((0, 1, 0),), (((2, 2), 0),))
+        PositroidPolytope(3, 1, ((2, -1, 0),), (), prefix_closure(3, 1, ()))
 
 
 def test_market_facets_form_square_pyramid():
@@ -129,7 +131,7 @@ def test_facet_gate():
 
     big = Positroid(9, 1, {frozenset({i}) for i in range(1, 10)})
     with pytest.raises(ValueError):
-        enumerate_facets(polytope_from_positroid(big))
+        enumerate_facets(polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(big))))
 
 
 def test_vertex_enumeration_examples():

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stockpolytope import (
     Color,
@@ -23,11 +22,13 @@ from stockpolytope import (
     positroid_from_necklace,
 )
 from stockpolytope import positroid
-from conftest import brute_circuits, components_from_circuits
+from conftest import brute_circuits, components_from_circuits, decorated_permutations
 from oracles import (
     GaleOrder,
     affine_dimension,
+    bases_side_cuts,
     circuits,
+    contains,
     exchange_components,
     gale_geq,
     necklace_of_positroid,
@@ -183,17 +184,13 @@ def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
                 for a in range(1, n + 1)
                 for w in range(1, n)
             ), state
+            # Oh's theorem from both sides: each bound is reached by a basis
+            # and every vertex meets every cut.
+            assert poly.interval_cuts == bases_side_cuts(m), state
+            assert all(contains(poly, v) for v in poly.vertices), state
             assert polytope_dimension(poly) == affine_dimension(poly.vertices) == n - len(blocks), state
             cells += 1
     assert cells == 2371
-
-
-@st.composite
-def decorated_permutations(draw, max_n=9):
-    n = draw(st.integers(1, max_n))
-    perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
-    colors = {i: draw(st.sampled_from(Color)) for i in perm.fixed_points()}
-    return DecoratedPermutation(perm, colors)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
