@@ -86,7 +86,7 @@ def _cmd_chain(args) -> str:
     lines = []
     for t, step in enumerate(chain.steps):
         crossing = "-" if t == 0 else f"s{events[t - 1].position}"
-        perm = "{" + ",".join(str(v) for v in step.state.perm.images) + "}"
+        perm = "{" + ",".join(str(v) for v in step.images) + "}"
         lines.append(f"step {t:<3} {step.label}  {crossing:<4} {perm:<20} dim {step.dimension}")
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class Color(Enum):
@@ -266,25 +266,25 @@ def affine_length(lift: BoundedAffinePermutation) -> int:
     return sum(abs((f[b] - f[a]) // n) for b in range(n) for a in range(b))
 
 
-def affine_length_near(lift: BoundedAffinePermutation, positions: Iterable[int]) -> int:
+def affine_length_near(f: Sequence[int], n: int, positions: Iterable[int]) -> int:
     """The part of ``affine_length`` carried by position pairs that meet ``positions``.
 
-    Positions are 1-based.  When two lifts differ only at ``positions``,
-    their lengths differ by the difference of these parts, which costs
-    O(n) work per position instead of O(n^2).
+    ``f`` holds the values f(1), ..., f(n), with distinct residues mod n,
+    and positions are 1-based.  When two such value lists differ only at
+    ``positions``, their lengths differ by the difference of these parts,
+    which costs O(n) work per position instead of O(n^2).
 
-    >>> lift = BoundedAffinePermutation(4, (4, 2, 3, 5))
-    >>> affine_length_near(lift, (1,)), affine_length_near(lift, (3, 4))
+    >>> affine_length_near((4, 2, 3, 5), 4, (1,)), affine_length_near((4, 2, 3, 5), 4, (3, 4))
     (2, 1)
     """
-    f, n = lift.f, lift.n
     near = sorted({p - 1 for p in positions})
     total = 0
-    for a in near:
-        fa = f[a]
-        total += sum(abs((fa - x) // n) for x in f[:a]) + sum(abs((x - fa) // n) for x in f[a + 1:])
-    # a pair with both ends near was counted from each end
-    return total - sum(abs((f[b] - f[a]) // n) for i, b in enumerate(near) for a in near[:i])
+    for i, b in enumerate(near):
+        fb = f[b]
+        total += sum([abs((fb - x) // n) for x in f[:b]]) + sum([abs((x - fb) // n) for x in f[b + 1:]])
+        # a pair with both ends near is counted from each end
+        total -= sum([abs((fb - f[a]) // n) for a in near[:i]])
+    return total
 
 
 def remove_letter(word: WiringWord, index: int) -> WiringWord:

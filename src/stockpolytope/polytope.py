@@ -25,17 +25,15 @@ from typing import Callable, Iterable, Sequence
 
 from .necklace import cyclic_interval
 from .perms import (
+    BoundedAffinePermutation,
     Color,
     DecoratedPermutation,
     Permutation,
     WiringWord,
     affine_length,
     affine_length_near,
-    affine_lift,
-    remove_letter,
-    word_to_permutation,
 )
-from .positroid import Positroid, cell_dimension, matroid_rank, positroid_from_decorated
+from .positroid import Positroid
 
 # ---------------------------------------------------------------------------
 # The polytope itself.
@@ -100,15 +98,15 @@ def _class_count(d: Sequence[Sequence[int]]) -> int:
     return sum(1 for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i)))
 
 
-def polytope_dimension(p: PositroidPolytope) -> int:
-    """Dimension of the polytope: its classes of fixed prefix-sum differences, less one.
+def polytope_dimension(closure: Sequence[Sequence[int]]) -> int:
+    """Polytope dimension from a ``prefix_closure``: its classes of fixed differences, less one.
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
-    >>> polytope_dimension(polytope_from_positroid(positroid_from_necklace(eq1)))
+    >>> polytope_dimension(positroid_from_necklace(eq1).closure)
     3
     """
-    return _class_count(p.closure) - 1
+    return _class_count(closure) - 1
 
 
 @dataclass(frozen=True)
@@ -190,15 +188,24 @@ def _apply_rule(rule: ColorRule, perm_fixed: Iterable[int]) -> dict[int, Color]:
 
 @dataclass(frozen=True)
 class CellStep:
-    """The cell after one prefix of a word: its label, decorated state and dimension.
+    """The cell after one prefix of a word: its label, product and dimension.
 
-    The dimension is k(n - k) - l(f) for the affine lift f of ``state``
-    (Knutson-Lam-Speyer, arXiv:0903.3694).
+    ``images`` is the prefix's product in one-line notation; the dimension
+    is k(n - k) - l(f) for its affine lift f (Knutson-Lam-Speyer,
+    arXiv:0903.3694).  ``colors[i - 1]`` is the color of i when fixed, one
+    tuple for the whole chain.  ``state`` builds the validated decorated
+    permutation, in O(n), on each read.
     """
 
     label: str
-    state: DecoratedPermutation
+    images: tuple[int, ...]
     dimension: int
+    colors: tuple[Color, ...] = field(repr=False)
+
+    @property
+    def state(self) -> DecoratedPermutation:
+        perm = Permutation(self.images)
+        return DecoratedPermutation(perm, {i: self.colors[i - 1] for i in perm.fixed_points()})
 
 
 @dataclass(frozen=True)
@@ -207,8 +214,8 @@ class CellChain:
 
     Appending a crossing to a reduced word raises the dimension by one;
     a re-crossing can drop it again, and such steps are reported as they
-    come, never suppressed.  Each step after the first costs O(n): one
-    swap of the running arrangement and an update of the affine length.
+    come, never suppressed.  Each step after the first costs O(n): a swap
+    in the running arrangement and lift, and a copy of the arrangement.
     """
 
     steps: tuple[CellStep, ...]
@@ -228,65 +235,40 @@ def decomposition_chain(
     step); walking the chain backward is the decomposition.  Fixed points
     of intermediate products carry no market data, so their color comes
     from ``fixed_point_color``: a constant or a callable mapping the fixed
-    point to a Color.
+    point to a Color.  Every point is fixed on the empty prefix, whose
+    state alone is built and validated, colors included.
 
-    One arrangement runs along the word, and each letter p swaps its
-    entries p and p + 1.  A step's dimension is k(n - k) - l(f) for the
-    affine lift f (Knutson-Lam-Speyer, arXiv:0903.3694).  The length l(f)
-    is counted in full once, on the empty prefix; after that only the
-    lift positions a step changes (p and p + 1 under a constant or
-    pointwise color rule) are re-counted, against every other position,
-    so a step costs O(n).
+    One arrangement and its affine lift f run along the word, and l(f) is
+    counted in full once.  Letter p swaps their entries p and p + 1, which
+    changes only the pair's own term of l(f), by one.  The lift at i
+    depends only on the entry there and i; where the swap makes or breaks
+    a fixed point, that value moves by n and l(f) is re-counted near it.
+    So a step costs O(n) and builds no validated object.
     """
     m, n = len(word.letters), word.n
     if labels is None:
         labels = [str(t) for t in range(m + 1)]
     if len(labels) != m + 1:
         raise ValueError(f"expected {m + 1} labels, got {len(labels)}")
-    line = list(range(1, n + 1))
-    steps = []
-    for t in range(m + 1):
-        if t:
-            p = word.letters[t - 1]
-            line[p - 1], line[p] = line[p], line[p - 1]
-        perm = Permutation(tuple(line))
-        dp = DecoratedPermutation(perm, _apply_rule(fixed_point_color, perm.fixed_points()))
-        lift = affine_lift(dp)
-        if t == 0:
-            length = affine_length(lift)
-        else:
-            changed = [i for i, (u, v) in enumerate(zip(lift.f, prev.f), start=1) if u != v]
-            length += affine_length_near(lift, changed) - affine_length_near(prev, changed)
-        steps.append(CellStep(str(labels[t]), dp, lift.k * (n - lift.k) - length))
-        prev = lift
+    rule_colors = _apply_rule(fixed_point_color, range(1, n + 1))
+    colors = tuple(c for _, c in DecoratedPermutation(Permutation.identity(n), rule_colors).colors)
+    fixed = [i if c is Color.RIGHT else i + n for i, c in enumerate(colors, start=1)]
+    line, f = list(range(1, n + 1)), fixed[:]
+    k = sum(v > n for v in f)
+    length = affine_length(BoundedAffinePermutation(n, tuple(f)))
+    steps = [CellStep(str(labels[0]), tuple(line), k * (n - k) - length, colors)]
+    for t, p in enumerate(word.letters, start=1):
+        # swapping f(p) and f(p + 1) adds one when f(p) < f(p + 1), else takes one
+        length += 1 if f[p - 1] < f[p] else -1
+        line[p - 1], line[p] = line[p], line[p - 1]
+        f[p - 1], f[p] = f[p], f[p - 1]
+        for i in (p - 1, p):  # 0-based, at position i + 1
+            v = line[i]
+            lifted = v if v > i + 1 else v + n if v <= i else fixed[i]
+            if lifted != f[i]:  # a fixed point made or lost here moves by n
+                length -= affine_length_near(f, n, (i + 1,))
+                k += (lifted > n) - (f[i] > n)
+                f[i] = lifted
+                length += affine_length_near(f, n, (i + 1,))
+        steps.append(CellStep(str(labels[t]), tuple(line), k * (n - k) - length, colors))
     return CellChain(tuple(steps))
-
-
-@dataclass(frozen=True)
-class RemovalFace:
-    state: DecoratedPermutation
-    dimension: int
-    contained: bool
-
-
-def face_of_removal(
-    word: WiringWord, index: int, fixed_point_color: ColorRule = Color.RIGHT
-) -> RemovalFace:
-    """Drop one crossing and compare the new cell against the old one.
-
-    ``contained`` reports whether every basis of the new positroid is
-    independent in the original one.  When the removal preserves k this
-    is plain basis containment; when k shrinks (a crossing whose removal
-    turns the state into a smaller Grassmannian) it still captures the
-    face relation.  A re-crossing removal can raise the dimension or
-    break containment, and the flag reports whatever actually happened.
-    """
-    original = word_to_permutation(word)
-    dp_old = DecoratedPermutation(original, _apply_rule(fixed_point_color, original.fixed_points()))
-    shorter = remove_letter(word, index)
-    perm = word_to_permutation(shorter)
-    dp_new = DecoratedPermutation(perm, _apply_rule(fixed_point_color, perm.fixed_points()))
-    old = positroid_from_decorated(dp_old)
-    new = positroid_from_decorated(dp_new)
-    contained = all(matroid_rank(old, b) == len(b) for b in new.bases)
-    return RemovalFace(dp_new, cell_dimension(dp_new), contained)

@@ -64,7 +64,7 @@ class AnalysisReport:
 
     @cached_property
     def polytope(self) -> PositroidPolytope:
-        """The vertex polytope of the bases, built on first read (``--facets``, ``--check``)."""
+        """The vertex polytope of the bases, built on first read (``--facets``)."""
         return polytope_from_positroid(self.positroid)
 
     @property
@@ -130,7 +130,7 @@ def check_report(report: AnalysisReport) -> None:
         raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
     if cell_dimension(report.state) != report.cell_dim:
         raise ConsistencyError("cell dimension does not re-derive from the reported state")
-    if polytope_dimension(report.polytope) != report.polytope_dim:
+    if polytope_dimension(report.positroid.closure) != report.polytope_dim:
         raise ConsistencyError("polytope dimension from the closure's classes differs from "
                                "n minus the number of components")
     word = WiringWord(n, tuple(e.position for e in report.crossings))
@@ -224,7 +224,7 @@ def chain_to_json(events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain --format json`` document: one step per prefix of the crossings."""
     steps = [
         f'{{{_P3}"date": {_str(step.label)},{_P3}"dimension": {step.dimension},{_P3}"index": {t},'
-        f'{_P3}"permutation": {_array(step.state.perm.images, _P3)},'
+        f'{_P3}"permutation": {_array(step.images, _P3)},'
         f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
         for t, step in enumerate(chain.steps)
     ]

@@ -8,8 +8,10 @@ are kept so the tests can compare both sides on every small cell.
 the package takes them from the necklace ranks the bases were listed
 from.  The price oracles are the earlier parser, which checks cell by
 cell, and the ranking chain that always starts at the first date.  The
-Gale order, basis exchange and circuit helpers at the end check
-positroids from their definitions; the package itself never needs them.
+Gale order, basis exchange and circuit helpers check positroids from
+their definitions, and ``face_of_removal`` at the end compares a word's
+cell with the cell of the word less one crossing by their bases; the
+package itself never needs them.
 None of them is fast; all of them follow the definitions directly.
 """
 
@@ -27,6 +29,8 @@ from typing import Iterable, Sequence
 
 from stockpolytope import (
     BoundedAffinePermutation,
+    Color,
+    DecoratedPermutation,
     Facet,
     GrassmannNecklace,
     Positroid,
@@ -34,8 +38,13 @@ from stockpolytope import (
     PriceCsvError,
     PriceTable,
     Ranking,
+    WiringWord,
+    cell_dimension,
     matroid_rank,
+    positroid_from_decorated,
+    remove_letter,
     validate_necklace,
+    word_to_permutation,
 )
 
 Number = int | Fraction
@@ -546,3 +555,30 @@ def necklace_of_positroid(m: Positroid) -> GrassmannNecklace:
     """Recover the necklace as the tuple of Gale minima."""
     terms = tuple(gale_minimum(m, i) for i in range(1, m.n + 1))
     return GrassmannNecklace(m.n, m.k, terms)
+
+
+@dataclass(frozen=True)
+class RemovalFace:
+    state: DecoratedPermutation
+    dimension: int
+    contained: bool
+
+
+def face_of_removal(word: WiringWord, index: int, fixed_point_color: Color = Color.RIGHT) -> RemovalFace:
+    """Drop one crossing and compare the new cell against the old one.
+
+    ``contained`` reports whether every basis of the new positroid is
+    independent in the original one.  When the removal preserves k this
+    is plain basis containment; when k shrinks (a crossing whose removal
+    turns the state into a smaller Grassmannian) it still captures the
+    face relation.  A re-crossing removal can raise the dimension or
+    break containment, and the flag reports whatever actually happened.
+    Every fixed point takes the color ``fixed_point_color``.
+    """
+    original = word_to_permutation(word)
+    dp_old = DecoratedPermutation.uniform(original, fixed_point_color)
+    dp_new = DecoratedPermutation.uniform(word_to_permutation(remove_letter(word, index)), fixed_point_color)
+    old = positroid_from_decorated(dp_old)
+    new = positroid_from_decorated(dp_new)
+    contained = all(matroid_rank(old, b) == len(b) for b in new.bases)
+    return RemovalFace(dp_new, cell_dimension(dp_new), contained)

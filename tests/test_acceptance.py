@@ -220,7 +220,7 @@ def test_criterion_7_polytope_suite():
 
     market = polytope_from_positroid(positroid_from_necklace(EQ1))
     assert len(market.vertices) == 5
-    assert polytope_dimension(market) == 3
+    assert polytope_dimension(market.closure) == 3
     market_facets = enumerate_facets(market)
     assert len(market_facets) == 5
     assert sorted(len(f.vertices) for f in market_facets) == [3, 3, 3, 3, 4]

@@ -18,7 +18,7 @@ from stockpolytope import (
     report_to_text,
     sample_csv_text,
 )
-from stockpolytope import necklace, polytope, positroid, prices
+from stockpolytope import necklace, perms, polytope, positroid, prices
 from stockpolytope.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
@@ -167,12 +167,15 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
 @pytest.mark.parametrize("command, calls", [
     (["render", "hooks"], {necklace.necklace_from_decorated: 1}),
     (["analyze"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
+    (["analyze", "--check"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--facets", "--check"],
      {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
-], ids=["hooks", "analyze", "facets-check"])
+    (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 1}),
+], ids=["hooks", "analyze", "check", "facets-check", "chain"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
-    # shares it only when --facets or --check reads it.
+    # shares it only when --facets reads it.  The chain counts its length
+    # in full once and lifts no validated state per step.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err

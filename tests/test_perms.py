@@ -117,8 +117,8 @@ def test_affine_length_matches_inversion_oracle():
             lift = affine_lift(dp)
             length = affine_inversions(lift)
             assert affine_length(lift) == length, dp
-            assert affine_length_near(lift, range(1, n + 1)) == length, dp
-            assert affine_length_near(lift, ()) == 0
+            assert affine_length_near(lift.f, lift.n, range(1, n + 1)) == length, dp
+            assert affine_length_near(lift.f, lift.n, ()) == 0
             assert cell_dimension(dp) == lift.k * (n - lift.k) - length, dp
 
 

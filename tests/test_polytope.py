@@ -15,7 +15,6 @@ from stockpolytope import (
     cell_dimension,
     decomposition_chain,
     enumerate_facets,
-    face_of_removal,
     polytope_dimension,
     polytope_from_positroid,
     positroid_from_decorated,
@@ -24,7 +23,7 @@ from stockpolytope import (
 )
 from stockpolytope.positroid import prefix_closure
 from conftest import cached_dim, cached_positroid, reduced_words
-from oracles import necklace_of_positroid, subset_search_facets, vertices_from_inequalities
+from oracles import face_of_removal, necklace_of_positroid, subset_search_facets, vertices_from_inequalities
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -54,7 +53,7 @@ def test_single_vertex_polytope():
         polytope_from_positroid(by_hand)  # bases alone carry no cuts
     poly = polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(by_hand)))
     assert poly.vertices == ((0, 0, 0),)
-    assert polytope_dimension(poly) == 0
+    assert polytope_dimension(poly.closure) == 0
     assert enumerate_facets(poly) == ()
 
 
@@ -67,8 +66,8 @@ def test_hypersimplex_polytope():
 
 
 def test_polytope_dimensions():
-    assert polytope_dimension(market_polytope()) == 3
-    assert polytope_dimension(top_polytope()) == 3  # cell dimension is 4
+    assert polytope_dimension(market_polytope().closure) == 3
+    assert polytope_dimension(top_polytope().closure) == 3  # cell dimension is 4
 
 
 def test_vertex_rejects_bad_input():
@@ -186,6 +185,13 @@ def test_chain_labels_and_color_rule():
     assert chain.steps[0].state.left_fixed_points() == frozenset({1, 2})
 
 
+def test_chain_rejects_a_rule_that_gives_no_color():
+    # The steps build their states only when read, so the chain itself
+    # checks every color its rule gives.
+    with pytest.raises(TypeError, match="must be a Color"):
+        decomposition_chain(WiringWord(3, ()), fixed_point_color=lambda i: "right")
+
+
 def _random_word(rng, n, m):
     # About one letter in four repeats the one before it, so the words
     # re-cross as well as climb.
@@ -203,7 +209,10 @@ def assert_chain_matches_oracles(word, rule):
     chain = decomposition_chain(word, fixed_point_color=rule)
     assert len(chain.steps) == len(word) + 1
     for t, step in enumerate(chain.steps):
-        assert step.state.perm == word_to_permutation(word.prefix(t)), (word, t)
+        perm = word_to_permutation(word.prefix(t))
+        colors = {i: rule if isinstance(rule, Color) else rule(i) for i in perm.fixed_points()}
+        assert step.state == DecoratedPermutation(perm, colors), (word, rule, t)
+        assert step.images == perm.images, (word, t)
         assert step.dimension == cell_dimension(step.state), (word, rule, t)
 
 

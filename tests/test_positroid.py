@@ -188,7 +188,7 @@ def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
             # and every vertex meets every cut.
             assert poly.interval_cuts == bases_side_cuts(m), state
             assert all(contains(poly, v) for v in poly.vertices), state
-            assert polytope_dimension(poly) == affine_dimension(poly.vertices) == n - len(blocks), state
+            assert polytope_dimension(poly.closure) == affine_dimension(poly.vertices) == n - len(blocks), state
             cells += 1
     assert cells == 2371
 
@@ -200,5 +200,5 @@ def test_closure_matches_oracles_on_random_cells(state):
     m = positroid_from_necklace(nk)
     assert m.bases == subset_filter_bases(nk)
     poly = polytope_from_positroid(m)
-    assert polytope_dimension(poly) == affine_dimension(poly.vertices)
-    assert polytope_dimension(poly) == state.n - len(connected_components(state))
+    assert polytope_dimension(poly.closure) == affine_dimension(poly.vertices)
+    assert polytope_dimension(poly.closure) == state.n - len(connected_components(state))
