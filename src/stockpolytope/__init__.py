@@ -14,7 +14,6 @@ from .necklace import (
     NecklaceViolation,
     cyclic_interval,
     cyclic_interval_rank,
-    decorated_from_necklace,
     necklace_from_decorated,
     validate_necklace,
 )
@@ -27,12 +26,7 @@ from .perms import (
     affine_length,
     affine_length_near,
     affine_lift,
-    all_decorated_permutations,
-    all_permutations,
     anti_exceedance_count,
-    inversions,
-    is_reduced,
-    remove_letter,
     word_to_permutation,
 )
 from .polytope import (
@@ -50,8 +44,6 @@ from .positroid import (
     cell_dimension,
     connected_components,
     interval_rank_summands,
-    matroid_rank,
-    positroid_from_decorated,
     positroid_from_necklace,
 )
 from .prices import (
@@ -64,7 +56,6 @@ from .prices import (
     load_sample_table,
     parse_price_csv,
     permutation_at,
-    rank_at_date,
     rankings,
     read_price_csv,
     sample_csv_text,
@@ -104,8 +95,6 @@ __all__ = [
     "affine_length",
     "affine_length_near",
     "affine_lift",
-    "all_decorated_permutations",
-    "all_permutations",
     "anti_exceedance_count",
     "build_report",
     "cell_dimension",
@@ -115,25 +104,18 @@ __all__ = [
     "cyclic_interval",
     "cyclic_interval_rank",
     "decorate",
-    "decorated_from_necklace",
     "decomposition_chain",
     "enumerate_facets",
     "interval_rank_summands",
-    "inversions",
-    "is_reduced",
     "load_sample_table",
-    "matroid_rank",
     "necklace_from_decorated",
     "parse_price_csv",
     "permutation_at",
     "polytope_dimension",
     "polytope_from_positroid",
-    "positroid_from_decorated",
     "positroid_from_necklace",
-    "rank_at_date",
     "rankings",
     "read_price_csv",
-    "remove_letter",
     "render_chords",
     "render_hooks",
     "render_wiring",

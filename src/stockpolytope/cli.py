@@ -13,7 +13,7 @@ from datetime import date
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, permutation_at, rankings, read_price_csv
+from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, rankings, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import ConsistencyError, build_report, chain_to_json, check_report, report_to_json, report_to_text
 
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="full pipeline report for a date range")
     add_common(analyze)
-    analyze.add_argument("--facets", action="store_true", help="also count polytope facets (n <= 8)")
+    analyze.add_argument("--facets", action="store_true", help="also count the polytope's facets")
     analyze.add_argument("--format", choices=("json", "text"), default="json")
     analyze.add_argument("--check", action="store_true", help="re-derive and verify the report")
     analyze.set_defaults(handler=_cmd_analyze)
@@ -98,7 +98,7 @@ def _cmd_render(args) -> str:
         word = WiringWord(table.n_stocks, tuple(e.position for e in events))
         return render_wiring(word, table.tickers, fmt=args.format)
     chain = rankings(table, up_to=end, since=ref)
-    state = decorate(permutation_at(table, ref, end, chain=chain), table, ref, end, chain=chain)
+    state = decorate(table, ref, end, chain=chain)
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)
     lift = affine_lift(state)

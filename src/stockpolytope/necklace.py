@@ -5,16 +5,17 @@ of k-subsets obeying the increment axiom: if i is in I_i, then I_{i+1} is
 (I_i minus {i}) plus one element j (possibly j = i again); if i is not in
 I_i, then I_{i+1} = I_i.  Indices wrap, so I_{n+1} means I_1.
 
-Necklaces are equivalent data to decorated permutations; both directions of
-the bijection live here, together with the interval rank r[a, b] used by the
-cell dimension formula.
+Necklaces are equivalent data to decorated permutations.  The direction
+the pipeline runs, from the permutation to the necklace, lives here with
+the interval rank r[a, b] used by the cell dimension formula; the inverse
+bijection is a test oracle, which checks the round trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Color, DecoratedPermutation, Permutation, anti_exceedance_count
+from .perms import DecoratedPermutation, anti_exceedance_count
 
 
 def cyclic_position(x: int, shift: int, n: int) -> int:
@@ -68,6 +69,7 @@ def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
     in the cyclic order starting at i.  LEFT fixed points always qualify,
     RIGHT fixed points never do.
 
+    >>> from .perms import Permutation
     >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
     >>> [sorted(t) for t in nk.terms]
     [[1, 3], [2, 3], [3, 4], [1, 4]]
@@ -113,36 +115,6 @@ def validate_necklace(nk: GrassmannNecklace) -> NecklaceViolation | None:
                     i, f"I_{i} omits {i} but I_{i + 1} differs from I_{i}"
                 )
     return None
-
-
-def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
-    """Invert the necklace construction; raises ValueError on invalid input.
-
-    When i is absent from I_i the point is a RIGHT fixed point.  Otherwise
-    pi(i) is the single element that I_{i+1} gains over I_i minus {i}; if
-    that element is i itself, the point is a LEFT fixed point.
-    """
-    violation = validate_necklace(nk)
-    if violation is not None:
-        raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
-    images = [0] * nk.n
-    colors: dict[int, Color] = {}
-    for i in range(1, nk.n + 1):
-        cur = nk.term(i)
-        nxt = nk.term(i + 1)
-        if i not in cur:
-            images[i - 1] = i
-            colors[i] = Color.RIGHT
-        else:
-            gained = nxt - (cur - {i})
-            if len(gained) != 1:
-                raise AssertionError(f"axiom gave {len(gained)} new elements at index {i}")
-            (j,) = gained
-            images[i - 1] = j
-            if j == i:
-                colors[i] = Color.LEFT
-    perm = Permutation(tuple(images))
-    return DecoratedPermutation(perm, colors)
 
 
 def cyclic_interval_rank(nk: GrassmannNecklace, a: int, b: int) -> int:

@@ -11,10 +11,9 @@ between threads and used as cache keys.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class Color(Enum):
@@ -66,9 +65,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.images, start=1) if v == i)
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
 
 @dataclass(frozen=True)
 class DecoratedPermutation:
@@ -110,9 +106,6 @@ class DecoratedPermutation:
     @property
     def n(self) -> int:
         return self.perm.n
-
-    def colors_dict(self) -> dict[int, Color]:
-        return dict(self.colors)
 
     def color_of(self, i: int) -> Color:
         for point, color in self.colors:
@@ -185,34 +178,13 @@ def word_to_permutation(word: WiringWord) -> Permutation:
 
     >>> word_to_permutation(WiringWord(4, (1, 3, 2))).images
     (2, 4, 1, 3)
-    >>> word_to_permutation(WiringWord(4, (1, 1))).is_identity()
-    True
+    >>> word_to_permutation(WiringWord(4, (1, 1))).images
+    (1, 2, 3, 4)
     """
     line = list(range(1, word.n + 1))
     for p in word.letters:
         line[p - 1], line[p] = line[p], line[p - 1]
     return Permutation(tuple(line))
-
-
-def inversions(perm: Permutation) -> int:
-    """Count pairs i < j with pi(i) > pi(j)."""
-    images = perm.images
-    return sum(
-        1
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-        if images[i] > images[j]
-    )
-
-
-def is_reduced(word: WiringWord) -> bool:
-    """True when no shorter word has the same product.
-
-    A word is reduced exactly when its length equals the inversion count of
-    its product.  Markets may cross and re-cross, so words are not required
-    to be reduced; this is a queryable property, not an invariant.
-    """
-    return inversions(word_to_permutation(word)) == len(word.letters)
 
 
 def anti_exceedance_count(dp: DecoratedPermutation) -> int:
@@ -286,24 +258,3 @@ def affine_length_near(f: Sequence[int], n: int, positions: Iterable[int]) -> in
         total -= sum([abs((fb - f[a]) // n) for a in near[:i]])
     return total
 
-
-def remove_letter(word: WiringWord, index: int) -> WiringWord:
-    """Delete one letter, keeping the relative order of the rest."""
-    if not word.letters:
-        raise IndexError("cannot remove a letter from an empty word")
-    if not 0 <= index < len(word.letters):
-        raise IndexError(f"letter index {index} outside 0..{len(word.letters) - 1}")
-    return WiringWord(word.n, word.letters[:index] + word.letters[index + 1 :])
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
-def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
-    """Every permutation of {1..n} with every fixed-point coloring."""
-    for perm in all_permutations(n):
-        fixed = perm.fixed_points()
-        for combo in itertools.product((Color.RIGHT, Color.LEFT), repeat=len(fixed)):
-            yield DecoratedPermutation(perm, dict(zip(fixed, combo)))

@@ -14,13 +14,13 @@ math/0501246).  ``positroid_from_necklace`` closes the cuts once with
 ``prefix_closure`` and lists the bases from that closure; the polytope
 takes the same cuts and closure, and its dimension and facets come from
 the closure in integer arithmetic, with no row reduction and no
-vertex-subset search.
+vertex-subset search.  A facet is a bare inequality; which vertices it
+holds tight is left to whoever lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .necklace import cyclic_interval
@@ -52,7 +52,7 @@ class PositroidPolytope:
     the level equation itself.  ``closure`` is their ``prefix_closure``,
     which the dimension and the facets read; ``polytope_from_positroid``
     passes the positroid's own.  The constructor checks the vertices'
-    shapes only.
+    shapes only; neither the dimension nor the facets read them.
     """
 
     n: int
@@ -111,42 +111,39 @@ def polytope_dimension(closure: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class Facet:
-    """A facet as a supporting inequality and its incident vertices.
+    """A facet as its supporting inequality normal . x <= offset.
 
-    The inequality normal . x <= offset holds on the whole polytope and
-    is tight exactly on ``vertices``.  It is the defining inequality the
-    facet came from: -x_i <= 0, x_i <= 1 or an interval cut, with its own
-    coefficients, not a normal projected into the affine hull.
+    It is the defining inequality the facet came from: -x_i <= 0,
+    x_i <= 1 or an interval cut, with its own coefficients, not a normal
+    projected into the affine hull.
     """
 
     normal: tuple[int, ...]
     offset: int
-    vertices: tuple[tuple[int, ...], ...]
 
 
 def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
-    """Facets among the inequalities that define the polytope.
+    """Facets among the inequalities that define the polytope, read off its closure.
 
     The polytope is the hypersimplex cut by the cyclic-interval rank
     inequalities (Ardila-Rincon-Williams, arXiv:1308.2698), and every
     facet of a polytope is cut out by one inequality of any system that
     defines it.  So the candidates x_i >= 0, x_i <= 1 and the interval
-    cuts, each a bound P_j - P_i <= c, are tested in that order.  One
-    holds a proper face tight when the closure has d[i][j] = c but not
-    d[j][i] = -c; the face adds P_i - P_j <= -c, closed in O(n^2), and
-    is a facet when it has one class fewer than the polytope.  Candidates
-    with the same face (the same closure) count once, as the first.  The
-    n <= 8 gate keeps this at desk scale.
+    cuts, each a bound P_j - P_i <= c, are tested in that order, and the
+    facets come out in it.  One holds a proper face tight when the closure
+    has d[i][j] = c but not d[j][i] = -c; the face adds P_i - P_j <= -c,
+    closed in O(n^2), and is a facet when it has one class fewer than the
+    polytope.  Candidates with the same face (the same closure) count
+    once, as the first.  The vertices are never read, so the cost is
+    O(n^4) for any n.
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
     >>> market = polytope_from_positroid(positroid_from_necklace(eq1))
-    >>> sorted(len(f.vertices) for f in enumerate_facets(market))
-    [3, 3, 3, 3, 4]
+    >>> [(f.normal, f.offset) for f in enumerate_facets(market)]
+    [((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1), ((1, 1, 0, 0), 1)]
     """
     n, k = p.n, p.k
-    if n > 8:
-        raise ValueError("ambient size too large for desk-scale facet search (n <= 8)")
     d = p.closure
     facet_classes = _class_count(d) - 1
     # (i, j, c, sign, a, b, offset): sign * (x_a + ... + x_b) <= offset, over the
@@ -167,10 +164,8 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
             continue
         seen.add(face)
         if _class_count(face) == facet_classes:
-            normal = tuple(sign * x for x in p.cut_coefficients(a, b))
-            tight = tuple(v for v in p.vertices if sum(map(mul, normal, v)) == offset)
-            facets.append(Facet(normal, offset, tight))
-    return tuple(sorted(facets, key=lambda f: f.vertices))
+            facets.append(Facet(tuple(sign * x for x in p.cut_coefficients(a, b)), offset))
+    return tuple(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +214,6 @@ class CellChain:
     """
 
     steps: tuple[CellStep, ...]
-
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(s.dimension for s in self.steps)
 
 
 def decomposition_chain(

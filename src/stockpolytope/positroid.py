@@ -1,4 +1,4 @@
-"""Positroids: bases, matroid rank, components, and cell dimension.
+"""Positroids: bases, components, and cell dimension.
 
 A positroid of rank k on {1..n} is the matroid whose bases are the
 k-subsets H with H >=_i I_i for every term of a Grassmann necklace, where
@@ -58,10 +58,6 @@ class Positroid:
                 raise ValueError(f"basis {sorted(b)} has size {len(b)}, expected {self.k}")
             if not b <= ground:
                 raise ValueError(f"basis {sorted(b)} is not a subset of 1..{self.n}")
-
-    @property
-    def ground(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
 
 
 def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
@@ -142,27 +138,6 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
         stack.extend((e + 1, v, mask | (v - value) << e) for v in range(lo, hi + 1))
     return Positroid(n, k, frozenset(
         frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases), cuts, d)
-
-
-def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
-    return positroid_from_necklace(necklace_from_decorated(dp))
-
-
-def matroid_rank(m: Positroid, subset: Iterable[int]) -> int:
-    """Size of the largest independent subset of ``subset``.
-
-    Equals the maximum of |subset ∩ B| over the bases B.
-    """
-    s = frozenset(subset)
-    if not s <= m.ground:
-        raise ValueError(f"{sorted(s)} is not a subset of 1..{m.n}")
-    cap = min(m.k, len(s))
-    best = 0
-    for b in m.bases:
-        best = max(best, len(s & b))
-        if best == cap:
-            break
-    return best
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:

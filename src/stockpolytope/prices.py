@@ -120,10 +120,6 @@ class Ranking:
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError(f"order {self.order} is not a permutation of 0..{len(self.order) - 1}")
 
-    def rank_of(self, stock: int) -> int:
-        """1-based rank of a stock index."""
-        return self.order.index(stock) + 1
-
 
 RankingChain = tuple[Ranking, ...]  # consecutive dates, as ``rankings`` returns them
 
@@ -276,11 +272,6 @@ def rankings(table: PriceTable, up_to: date | None = None, since: date | None = 
     return tuple(out)
 
 
-def rank_at_date(table: PriceTable, d: date) -> Ranking:
-    """Deterministic ranking of one date (same table, same result)."""
-    return rankings(table, up_to=d, since=d)[-1]
-
-
 def _window(table: PriceTable, ref_date: date, target_date: date, chain: RankingChain | None) -> RankingChain:
     """The rankings from the reference to the target date, taken from ``chain`` or ranked anew."""
     ri, ti = table.date_index(ref_date), table.date_index(target_date)
@@ -339,22 +330,16 @@ def crossing_stream(
 
 
 def decorate(
-    perm: Permutation, table: PriceTable, ref_date: date, target_date: date,
-    *, chain: RankingChain | None = None,
+    table: PriceTable, ref_date: date, target_date: date, *, chain: RankingChain | None = None
 ) -> DecoratedPermutation:
-    """Color the fixed points by the net price move since the reference.
+    """The permutation of the date range, its fixed points colored by the net price move.
 
     A fixed point's stock kept its rank; its cord points RIGHT when the
-    price rose or is unchanged, LEFT when it fell.  ``perm`` must be the
-    permutation of the same date range; ``chain`` is as in
+    price rose or is unchanged, LEFT when it fell.  ``chain`` is as in
     ``permutation_at``.
     """
     window = _window(table, ref_date, target_date, chain)
-    if perm != permutation_at(table, ref_date, target_date, chain=window):
-        raise ValueError(
-            f"permutation {perm.images} does not match the table between "
-            f"{ref_date.isoformat()} and {target_date.isoformat()}"
-        )
+    perm = permutation_at(table, ref_date, target_date, chain=window)
     before = table.prices[table.date_index(ref_date)]
     after = table.prices[table.date_index(target_date)]
     colors = {}

@@ -38,7 +38,7 @@ from .polytope import (
     polytope_from_positroid,
 )
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
-from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, permutation_at, rankings
+from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, rankings
 
 SCHEMA_VERSION = 1
 
@@ -81,8 +81,7 @@ def build_report(
 ) -> AnalysisReport:
     """Run the whole pipeline for one date range, from one ranking chain."""
     chain = rankings(table, up_to=end_date, since=ref_date)
-    perm = permutation_at(table, ref_date, end_date, chain=chain)
-    state = decorate(perm, table, ref_date, end_date, chain=chain)
+    state = decorate(table, ref_date, end_date, chain=chain)
     events = crossing_stream(table, ref_date, end_date, chain=chain)
     nk = necklace_from_decorated(state)
     lift = affine_lift(state)

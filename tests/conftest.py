@@ -11,15 +11,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import strategies as st
 
-from stockpolytope import (
-    Color,
-    DecoratedPermutation,
-    Permutation,
-    PriceTable,
-    cell_dimension,
-    matroid_rank,
-    positroid_from_decorated,
-)
+from stockpolytope import Color, DecoratedPermutation, Permutation, PriceTable, Ranking, cell_dimension, rankings
+from oracles import matroid_rank
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -89,7 +82,7 @@ def reduced_affine_chains(n: int, k: int):
 
 def brute_circuits(m) -> list[frozenset[int]]:
     """Circuit enumeration straight from the definition (minimal dependent)."""
-    ground = sorted(m.ground)
+    ground = range(1, m.n + 1)
     out: list[frozenset[int]] = []
     for size in range(1, m.n + 1):
         for combo in itertools.combinations(ground, size):
@@ -103,7 +96,7 @@ def brute_circuits(m) -> list[frozenset[int]]:
 
 def components_from_circuits(m) -> tuple[tuple[int, ...], ...]:
     """Oracle for connected components: union elements sharing a circuit."""
-    parent = {e: e for e in m.ground}
+    parent = {e: e for e in range(1, m.n + 1)}
 
     def find(x):
         while parent[x] != x:
@@ -118,14 +111,14 @@ def components_from_circuits(m) -> tuple[tuple[int, ...], ...]:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
     blocks: dict[int, list[int]] = {}
-    for e in sorted(m.ground):
+    for e in range(1, m.n + 1):
         blocks.setdefault(find(e), []).append(e)
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
 
 
 @st.composite
-def decorated_permutations(draw, max_n=9):
-    n = draw(st.integers(1, max_n))
+def decorated_permutations(draw, max_n=9, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
     colors = {i: draw(st.sampled_from(Color)) for i in perm.fixed_points()}
     return DecoratedPermutation(perm, colors)
@@ -136,9 +129,9 @@ def cached_dim(images: tuple[int, ...]) -> int:
     return cell_dimension(DecoratedPermutation.uniform(Permutation(images)))
 
 
-@lru_cache(maxsize=None)
-def cached_positroid(images: tuple[int, ...]):
-    return positroid_from_decorated(DecoratedPermutation.uniform(Permutation(images)))
+def rank_at_date(table: PriceTable, d: date) -> Ranking:
+    """The ranking of one date, from the package's chain for that date alone."""
+    return rankings(table, up_to=d, since=d)[-1]
 
 
 def random_table(seed: int, n_stocks: int = 5, n_dates: int = 12) -> PriceTable:

@@ -1,17 +1,23 @@
-"""Brute-force oracles for the routines that now use theorems or shortcuts.
+"""Brute-force oracles, and the routines only the tests need.
 
-Each public function here is an earlier, search-based version of a
-routine in ``stockpolytope`` or, for ``vertices_from_inequalities``, the
-vertex set of the inequality description found without the bases; they
-are kept so the tests can compare both sides on every small cell.
+Each search-based function here is an earlier version of a routine in
+``stockpolytope`` or, for ``vertices_from_inequalities``, the vertex set
+of the inequality description found without the bases; they are kept so
+the tests can compare both sides on every small cell.
 ``bases_side_cuts`` finds the polytope's cut bounds from the bases, where
 the package takes them from the necklace ranks the bases were listed
-from.  The price oracles are the earlier parser, which checks cell by
-cell, and the ranking chain that always starts at the first date.  The
-Gale order, basis exchange and circuit helpers check positroids from
-their definitions, and ``face_of_removal`` at the end compares a word's
-cell with the cell of the word less one crossing by their bases; the
-package itself never needs them.
+from.  ``subset_search_facets`` finds the facets' incidence sets from the
+vertices, and ``tight_vertices`` gives a package facet's incidence set to
+compare with them.  The price oracles are the earlier parser, which
+checks cell by cell, and the ranking chain that always starts at the
+first date.  The Gale order, basis exchange, circuit and matroid rank
+helpers check positroids from their definitions; ``decorated_from_necklace``
+inverts the necklace map for the round trip, and ``dual`` and ``rotate``
+give the cells the facet count must agree with.  The word helpers
+(``inversions``, ``is_reduced``, ``remove_letter``) and
+``face_of_removal`` at the end compare a word's cell with the cell of
+the word less one crossing by their bases; the package itself never
+needs them.
 None of them is fast; all of them follow the definitions directly.
 """
 
@@ -24,8 +30,7 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from stockpolytope import (
     BoundedAffinePermutation,
@@ -33,6 +38,7 @@ from stockpolytope import (
     DecoratedPermutation,
     Facet,
     GrassmannNecklace,
+    Permutation,
     Positroid,
     PositroidPolytope,
     PriceCsvError,
@@ -40,9 +46,8 @@ from stockpolytope import (
     Ranking,
     WiringWord,
     cell_dimension,
-    matroid_rank,
-    positroid_from_decorated,
-    remove_letter,
+    necklace_from_decorated,
+    positroid_from_necklace,
     validate_necklace,
     word_to_permutation,
 )
@@ -59,6 +64,97 @@ def affine_inversions(lift: BoundedAffinePermutation) -> int:
     f, n = lift.f, lift.n
     return sum(1 for i in range(1, n + 1) for j in range(i + 1, i + n)
                if f[i - 1] > f[(j - 1) % n] + (j - 1) // n * n)
+
+
+def inversions(perm: Permutation) -> int:
+    """Count pairs i < j with pi(i) > pi(j)."""
+    images = perm.images
+    return sum(1 for i in range(len(images)) for j in range(i + 1, len(images)) if images[i] > images[j])
+
+
+def is_reduced(word: WiringWord) -> bool:
+    """True when no shorter word has the same product: its length is its product's inversions."""
+    return inversions(word_to_permutation(word)) == len(word.letters)
+
+
+def remove_letter(word: WiringWord, index: int) -> WiringWord:
+    """Delete one letter, keeping the relative order of the rest."""
+    if not word.letters:
+        raise IndexError("cannot remove a letter from an empty word")
+    if not 0 <= index < len(word.letters):
+        raise IndexError(f"letter index {index} outside 0..{len(word.letters) - 1}")
+    return WiringWord(word.n, word.letters[:index] + word.letters[index + 1 :])
+
+
+def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
+    """Every permutation of {1..n} with every fixed-point coloring."""
+    for images in itertools.permutations(range(1, n + 1)):
+        perm = Permutation(images)
+        fixed = perm.fixed_points()
+        for combo in itertools.product((Color.RIGHT, Color.LEFT), repeat=len(fixed)):
+            yield DecoratedPermutation(perm, dict(zip(fixed, combo)))
+
+
+def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
+    """Invert the necklace construction; raises ValueError on invalid input.
+
+    When i is absent from I_i the point is a RIGHT fixed point.  Otherwise
+    pi(i) is the single element that I_{i+1} gains over I_i minus {i}; if
+    that element is i itself, the point is a LEFT fixed point.
+    """
+    violation = validate_necklace(nk)
+    if violation is not None:
+        raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
+    images = [0] * nk.n
+    colors: dict[int, Color] = {}
+    for i in range(1, nk.n + 1):
+        cur = nk.term(i)
+        if i not in cur:
+            images[i - 1] = i
+            colors[i] = Color.RIGHT
+            continue
+        gained = nk.term(i + 1) - (cur - {i})
+        if len(gained) != 1:
+            raise AssertionError(f"axiom gave {len(gained)} new elements at index {i}")
+        (images[i - 1],) = gained
+        if images[i - 1] == i:
+            colors[i] = Color.LEFT
+    return DecoratedPermutation(Permutation(tuple(images)), colors)
+
+
+def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
+    """The dual positroid's decorated permutation: pi^-1, every fixed point's color swapped.
+
+    Its bases are the complements of the bases of ``dp`` (Ardila-Rincon-Williams,
+    arXiv:1308.2698; Postnikov, math/0609764).
+    """
+    swap = {Color.RIGHT: Color.LEFT, Color.LEFT: Color.RIGHT}
+    return DecoratedPermutation(dp.perm.inverse(), {i: swap[c] for i, c in dp.colors})
+
+
+def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
+    """``dp`` conjugated by the shift i -> i + 1 mod n, each color carried along.
+
+    Its bases are those of ``dp`` shifted by one: the cyclic symmetry of
+    the positive Grassmannian.
+    """
+    n = dp.n
+    images = [0] * n
+    for i, v in enumerate(dp.perm.images, start=1):
+        images[i % n] = v % n + 1
+    return DecoratedPermutation(Permutation(tuple(images)), {i % n + 1: c for i, c in dp.colors})
+
+
+def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
+    return positroid_from_necklace(necklace_from_decorated(dp))
+
+
+def matroid_rank(m: Positroid, subset: Iterable[int]) -> int:
+    """Size of the largest independent subset of ``subset``: the most of it any basis holds."""
+    s = frozenset(subset)
+    if not s <= frozenset(range(1, m.n + 1)):
+        raise ValueError(f"{sorted(s)} is not a subset of 1..{m.n}")
+    return max(len(s & b) for b in m.bases)
 
 
 def subset_filter_bases(nk: GrassmannNecklace) -> frozenset[frozenset[int]]:
@@ -89,7 +185,8 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
     B - e + f again a basis; the components are the classes of that
     relation.  Loops and coloops end up as singletons.
     """
-    parent = {e: e for e in m.ground}
+    ground = frozenset(range(1, m.n + 1))
+    parent = {e: e for e in ground}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -98,7 +195,7 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
         return x
 
     for b in m.bases:
-        outside = m.ground - b
+        outside = ground - b
         for e in b:
             for f in outside:
                 if (b - {e}) | {f} in m.bases:
@@ -106,7 +203,7 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
                     if re != rf:
                         parent[max(re, rf)] = min(re, rf)
     blocks: dict[int, list[int]] = {}
-    for e in sorted(m.ground):
+    for e in sorted(ground):
         blocks.setdefault(find(e), []).append(e)
     return tuple(tuple(v) for _, v in sorted(blocks.items()))
 
@@ -222,21 +319,6 @@ def _nullspace_vector(rows: Sequence[Sequence[Number]], ncols: int) -> tuple[Fra
     return tuple(out)
 
 
-def _primitive(values: Iterable[Fraction]) -> tuple[int, ...]:
-    """Scale rationals by a positive factor to coprime integers."""
-    vals = [Fraction(v) for v in values]
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def _dot(a: Sequence[Number], b: Sequence[Number]) -> Number:
     return sum(x * y for x, y in zip(a, b))
 
@@ -323,78 +405,46 @@ def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ..
     return tuple(sorted(set(found)))
 
 
-def subset_search_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
-    """Exact facet list by brute force over vertex subsets.
+def tight_vertices(p: PositroidPolytope, facet: Facet) -> tuple[tuple[int, ...], ...]:
+    """The vertices of ``p`` on which ``facet`` holds with equality, in vertex order."""
+    return tuple(v for v in p.vertices if _dot(facet.normal, v) == facet.offset)
+
+
+def subset_search_facets(p: PositroidPolytope) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The facets' incidence sets, sorted, by brute force over vertex subsets.
 
     Searches all d-subsets of vertices for supporting hyperplanes inside
     the affine hull (d is the polytope dimension), then deduplicates by
-    incidence set.  Cost grows with C(V, d) for V vertices, so this stays
-    a test oracle for small cells.
+    incidence set: the vertices the hyperplane holds, in vertex order.
+    Cost grows with C(V, d) for V vertices, so this stays a test oracle
+    for small cells.
     """
     verts = p.vertices
     if len(verts) == 1:
         return ()
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts]
-    frame_idx = _independent_rows(diffs)
-    frame = [diffs[i] for i in frame_idx]
+    frame = [diffs[i] for i in _independent_rows(diffs)]
     d = len(frame)
     if d == 0:
         return ()
     gram = [[_dot(fi, fj) for fj in frame] for fi in frame]
     coords = []
-    for v in verts:
-        rel = tuple(a - b for a, b in zip(v, v0))
-        rhs = [_dot(f, rel) for f in frame]
-        alpha = _solve_square_int(gram, rhs)
+    for rel in diffs:
+        alpha = _solve_square_int(gram, [_dot(f, rel) for f in frame])
         assert alpha is not None
         coords.append(alpha)
 
-    supports: dict[frozenset[int], tuple[tuple[Fraction, ...], Fraction]] = {}
+    incidences = set()
     for subset in itertools.combinations(range(len(verts)), d):
-        rows = [tuple(coords[i]) + (Fraction(-1),) for i in subset]
-        kernel = _nullspace_vector(rows, d + 1)
-        if kernel is None:
+        kernel = _nullspace_vector([tuple(coords[i]) + (Fraction(-1),) for i in subset], d + 1)
+        if kernel is None or not any(kernel[:d]):
             continue
-        gamma, off = kernel[:d], kernel[d]
-        if all(g == 0 for g in gamma):
-            continue
-        vals = [_dot(gamma, c) - off for c in coords]
-        has_pos = any(v > 0 for v in vals)
-        has_neg = any(v < 0 for v in vals)
-        if has_pos and has_neg:
-            continue
-        if not has_pos and not has_neg:
-            continue  # everything on the hyperplane: not a proper face
-        if has_pos:
-            gamma = tuple(-g for g in gamma)
-            off = -off
-            vals = [-v for v in vals]
-        incidence = frozenset(i for i, v in enumerate(vals) if v == 0)
-        supports.setdefault(incidence, (gamma, off))
-
-    facets = []
-    for incidence, (gamma, _off) in supports.items():
-        gamma_int = _primitive(gamma)
-        weights = _solve_square_int(gram, list(gamma_int))
-        assert weights is not None
-        ambient = [
-            sum(weights[j] * frame[j][col] for j in range(d)) for col in range(p.n)
-        ]
-        some_incident = next(iter(incidence))
-        offset = _dot(ambient, verts[some_incident])
-        scaled = _primitive(list(ambient) + [offset])
-        normal, offset_int = scaled[:-1], scaled[-1]
-        below = sum(1 for v in verts if _dot(normal, v) <= offset_int)
-        if below != len(verts):
-            normal = tuple(-x for x in normal)
-            offset_int = -offset_int
-        for v in verts:
-            value = _dot(normal, v)
-            assert value <= offset_int
-        tight = tuple(sorted(verts[i] for i in incidence))
-        facets.append(Facet(normal, offset_int, tight))
-    return tuple(sorted(facets, key=lambda f: f.vertices))
+        vals = [_dot(kernel[:d], c) - kernel[d] for c in coords]
+        if any(v > 0 for v in vals) == any(v < 0 for v in vals):
+            continue  # vertices on both sides, or all on the hyperplane: not a proper face
+        incidences.add(tuple(v for v, value in zip(verts, vals) if value == 0))
+    return tuple(sorted(incidences))
 
 
 def per_cell_parse(data: str | bytes) -> PriceTable:
@@ -524,7 +574,7 @@ def verify_exchange_axiom(m: Positroid) -> ExchangeFailure | None:
 def circuits(m: Positroid) -> tuple[frozenset[int], ...]:
     """Minimal dependent sets, enumerated by size (never larger than k + 1)."""
     found: list[frozenset[int]] = []
-    ground = sorted(m.ground)
+    ground = range(1, m.n + 1)
     for size in range(1, m.k + 2):
         for combo in itertools.combinations(ground, size):
             s = frozenset(combo)

@@ -23,7 +23,6 @@ from stockpolytope import (
     PriceTable,
     WiringWord,
     affine_lift,
-    all_decorated_permutations,
     anti_exceedance_count,
     cell_dimension,
     connected_components,
@@ -31,22 +30,28 @@ from stockpolytope import (
     cyclic_interval,
     cyclic_interval_rank,
     decorate,
-    decorated_from_necklace,
     enumerate_facets,
     load_sample_table,
-    matroid_rank,
     necklace_from_decorated,
     permutation_at,
     polytope_dimension,
     polytope_from_positroid,
-    positroid_from_decorated,
     positroid_from_necklace,
     validate_necklace,
     word_to_permutation,
 )
 from stockpolytope.cli import main
 from conftest import reduced_affine_chains
-from oracles import necklace_of_positroid, verify_exchange_axiom, vertices_from_inequalities
+from oracles import (
+    all_decorated_permutations,
+    decorated_from_necklace,
+    matroid_rank,
+    necklace_of_positroid,
+    positroid_from_decorated,
+    tight_vertices,
+    verify_exchange_axiom,
+    vertices_from_inequalities,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
@@ -69,7 +74,8 @@ def test_criterion_1_end_to_end_reproduction():
     perm = permutation_at(table, ref, end)
     assert perm.images == (2, 4, 1, 3)
 
-    state = decorate(perm, table, ref, end)
+    state = decorate(table, ref, end)
+    assert state.perm == perm
     nk = necklace_from_decorated(state)
     assert nk == EQ1
     assert anti_exceedance_count(state) == 2
@@ -95,15 +101,17 @@ def test_criterion_2_decoration_reproduction():
     )
     perm = permutation_at(table, date(2013, 5, 15), date(2013, 6, 5))
     assert perm.images == (1, 3, 2, 4)
-    state = decorate(perm, table, date(2013, 5, 15), date(2013, 6, 5))
-    assert state.colors_dict() == {1: Color.RIGHT, 4: Color.LEFT}
+    state = decorate(table, date(2013, 5, 15), date(2013, 6, 5))
+    assert state.perm == perm
+    assert dict(state.colors) == {1: Color.RIGHT, 4: Color.LEFT}
 
     # the bundled fixture embeds the same two rows and must agree
     sample = load_sample_table()
     perm2 = permutation_at(sample, date(2013, 5, 15), date(2013, 6, 5))
-    state2 = decorate(perm2, sample, date(2013, 5, 15), date(2013, 6, 5))
+    state2 = decorate(sample, date(2013, 5, 15), date(2013, 6, 5))
     assert perm2.images == (1, 3, 2, 4)
-    assert state2.colors_dict() == {1: Color.RIGHT, 4: Color.LEFT}
+    assert state2.perm == perm2
+    assert dict(state2.colors) == {1: Color.RIGHT, 4: Color.LEFT}
     announce(2, "6/5/2013 prices give {1,3,2,4} with 1->RIGHT, 4->LEFT")
 
 
@@ -223,7 +231,7 @@ def test_criterion_7_polytope_suite():
     assert polytope_dimension(market.closure) == 3
     market_facets = enumerate_facets(market)
     assert len(market_facets) == 5
-    assert sorted(len(f.vertices) for f in market_facets) == [3, 3, 3, 3, 4]
+    assert sorted(len(tight_vertices(market, f)) for f in market_facets) == [3, 3, 3, 3, 4]
 
     top = DecoratedPermutation(Permutation((3, 4, 1, 2)), {})
     hyper = polytope_from_positroid(positroid_from_decorated(top))

@@ -171,11 +171,14 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["analyze", "--facets", "--check"],
      {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
     (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 1}),
-], ids=["hooks", "analyze", "check", "facets-check", "chain"])
+    (["analyze"], {prices.permutation_at: 1}),
+    (["render", "chords"], {prices.permutation_at: 1}),
+], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
     # shares it only when --facets reads it.  The chain counts its length
-    # in full once and lifts no validated state per step.
+    # in full once and lifts no validated state per step.  The decoration
+    # works out the permutation it colors, and nothing else does.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -189,18 +192,22 @@ def test_bad_price_after_end_date_still_exits_2(capsys, tmp_path):
     assert err == "error: row 590, column T05: malformed number '1.2.3'\n"
 
 
-def test_facets_gate_for_large_tables(capsys, tmp_path):
+def test_facets_of_a_9_stock_point(capsys, tmp_path):
+    # One date: every stock keeps its rank and its price, so every point
+    # is a RIGHT fixed point, k = 0 and the polytope is the single point 0.
     tickers = [f"T{i}" for i in range(9)]
     rows = ["date," + ",".join(tickers)]
     rows.append("2020-01-01," + ",".join(f"{10 + i}.00" for i in range(9)))
     big = tmp_path / "big.csv"
     big.write_text("\n".join(rows) + "\n")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "analyze", str(big), "--ref-date", "2020-01-01",
         "--end-date", "2020-01-01", "--facets",
     )
-    assert code == 2
-    assert "n <= 8" in err
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    assert report["k"] == 0
+    assert report["polytope"] == {"affine_dimension": 0, "facet_count": 0, "vertex_count": 1}
 
 
 def write_top_cell_csv(tmp_path, n, k):
@@ -258,22 +265,25 @@ def write_split_market_csv(tmp_path, swap):
     (True, [list(range(1, 16)), list(range(1, 15)) + [16]]),
 ])
 def test_analyze_lists_few_bases_of_30_stocks(capsys, tmp_path, swap, bases):
-    # The listing's steps grow with the bases, not with n or C(n, k).
+    # The listing's steps grow with the bases, not with n or C(n, k).  One
+    # basis is a point, with no facets; two are a segment, with two.
     path = write_split_market_csv(tmp_path, swap)
     code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", "2020-01-01",
-                             "--end-date", "2020-01-02", "--check")
+                             "--end-date", "2020-01-02", "--check", "--facets")
     assert code == 0 and err == "", err
     report = json.loads(out)
     assert report["k"] == 15
     assert report["bases"] == bases
     assert report["polytope"]["vertex_count"] == len(bases)
+    assert report["polytope"]["facet_count"] == 2 * (len(bases) - 1)
 
 
-@pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
+@pytest.mark.parametrize("n, k", [(7, 3), (8, 4), (12, 4), (30, 2)])
 def test_facets_of_7_and_8_stock_top_cells(tmp_path, n, k):
     # The hypersimplex with 2 <= k <= n - 2 has 2n facets, x_i >= 0 and
     # x_i <= 1; a search over vertex subsets would face C(35, 6) and
-    # C(70, 7) of them here.
+    # C(70, 7) of them at n = 7 and 8.  The facets read only the closure,
+    # so 12 and 30 stocks run too.
     path = write_top_cell_csv(tmp_path, n, k)
     started = time.perf_counter()
     result = subprocess.run(

@@ -6,14 +6,13 @@ from stockpolytope import (
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
-    all_decorated_permutations,
     anti_exceedance_count,
     cyclic_interval_rank,
-    decorated_from_necklace,
     necklace_from_decorated,
     validate_necklace,
 )
 from conftest import decorated_permutations
+from oracles import all_decorated_permutations, decorated_from_necklace
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -60,11 +59,11 @@ def test_decode_examples():
     assert state.colors == ()
 
     empty = decorated_from_necklace(GrassmannNecklace(4, 0, (set(),) * 4))
-    assert empty.perm.is_identity()
+    assert empty.perm == Permutation.identity(4)
     assert all(c is Color.RIGHT for _, c in empty.colors)
 
     full = decorated_from_necklace(GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4))
-    assert full.perm.is_identity()
+    assert full.perm == Permutation.identity(4)
     assert all(c is Color.LEFT for _, c in full.colors)
 
 

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from stockpolytope import (
     Color,
@@ -11,19 +12,27 @@ from stockpolytope import (
     Permutation,
     PositroidPolytope,
     WiringWord,
-    all_decorated_permutations,
     cell_dimension,
     decomposition_chain,
     enumerate_facets,
     polytope_dimension,
     polytope_from_positroid,
-    positroid_from_decorated,
     positroid_from_necklace,
     word_to_permutation,
 )
 from stockpolytope.positroid import prefix_closure
-from conftest import cached_dim, cached_positroid, reduced_words
-from oracles import face_of_removal, necklace_of_positroid, subset_search_facets, vertices_from_inequalities
+from conftest import cached_dim, decorated_permutations, reduced_words
+from oracles import (
+    all_decorated_permutations,
+    dual,
+    face_of_removal,
+    necklace_of_positroid,
+    positroid_from_decorated,
+    rotate,
+    subset_search_facets,
+    tight_vertices,
+    vertices_from_inequalities,
+)
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -78,27 +87,30 @@ def test_vertex_rejects_bad_input():
 
 
 def test_market_facets_form_square_pyramid():
-    facets = enumerate_facets(market_polytope())
+    poly = market_polytope()
+    facets = enumerate_facets(poly)
     assert len(facets) == 5
-    sizes = sorted(len(f.vertices) for f in facets)
+    sizes = sorted(len(tight_vertices(poly, f)) for f in facets)
     assert sizes == [3, 3, 3, 3, 4]
-    square = next(f for f in facets if len(f.vertices) == 4)
+    square = next(f for f in facets if len(tight_vertices(poly, f)) == 4)
     apex = (0, 0, 1, 1)  # the basis {3, 4}
-    assert apex not in square.vertices
+    assert apex not in tight_vertices(poly, square)
 
 
 def test_hypersimplex_is_octahedron():
-    facets = enumerate_facets(top_polytope())
+    poly = top_polytope()
+    facets = enumerate_facets(poly)
     assert len(facets) == 8
-    assert all(len(f.vertices) == 3 for f in facets)
+    assert all(len(tight_vertices(poly, f)) == 3 for f in facets)
 
 
 def test_facet_inequalities_hold_with_equality_pattern():
     for poly in (market_polytope(), top_polytope()):
         for facet in enumerate_facets(poly):
+            tight = tight_vertices(poly, facet)
             for v in poly.vertices:
                 value = sum(c * x for c, x in zip(facet.normal, v))
-                if v in facet.vertices:
+                if v in tight:
                     assert value == facet.offset
                 else:
                     assert value < facet.offset
@@ -106,18 +118,19 @@ def test_facet_inequalities_hold_with_equality_pattern():
 
 def test_facets_match_subset_search_oracle_n5():
     # Each facet is cut out by one defining inequality, so testing the box
-    # and interval-cut candidates must find the oracle's incidence sets.
+    # and interval-cut candidates must find the oracle's incidence sets,
+    # each once.
     cells = 0
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
             poly = polytope_from_positroid(positroid_from_decorated(state))
             facets = enumerate_facets(poly)
-            expected = subset_search_facets(poly)
-            assert [f.vertices for f in facets] == [f.vertices for f in expected], state
-            for facet in facets:
+            tight = [tight_vertices(poly, f) for f in facets]
+            assert sorted(tight) == list(subset_search_facets(poly)), state
+            for facet, incident in zip(facets, tight):
                 for v in poly.vertices:
                     value = sum(c * x for c, x in zip(facet.normal, v))
-                    if v in facet.vertices:
+                    if v in incident:
                         assert value == facet.offset, (state, facet)
                     else:
                         assert value < facet.offset, (state, facet)
@@ -125,12 +138,35 @@ def test_facets_match_subset_search_oracle_n5():
     assert cells == 414
 
 
-def test_facet_gate():
+def test_facets_of_the_9_element_simplex():
+    # Rank 1 on 9 elements, every singleton a basis: the simplex of
+    # dimension 8, with one facet x_i >= 0 per element.
     from stockpolytope import Positroid
 
-    big = Positroid(9, 1, {frozenset({i}) for i in range(1, 10)})
-    with pytest.raises(ValueError):
-        enumerate_facets(polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(big))))
+    simplex = Positroid(9, 1, {frozenset({i}) for i in range(1, 10)})
+    poly = polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(simplex)))
+    facets = enumerate_facets(poly)
+    assert polytope_dimension(poly.closure) == 8
+    assert len(facets) == 9
+    assert sorted(tight_vertices(poly, f) for f in facets) == list(subset_search_facets(poly))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(decorated_permutations(max_n=12, min_n=9))
+def test_facets_agree_with_the_dual_and_the_rotation(state):
+    # Above n = 5 no vertex-subset search checks the facets.  The dual
+    # (complemented bases) and the rotation (bases shifted by one) keep
+    # the cell dimension, the basis count and the facet count.
+    n = state.n
+    m = positroid_from_decorated(state)
+    facets = len(enumerate_facets(polytope_from_positroid(m)))
+    shift = {i: i % n + 1 for i in range(1, n + 1)}
+    for image, bases in ((dual(state), {frozenset(shift) - b for b in m.bases}),
+                         (rotate(state), {frozenset(map(shift.get, b)) for b in m.bases})):
+        other = positroid_from_decorated(image)
+        assert other.bases == bases, (state, image)
+        assert cell_dimension(image) == cell_dimension(state), (state, image)
+        assert len(enumerate_facets(polytope_from_positroid(other))) == facets, (state, image)
 
 
 def test_vertex_enumeration_examples():
@@ -162,19 +198,19 @@ def test_hull_facets_valid_on_h_system_vertices_n4():
 
 def test_chain_of_market_word():
     chain = decomposition_chain(WiringWord(4, (1, 3, 2)))
-    assert chain.dimensions() == (0, 1, 2, 3)
+    assert [s.dimension for s in chain.steps] == [0, 1, 2, 3]
     assert chain.steps[-1].state.perm.images == (2, 4, 1, 3)
 
 
 def test_chain_empty_word():
     chain = decomposition_chain(WiringWord(4, ()))
-    assert chain.dimensions() == (0,)
-    assert chain.steps[0].state.perm.is_identity()
+    assert [s.dimension for s in chain.steps] == [0]
+    assert chain.steps[0].state.perm == Permutation.identity(4)
 
 
 def test_chain_reports_recrossing():
     chain = decomposition_chain(WiringWord(4, (1, 1)))
-    assert chain.dimensions() == (0, 1, 0)
+    assert [s.dimension for s in chain.steps] == [0, 1, 0]
 
 
 def test_chain_labels_and_color_rule():
@@ -249,7 +285,7 @@ def test_face_of_removal_examples():
     assert face.contained
 
     face = face_of_removal(WiringWord(4, (1,)), 0)
-    assert face.state.perm.is_identity()
+    assert face.state.perm == Permutation.identity(4)
     assert face.dimension == 0
     assert face.contained
 
@@ -285,7 +321,7 @@ def test_monotone_chain_backstep_containment():
 
 def test_known_nonmonotone_word():
     chain = decomposition_chain(WiringWord(3, (1, 2, 1)))
-    assert chain.dimensions() == (0, 1, 2, 1)
+    assert [s.dimension for s in chain.steps] == [0, 1, 2, 1]
 
 
 def test_vertices_from_inequalities_returns_fractions():

@@ -7,18 +7,14 @@ from stockpolytope import (
     GrassmannNecklace,
     Permutation,
     Positroid,
-    all_decorated_permutations,
     cell_dimension,
     connected_components,
     cyclic_interval,
     cyclic_interval_rank,
-    decorated_from_necklace,
     interval_rank_summands,
-    matroid_rank,
     necklace_from_decorated,
     polytope_dimension,
     polytope_from_positroid,
-    positroid_from_decorated,
     positroid_from_necklace,
 )
 from stockpolytope import positroid
@@ -26,12 +22,16 @@ from conftest import brute_circuits, components_from_circuits, decorated_permuta
 from oracles import (
     GaleOrder,
     affine_dimension,
+    all_decorated_permutations,
     bases_side_cuts,
     circuits,
     contains,
+    decorated_from_necklace,
     exchange_components,
     gale_geq,
+    matroid_rank,
     necklace_of_positroid,
+    positroid_from_decorated,
     subset_filter_bases,
     verify_exchange_axiom,
 )

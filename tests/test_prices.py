@@ -14,15 +14,13 @@ from stockpolytope import (
     WiringWord,
     crossing_stream,
     decorate,
-    inversions,
     parse_price_csv,
     permutation_at,
-    rank_at_date,
     rankings,
     word_to_permutation,
 )
-from conftest import compose, random_table
-from oracles import first_date_rankings, per_cell_parse
+from conftest import compose, random_table, rank_at_date
+from oracles import first_date_rankings, inversions, per_cell_parse
 
 REF = date(2013, 5, 15)
 
@@ -108,7 +106,7 @@ def test_tie_at_first_date_breaks_by_ticker():
 
 
 def test_permutation_identity_when_dates_equal(sample_table):
-    assert permutation_at(sample_table, REF, REF).is_identity()
+    assert permutation_at(sample_table, REF, REF) == Permutation.identity(4)
 
 
 def test_permutation_paper_values(sample_table):
@@ -159,22 +157,17 @@ def test_sample_stream_events(sample_table):
 
 def test_decorate_paper_example(sample_table):
     target = date(2013, 6, 5)
-    perm = permutation_at(sample_table, REF, target)
-    dp = decorate(perm, sample_table, REF, target)
-    assert dp.colors_dict() == {1: Color.RIGHT, 4: Color.LEFT}
+    dp = decorate(sample_table, REF, target)
+    assert dp.perm == permutation_at(sample_table, REF, target)
+    assert dict(dp.colors) == {1: Color.RIGHT, 4: Color.LEFT}
 
 
 def test_decorate_all_up_and_zero_change():
     table = table_from(["2020-01-01,1.00,2.00,3.00", "2020-01-02,1.10,2.00,3.10"])
-    perm = permutation_at(table, date(2020, 1, 1), date(2020, 1, 2))
-    dp = decorate(perm, table, date(2020, 1, 1), date(2020, 1, 2))
+    dp = decorate(table, date(2020, 1, 1), date(2020, 1, 2))
+    assert dp.perm == permutation_at(table, date(2020, 1, 1), date(2020, 1, 2))
     # B is unchanged and still points RIGHT
-    assert dp.colors_dict() == {1: Color.RIGHT, 2: Color.RIGHT, 3: Color.RIGHT}
-
-
-def test_decorate_rejects_inconsistent_permutation(sample_table):
-    with pytest.raises(ValueError):
-        decorate(Permutation((4, 3, 2, 1)), sample_table, REF, date(2013, 6, 5))
+    assert dict(dp.colors) == {1: Color.RIGHT, 2: Color.RIGHT, 3: Color.RIGHT}
 
 
 def test_stream_multiplies_to_permutation_on_random_tables():
@@ -379,8 +372,9 @@ def test_price_layers_match_first_date_chain(table):
                     assert e.stocks == (arrangement[p - 1], arrangement[p])
                     arrangement[p - 1], arrangement[p] = arrangement[p], arrangement[p - 1]
                 assert tuple(arrangement) == oracle[di].order
-            colors = decorate(perm, table, ref, end).colors_dict()
-            assert colors == {
+            state = decorate(table, ref, end)
+            assert state.perm == perm
+            assert dict(state.colors) == {
                 i: Color.RIGHT if table.prices[ti][s] >= table.prices[ri][s] else Color.LEFT
                 for i, s in enumerate(ref_order, start=1)
                 if perm.images[i - 1] == i

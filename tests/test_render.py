@@ -5,7 +5,6 @@ import pytest
 from stockpolytope import (
     Color,
     DecoratedPermutation,
-    all_decorated_permutations,
     Permutation,
     WiringWord,
     affine_lift,
@@ -14,6 +13,7 @@ from stockpolytope import (
     render_hooks,
     render_wiring,
 )
+from oracles import all_decorated_permutations
 
 LABELS = ("AXP", "HD", "WMT", "PG")
 WORD = WiringWord(4, (1, 3, 2))

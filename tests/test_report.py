@@ -73,7 +73,7 @@ def _two_dates(tickers, first, second) -> PriceTable:
 @pytest.mark.parametrize("with_facets", [False, True])
 @pytest.mark.parametrize("case", ["one date", "all fall", "no fixed points"])
 def test_writers_match_on_edge_cells(case, with_facets):
-    n = len(HOSTILE)  # eight stocks, under the facet gate
+    n = len(HOSTILE)  # one stock per hostile ticker
     low = [str(p) for p in range(1, n + 1)]
     if case == "one date":  # ref == end: no crossings, one step, k = 0
         table = _two_dates(HOSTILE, low, low)
