@@ -158,11 +158,11 @@ def test_facets_agree_with_the_dual_and_the_rotation(state):
     # (complemented bases) and the rotation (bases shifted by one) keep
     # the cell dimension, the basis count and the facet count.
     n = state.n
+    ground = frozenset(range(1, n + 1))
     m = positroid_from_decorated(state)
     facets = len(enumerate_facets(polytope_from_positroid(m)))
-    shift = {i: i % n + 1 for i in range(1, n + 1)}
-    for image, bases in ((dual(state), {frozenset(shift) - b for b in m.bases}),
-                         (rotate(state), {frozenset(map(shift.get, b)) for b in m.bases})):
+    for image, bases in ((dual(state), {ground - b for b in m.bases}),
+                         (rotate(state), {frozenset(i % n + 1 for i in b) for b in m.bases})):
         other = positroid_from_decorated(image)
         assert other.bases == bases, (state, image)
         assert cell_dimension(image) == cell_dimension(state), (state, image)
