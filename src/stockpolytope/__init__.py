@@ -53,12 +53,10 @@ from .prices import (
     Ranking,
     crossing_stream,
     decorate,
-    load_sample_table,
     parse_price_csv,
     permutation_at,
     rankings,
     read_price_csv,
-    sample_csv_text,
 )
 from .render import render_chords, render_hooks, render_wiring
 from .report import (
@@ -107,7 +105,6 @@ __all__ = [
     "decomposition_chain",
     "enumerate_facets",
     "interval_rank_summands",
-    "load_sample_table",
     "necklace_from_decorated",
     "parse_price_csv",
     "permutation_at",
@@ -122,7 +119,6 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "report_to_text",
-    "sample_csv_text",
     "validate_necklace",
     "word_to_permutation",
 ]

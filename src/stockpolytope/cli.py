@@ -59,8 +59,12 @@ def _parse_date(text: str) -> date:
 
 
 def _load(args) -> tuple[PriceTable, date, date]:
-    table = read_price_csv(args.csv)
-    return table, _parse_date(args.ref_date), _parse_date(args.end_date)
+    try:
+        ref, end = _parse_date(args.ref_date), _parse_date(args.end_date)
+    except ValueError:
+        read_price_csv(args.csv)  # a bad file is reported before a bad date
+        raise
+    return read_price_csv(args.csv, ref, end), ref, end
 
 
 def _cmd_analyze(args) -> str:

@@ -98,11 +98,6 @@ class DecoratedPermutation:
             missing = sorted(fixed - set(seen))
             raise ValueError(f"fixed points without a color: {missing}")
 
-    @classmethod
-    def uniform(cls, perm: Permutation, color: Color = Color.RIGHT) -> "DecoratedPermutation":
-        """Decorate every fixed point of ``perm`` with the same color."""
-        return cls(perm, {i: color for i in perm.fixed_points()})
-
     @property
     def n(self) -> int:
         return self.perm.n

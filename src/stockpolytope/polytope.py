@@ -21,7 +21,7 @@ holds tight is left to whoever lists them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .necklace import cyclic_interval
 from .perms import (
@@ -172,35 +172,24 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
 # Chains of cells built from crossing words.
 # ---------------------------------------------------------------------------
 
-ColorRule = Color | Callable[[int], Color]
-
-
-def _apply_rule(rule: ColorRule, perm_fixed: Iterable[int]) -> dict[int, Color]:
-    if isinstance(rule, Color):
-        return {i: rule for i in perm_fixed}
-    return {i: rule(i) for i in perm_fixed}
-
-
 @dataclass(frozen=True)
 class CellStep:
     """The cell after one prefix of a word: its label, product and dimension.
 
     ``images`` is the prefix's product in one-line notation; the dimension
     is k(n - k) - l(f) for its affine lift f (Knutson-Lam-Speyer,
-    arXiv:0903.3694).  ``colors[i - 1]`` is the color of i when fixed, one
-    tuple for the whole chain.  ``state`` builds the validated decorated
-    permutation, in O(n), on each read.
+    arXiv:0903.3694).  Every fixed point is RIGHT.  ``state`` builds the
+    validated decorated permutation, in O(n), on each read.
     """
 
     label: str
     images: tuple[int, ...]
     dimension: int
-    colors: tuple[Color, ...] = field(repr=False)
 
     @property
     def state(self) -> DecoratedPermutation:
         perm = Permutation(self.images)
-        return DecoratedPermutation(perm, {i: self.colors[i - 1] for i in perm.fixed_points()})
+        return DecoratedPermutation(perm, {i: Color.RIGHT for i in perm.fixed_points()})
 
 
 @dataclass(frozen=True)
@@ -216,39 +205,30 @@ class CellChain:
     steps: tuple[CellStep, ...]
 
 
-def decomposition_chain(
-    word: WiringWord,
-    fixed_point_color: ColorRule = Color.RIGHT,
-    labels: Sequence[str] | None = None,
-) -> CellChain:
+def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -> CellChain:
     """Cell data for every prefix of the word, from empty to full.
 
     Forward traversal is the gluing direction (one crossing added per
     step); walking the chain backward is the decomposition.  Fixed points
-    of intermediate products carry no market data, so their color comes
-    from ``fixed_point_color``: a constant or a callable mapping the fixed
-    point to a Color.  Every point is fixed on the empty prefix, whose
-    state alone is built and validated, colors included.
+    of intermediate products carry no market data, so they are all RIGHT:
+    the empty prefix is the identity, whose lift is f(i) = i.
 
     One arrangement and its affine lift f run along the word, and l(f) is
     counted in full once.  Letter p swaps their entries p and p + 1, which
     changes only the pair's own term of l(f), by one.  The lift at i
-    depends only on the entry there and i; where the swap makes or breaks
-    a fixed point, that value moves by n and l(f) is re-counted near it.
-    So a step costs O(n) and builds no validated object.
+    depends only on the entry v there and i: v when v >= i, else v + n.
+    Where the swap makes or breaks a fixed point, that value moves by n
+    and l(f) is re-counted near it.  So a step costs O(n) and builds no
+    validated object.
     """
     m, n = len(word.letters), word.n
     if labels is None:
         labels = [str(t) for t in range(m + 1)]
     if len(labels) != m + 1:
         raise ValueError(f"expected {m + 1} labels, got {len(labels)}")
-    rule_colors = _apply_rule(fixed_point_color, range(1, n + 1))
-    colors = tuple(c for _, c in DecoratedPermutation(Permutation.identity(n), rule_colors).colors)
-    fixed = [i if c is Color.RIGHT else i + n for i, c in enumerate(colors, start=1)]
-    line, f = list(range(1, n + 1)), fixed[:]
-    k = sum(v > n for v in f)
-    length = affine_length(BoundedAffinePermutation(n, tuple(f)))
-    steps = [CellStep(str(labels[0]), tuple(line), k * (n - k) - length, colors)]
+    line, f = list(range(1, n + 1)), list(range(1, n + 1))
+    k, length = 0, affine_length(BoundedAffinePermutation(n, tuple(f)))
+    steps = [CellStep(str(labels[0]), tuple(line), k * (n - k) - length)]
     for t, p in enumerate(word.letters, start=1):
         # swapping f(p) and f(p + 1) adds one when f(p) < f(p + 1), else takes one
         length += 1 if f[p - 1] < f[p] else -1
@@ -256,11 +236,11 @@ def decomposition_chain(
         f[p - 1], f[p] = f[p], f[p - 1]
         for i in (p - 1, p):  # 0-based, at position i + 1
             v = line[i]
-            lifted = v if v > i + 1 else v + n if v <= i else fixed[i]
+            lifted = v if v > i else v + n
             if lifted != f[i]:  # a fixed point made or lost here moves by n
                 length -= affine_length_near(f, n, (i + 1,))
                 k += (lifted > n) - (f[i] > n)
                 f[i] = lifted
                 length += affine_length_near(f, n, (i + 1,))
-        steps.append(CellStep(str(labels[t]), tuple(line), k * (n - k) - length, colors))
+        steps.append(CellStep(str(labels[t]), tuple(line), k * (n - k) - length))
     return CellChain(tuple(steps))

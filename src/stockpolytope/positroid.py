@@ -151,8 +151,8 @@ def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...
     every block above it, and each of those still has an element to come,
     so they cross it and merge into it.
 
-    >>> from .perms import DecoratedPermutation, Permutation
-    >>> connected_components(DecoratedPermutation.uniform(Permutation((3, 2, 1, 4))))
+    >>> from .perms import Color, DecoratedPermutation, Permutation
+    >>> connected_components(DecoratedPermutation(Permutation((3, 2, 1, 4)), {2: Color.RIGHT, 4: Color.RIGHT}))
     ((1, 3), (2,), (4,))
     >>> connected_components(DecoratedPermutation(Permutation((3, 4, 1, 2)), {}))
     ((1, 2, 3, 4),)

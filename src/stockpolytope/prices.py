@@ -25,7 +25,8 @@ the first date) and gives, date for date, the rankings of a chain from
 the first date: the tie convention is kept exactly.  ``permutation_at``,
 ``crossing_stream`` and ``decorate`` share that one chain as ``chain=``.
 ``parse_price_csv`` checks every row of the file, inside the window or
-not, and ``PriceTable`` checks each price once.
+not, and turns only the window's rows into Decimals, which ``PriceTable``
+checks once.
 
 Tables are immutable and all functions are pure, so per-date analyses
 can run concurrently without coordination.
@@ -38,7 +39,6 @@ import io
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
-from importlib import resources
 from itertools import pairwise
 
 from .perms import Color, DecoratedPermutation, Permutation
@@ -139,20 +139,16 @@ class CrossingEvent:
     stocks: tuple[int, int]
 
 
-def _csv_rows(data: str | bytes) -> list[list[str]]:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start]
-            before = exc.object[: exc.start]  # one row per \r\n, \r or \n, as the CSV reader reads them
-            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-            raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
-    reader = csv.reader(io.StringIO(data, newline=""))
+def _decode(data: str | bytes) -> str:
+    if isinstance(data, str):
+        return data
     try:
-        return list(reader)
-    except csv.Error as exc:
-        raise PriceCsvError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        before = exc.object[: exc.start]  # one row per \r\n, \r or \n, as the CSV reader reads them
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
 
 
 def _blank(row: list[str]) -> bool:
@@ -176,22 +172,8 @@ def _first_bad_price(tickers: tuple[str, ...], rows: list[list[str]], stop: int)
     return None
 
 
-def parse_price_csv(data: str | bytes) -> PriceTable:
-    """Parse ``date,<ticker>,...`` CSV text into a PriceTable.
-
-    Rows may arrive in any date order and come out sorted.  Malformed
-    numbers, non-positive prices, duplicate dates or tickers, row length
-    mismatches, undecodable bytes and unreadable CSV raise PriceCsvError
-    with the offending location: the first problem in file order.
-
-    Every row is checked, whatever dates a later analysis asks for.  Each
-    price is checked once, as ``PriceTable`` is built; only when a check
-    fails are the cells read again one by one, to name the bad one.
-    """
-    rows = _csv_rows(data)
-    if not rows:
-        raise PriceCsvError("empty input")
-    header = [cell.strip() for cell in rows[0]]
+def _tickers(header: list[str]) -> tuple[str, ...]:
+    header = [cell.strip() for cell in header]
     if not header or header[0] != "date":
         raise PriceCsvError("header must start with 'date'", row=1, column="1")
     tickers = tuple(header[1:])
@@ -204,7 +186,29 @@ def parse_price_csv(data: str | bytes) -> PriceTable:
         if t in seen_tickers:
             raise PriceCsvError(f"duplicate ticker {t!r}", row=1, column=str(pos))
         seen_tickers.add(t)
+    return tickers
 
+
+def _row_date(cell: str, line_no: int, seen: dict[date, object]) -> date:
+    try:
+        d = date.fromisoformat(cell)
+    except ValueError:
+        raise PriceCsvError(f"bad ISO-8601 date {cell!r}", row=line_no, column="date") from None
+    if d in seen:
+        raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
+    return d
+
+
+def _csv_table(text: str) -> PriceTable:
+    """The whole table of any price CSV, read by the CSV reader and checked cell by cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise PriceCsvError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+    if not rows:
+        raise PriceCsvError("empty input")
+    tickers = _tickers(rows[0])
     parsed: dict[date, tuple[Decimal, ...]] = {}
     try:
         for line_no, row in enumerate(rows[1:], start=2):
@@ -212,13 +216,7 @@ def parse_price_csv(data: str | bytes) -> PriceTable:
                 continue
             if len(row) != len(tickers) + 1:
                 raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
-            cell = row[0].strip()
-            try:
-                d = date.fromisoformat(cell)
-            except ValueError:
-                raise PriceCsvError(f"bad ISO-8601 date {cell!r}", row=line_no, column="date") from None
-            if d in parsed:
-                raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
+            d = _row_date(row[0].strip(), line_no, parsed)
             parsed[d] = tuple(map(Decimal, row[1:]))
         if not parsed:
             raise PriceCsvError("no data rows")
@@ -232,18 +230,76 @@ def parse_price_csv(data: str | bytes) -> PriceTable:
         raise _first_bad_price(tickers, rows, stop) or exc from None
 
 
-def read_price_csv(path) -> PriceTable:
+_DIGITS = str.maketrans("", "", "0123456789")
+_NONZERO = str.maketrans("123456789\n", "xxxxxxxxx,", "0")
+
+
+def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: date | None) -> PriceTable:
+    """The table of ``rows``, read by ``prices_of``, from where ``rankings`` starts through ``end_date``."""
+    dates = sorted(rows)
+    first, stop = 0, len(dates)
+    if ref_date in rows and end_date in rows and ref_date <= end_date:
+        ri, stop = dates.index(ref_date), dates.index(end_date) + 1
+        distinct = (i for i in range(ri, 0, -1) if len(set(prices_of(rows[dates[i]]))) == len(tickers))
+        first = next(distinct, 0)
+    kept = dates[first:stop]
+    return PriceTable(tickers, kept, [prices_of(rows[d]) for d in kept])
+
+
+def _plain_table(text: str, ref_date: date | None, end_date: date | None) -> PriceTable | None:
+    """``parse_price_csv`` of a plain file; None when the file is not plain.
+
+    A plain header has no quote, carriage return or NUL.  Plain lines
+    read ``date,p1,...,pn`` in ASCII digits and end in a newline; each
+    price has one point and a digit other than 0.  The CSV reader would
+    split such a file at every comma and fail nowhere.
+    """
+    head, _, body = text.partition("\n")
+    lines = body.split("\n")
+    if lines.pop() or not lines or any(c in head for c in '"\r\0'):
+        return None
+    too_long = max(map(len, [head] + lines)) > csv.field_size_limit()  # for the CSV reader
+    if too_long or body.translate(_DIGITS) != ("--" + ",." * head.count(",") + "\n") * len(lines):
+        return None
+    if ",.," in body.translate(_NONZERO):  # a price of no digit but 0; line ends read as commas
+        return None
+    tickers = _tickers(head.split(","))
+    rows: dict[date, str] = {}
+    for line_no, line in enumerate(lines, start=2):
+        cell, _, prices = line.partition(",")
+        rows[_row_date(cell, line_no, rows)] = prices
+    return _windowed(tickers, rows, lambda prices: tuple(map(Decimal, prices.split(","))), ref_date, end_date)
+
+
+def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
+    """Parse ``date,<ticker>,...`` CSV text into a PriceTable.
+
+    Rows may arrive in any date order and come out sorted.  Malformed
+    numbers, non-positive prices, duplicate dates or tickers, row length
+    mismatches, undecodable bytes and unreadable CSV raise PriceCsvError
+    with the offending location: the first problem in file order.
+
+    Every row is checked, whatever dates a later analysis asks for: a
+    plain file by the skeleton of its characters and by its dates, any
+    other by the CSV reader, ``Decimal`` and ``PriceTable``.  Given
+    ``ref_date`` and ``end_date``, the table holds only the dates from
+    where ``rankings`` starts (the last one at or before ``ref_date``
+    with pairwise distinct prices, else the first) through ``end_date``,
+    and only those rows of a plain file become Decimals.  If either date
+    is missing or ``end_date`` comes first, all dates are kept.
+    """
+    text = _decode(data)
+    plain = _plain_table(text, ref_date, end_date)
+    if plain is not None:
+        return plain
+    table = _csv_table(text)
+    return _windowed(table.tickers, dict(zip(table.dates, table.prices)), tuple, ref_date, end_date)
+
+
+def read_price_csv(path, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
+    """``parse_price_csv`` of the file's bytes, with the same window."""
     with open(path, "rb") as handle:
-        return parse_price_csv(handle.read())
-
-
-def sample_csv_text() -> str:
-    """The bundled four-ticker sample used across the docs and demos."""
-    return resources.files(__package__).joinpath("data/djia4_sample.csv").read_text("utf-8")
-
-
-def load_sample_table() -> PriceTable:
-    return parse_price_csv(sample_csv_text())
+        return parse_price_csv(handle.read(), ref_date, end_date)
 
 
 def rankings(table: PriceTable, up_to: date | None = None, since: date | None = None) -> RankingChain:

@@ -7,12 +7,22 @@ import random
 from datetime import date, timedelta
 from decimal import Decimal
 from functools import lru_cache
+from importlib import resources
 
 import pytest
 from hypothesis import strategies as st
 
-from stockpolytope import Color, DecoratedPermutation, Permutation, PriceTable, Ranking, cell_dimension, rankings
-from oracles import matroid_rank
+from stockpolytope import (
+    Color,
+    DecoratedPermutation,
+    Permutation,
+    PriceTable,
+    Ranking,
+    cell_dimension,
+    parse_price_csv,
+    rankings,
+)
+from oracles import matroid_rank, uniform
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -126,7 +136,7 @@ def decorated_permutations(draw, max_n=9, min_n=1):
 
 @lru_cache(maxsize=None)
 def cached_dim(images: tuple[int, ...]) -> int:
-    return cell_dimension(DecoratedPermutation.uniform(Permutation(images)))
+    return cell_dimension(uniform(Permutation(images)))
 
 
 def rank_at_date(table: PriceTable, d: date) -> Ranking:
@@ -149,8 +159,82 @@ def random_table(seed: int, n_stocks: int = 5, n_dates: int = 12) -> PriceTable:
     return PriceTable(tickers, tuple(dates), tuple(rows))
 
 
+def sample_csv_text() -> str:
+    """The bundled four-ticker sample, read from the installed package's data."""
+    return resources.files("stockpolytope").joinpath("data/djia4_sample.csv").read_text("utf-8")
+
+
+def load_sample_table() -> PriceTable:
+    return parse_price_csv(sample_csv_text())
+
+
+# Cell texts: mostly good prices, and now and then one near the edges of
+# what Decimal and the CSV reader accept.
+GOOD_CELLS = st.sampled_from(["1", "2.50", " 3.25 ", "+4", "1e3", "1E-2", "1_000", "\u0661\u0662", "\t7\t"])
+BAD_CELLS = st.one_of(
+    st.sampled_from(["0", "-0.00", "-1", " -2e1", "NaN", "-nan", "sNaN", "Inf", "-Infinity"]),
+    st.sampled_from(["1__0", "", " ", "abc", "1e999999999999999999", "1 2", "\u00a05\u2003",
+                     "\u0663.\u0665", '"8"', "\r", "\x00"]),
+    st.text(alphabet="0123456789.-+eE_ nNaIif\u0661\t\"\r", max_size=6),
+)
+DATES = [f"2020-01-0{d}" for d in range(1, 8)] + [" 2020-01-08 "]
+BAD_DATES = st.sampled_from(["2020-1-4", "", "x", "2020-02-30"])
+HEADERS = st.sampled_from(["time,A", "date,A,A", "date,A,", "date", ""])
+STRAY = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xef\xbb\xbf"])
+
+
+@st.composite
+def price_csv_inputs(draw):
+    """Price CSV text or bytes with a few rare faults: one in eight of each thing is bad."""
+
+    def rare(good, bad):
+        return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+    tickers = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))
+    lines = [rare(st.just("date," + ",".join(tickers)), HEADERS)]
+    for _ in range(draw(st.integers(0, 4))):
+        width = rare(st.just(len(tickers)), st.sampled_from([len(tickers) - 1, len(tickers) + 1]))
+        cells = [rare(st.sampled_from(DATES), BAD_DATES)]
+        lines.append(",".join(cells + [rare(GOOD_CELLS, BAD_CELLS) for _ in range(width)]))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    if draw(st.booleans()):
+        return text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(STRAY) + data[at:]
+    return data
+
+
+# Plain price CSV: a header with no quote, carriage return or NUL, and
+# lines of ASCII digits ``date,p1,...,pn`` whose prices hold one point
+# and a digit other than 0.  The faults sit at the edge of that shape.
+PLAIN_CELLS = st.sampled_from(["1.5", "72.78", "5.", ".5", "00.10", "0.01", "320.00"])
+PLAIN_FAULTS = st.sampled_from(["0.00", ".", "0.", ".0", "00.000", "7", "1.2.3", "", " 1.5", "1e2", "-1.5"])
+PLAIN_DATES = [f"2020-01-0{d}" for d in range(1, 8)]
+PLAIN_BAD_DATES = st.sampled_from(["2020-1-4", "2020-02-30", "20200101", "2020-01-01-", "0000-00-00"])
+PLAIN_HEADERS = st.sampled_from(['"date",A', 'date,"A"', "date,A,A", "time,A", "date,A,", "date", "date,A\x00"])
+
+
+@st.composite
+def plain_price_csv_inputs(draw):
+    """Price CSV text or bytes that is mostly plain, with a rare fault: one in sixteen of each thing is off."""
+
+    def rare(good, bad):
+        return draw(bad) if draw(st.integers(0, 15)) == 0 else draw(good)
+
+    tickers = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))
+    lines = [rare(st.just("date," + ",".join(tickers)), PLAIN_HEADERS)]
+    for i in range(draw(st.integers(1, 6))):  # a fault date is bad, or may repeat or come early
+        cells = [rare(st.just(PLAIN_DATES[i]), st.one_of(PLAIN_BAD_DATES, st.sampled_from(PLAIN_DATES)))]
+        lines.append(",".join(cells + [rare(PLAIN_CELLS, PLAIN_FAULTS) for _ in tickers]))
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ","])))
+    end = rare(st.just("\n"), st.just("\r\n"))
+    text = end.join(lines) + rare(st.just(end), st.sampled_from(["", end + end]))
+    return text if draw(st.booleans()) else text.encode("utf-8")
+
+
 @pytest.fixture(scope="session")
 def sample_table():
-    from stockpolytope import load_sample_table
-
     return load_sample_table()

@@ -11,9 +11,10 @@ vertices, and ``tight_vertices`` gives a package facet's incidence set to
 compare with them.  The price oracles are the earlier parser, which
 checks cell by cell, and the ranking chain that always starts at the
 first date.  The Gale order, basis exchange, circuit and matroid rank
-helpers check positroids from their definitions; ``decorated_from_necklace``
-inverts the necklace map for the round trip, and ``dual`` and ``rotate``
-give the cells the facet count must agree with.  The word helpers
+helpers check positroids from their definitions; ``uniform`` colors
+every fixed point alike; ``decorated_from_necklace`` inverts the
+necklace map for the round trip, and ``dual`` and ``rotate`` give the
+cells the facet count must agree with.  The word helpers
 (``inversions``, ``is_reduced``, ``remove_letter``) and
 ``face_of_removal`` at the end compare a word's cell with the cell of
 the word less one crossing by their bases; the package itself never
@@ -84,6 +85,11 @@ def remove_letter(word: WiringWord, index: int) -> WiringWord:
     if not 0 <= index < len(word.letters):
         raise IndexError(f"letter index {index} outside 0..{len(word.letters) - 1}")
     return WiringWord(word.n, word.letters[:index] + word.letters[index + 1 :])
+
+
+def uniform(perm: Permutation, color: Color = Color.RIGHT) -> DecoratedPermutation:
+    """``perm`` with every fixed point decorated by the same color."""
+    return DecoratedPermutation(perm, {i: color for i in perm.fixed_points()})
 
 
 def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
@@ -626,8 +632,8 @@ def face_of_removal(word: WiringWord, index: int, fixed_point_color: Color = Col
     Every fixed point takes the color ``fixed_point_color``.
     """
     original = word_to_permutation(word)
-    dp_old = DecoratedPermutation.uniform(original, fixed_point_color)
-    dp_new = DecoratedPermutation.uniform(word_to_permutation(remove_letter(word, index)), fixed_point_color)
+    dp_old = uniform(original, fixed_point_color)
+    dp_new = uniform(word_to_permutation(remove_letter(word, index)), fixed_point_color)
     old = positroid_from_decorated(dp_old)
     new = positroid_from_decorated(dp_new)
     contained = all(matroid_rank(old, b) == len(b) for b in new.bases)

@@ -31,7 +31,6 @@ from stockpolytope import (
     cyclic_interval_rank,
     decorate,
     enumerate_facets,
-    load_sample_table,
     necklace_from_decorated,
     permutation_at,
     polytope_dimension,
@@ -41,7 +40,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope.cli import main
-from conftest import reduced_affine_chains
+from conftest import load_sample_table, reduced_affine_chains
 from oracles import (
     all_decorated_permutations,
     decorated_from_necklace,
@@ -49,6 +48,7 @@ from oracles import (
     necklace_of_positroid,
     positroid_from_decorated,
     tight_vertices,
+    uniform,
     verify_exchange_axiom,
     vertices_from_inequalities,
 )
@@ -170,9 +170,9 @@ def test_criterion_6b_top_cells():
     for n in range(1, 9):
         for k in range(0, n + 1):
             if k == 0:
-                state = DecoratedPermutation.uniform(Permutation.identity(n), Color.RIGHT)
+                state = uniform(Permutation.identity(n), Color.RIGHT)
             elif k == n:
-                state = DecoratedPermutation.uniform(Permutation.identity(n), Color.LEFT)
+                state = uniform(Permutation.identity(n), Color.LEFT)
             else:
                 images = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
                 state = DecoratedPermutation(Permutation(images), {})

@@ -1,25 +1,29 @@
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, timedelta
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockpolytope import (
     ConsistencyError,
     build_report,
     check_report,
-    load_sample_table,
     report_to_dict,
     report_to_json,
     report_to_text,
-    sample_csv_text,
 )
-from stockpolytope import necklace, perms, polytope, positroid, prices
+from stockpolytope import cli, necklace, perms, polytope, positroid, prices
 from stockpolytope.cli import main
+from conftest import PLAIN_DATES, load_sample_table, plain_price_csv_inputs, price_csv_inputs, sample_csv_text
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
 RANGE = ["--ref-date", "2013-05-15", "--end-date", "2013-06-03"]
@@ -190,6 +194,79 @@ def test_bad_price_after_end_date_still_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(path), *LATE_WINDOW)
     assert code == 2 and out == ""
     assert err == "error: row 590, column T05: malformed number '1.2.3'\n"
+
+
+COMMANDS = [["analyze", "--check"], ["chain"], ["render", "wiring"], ["render", "chords"], ["render", "hooks"]]
+COMMAND_IDS = ["analyze", "chain", "wiring", "chords", "hooks"]
+
+
+def write_tie_csv(tmp_path):
+    # B is the cheaper stock until 2020-01-05, and the two tie on the 3rd
+    # and 4th.  A window from the 4th ranks from the 2nd, the last date
+    # with distinct prices; ranked from the 4th itself, the tie would
+    # break by ticker and put A first.
+    path = tmp_path / "tie.csv"
+    path.write_text("date,B,A\n2020-01-01,1.00,3.00\n2020-01-02,1.50,2.00\n2020-01-03,2.00,2.0\n"
+                    "2020-01-04,2.50,2.5\n2020-01-05,3.00,1.00\n2020-01-06,3.50,1.00\n")
+    return path
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_a_tie_on_the_reference_date_moves_the_window_back(capsys, monkeypatch, tmp_path, command):
+    path = write_tie_csv(tmp_path)
+    argv = [*command, str(path), "--ref-date", "2020-01-04", "--end-date", "2020-01-05"]
+    read = prices.read_price_csv
+    monkeypatch.setattr(cli, "read_price_csv", lambda path, *window: read(path))
+    whole = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    tables = record_calls(monkeypatch, read)
+    assert run_cli(capsys, *argv) == whole
+    assert whole[0] == 0 and whole[2] == ""
+    assert [table.dates for table in tables] == [tuple(date(2020, 1, d) for d in range(2, 6))]
+
+
+@pytest.mark.parametrize("ref, end, message", [
+    ("2020-01-07", "2020-01-05", "unknown date 2020-01-07"),
+    ("2020-01-02", "2019-12-31", "unknown date 2019-12-31"),
+    ("2020-01-05", "2020-01-02", "target date 2020-01-02 is before reference 2020-01-05"),
+], ids=["ref-missing", "end-missing", "reversed"])
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_missing_or_reversed_dates_keep_their_errors(capsys, tmp_path, command, ref, end, message):
+    path = write_tie_csv(tmp_path)
+    code, out, err = run_cli(capsys, *command, str(path), "--ref-date", ref, "--end-date", end)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_bad_file_is_reported_before_a_bad_date(capsys, tmp_path):
+    bad_date = ["--ref-date", "2001-13-01", "--end-date", "2002-03-24"]
+    path = write_late_window_csv(tmp_path, bad_cell_row=590)
+    code, out, err = run_cli(capsys, "analyze", str(path), *bad_date)
+    assert (code, out, err) == (2, "", "error: row 590, column T05: malformed number '1.2.3'\n")
+    path = write_late_window_csv(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", str(path), *bad_date)
+    assert (code, out, err) == (2, "", "error: bad ISO-8601 date '2001-13-01'\n")
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path / "nope.csv"), *bad_date)
+    assert code == 2 and out == "" and "No such file" in err
+
+
+def test_the_cli_turns_only_the_window_into_decimals(capsys, monkeypatch, tmp_path):
+    path = write_late_window_csv(tmp_path)
+    tables = record_calls(monkeypatch, prices.read_price_csv)
+    made = []
+
+    class Counted(Decimal):
+        def __new__(cls, value):
+            made.append(value)
+            return Decimal(value)
+
+    monkeypatch.setattr(prices, "Decimal", Counted)
+    code, _, err = run_cli(capsys, "analyze", str(path), *LATE_WINDOW)
+    assert code == 0, err
+    window = tuple(date(2001, 1, 1) + timedelta(days=t) for t in range(196, 448))
+    assert [table.dates for table in tables] == [window]
+    # Of 600 rows of 30 prices, the window's 252 (and the reference row
+    # may be read twice, to see that its prices are distinct).
+    assert 252 * 30 <= len(made) <= 253 * 30
 
 
 def test_facets_of_a_9_stock_point(capsys, tmp_path):
@@ -418,3 +495,29 @@ def test_check_catches_raised_polytope_dimension():
 
 def test_sample_csv_text_matches_packaged_file():
     assert sample_csv_text() == SAMPLE.read_text()
+
+
+# Mostly early dates, which most files hold, and now and then one that no file holds.
+FUZZ_DATES = st.one_of(st.sampled_from(PLAIN_DATES[:3]), st.sampled_from(["2020-01-08", "2020-1-4", "x", ""]))
+FUZZ_COMMANDS = st.sampled_from([
+    (("analyze",), ()), (("analyze",), ("--facets", "--check")), (("analyze",), ("--format", "text")),
+    (("chain",), ()), (("chain",), ("--format", "json")), (("render", "wiring"), ()),
+    (("render", "chords"), ("--format", "ascii")), (("render", "hooks"), ()),
+])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(price_csv_inputs(), plain_price_csv_inputs()), FUZZ_COMMANDS, FUZZ_DATES, FUZZ_DATES)
+def test_the_cli_exits_cleanly_on_random_files(tmp_path_factory, data, command, ref, end):
+    # Exit 0, 2 or 3 and no exception; an error is one line on stderr, with nothing on stdout.
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    (verb, options), out, err = command, io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*verb, str(path), "--ref-date", ref, "--end-date", end, *options])
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert code in (2, 3) and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: " if code == 2 else "internal consistency breach: ")

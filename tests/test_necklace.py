@@ -12,7 +12,7 @@ from stockpolytope import (
     validate_necklace,
 )
 from conftest import decorated_permutations
-from oracles import all_decorated_permutations, decorated_from_necklace
+from oracles import all_decorated_permutations, decorated_from_necklace, uniform
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -26,7 +26,7 @@ def test_necklace_of_market_permutation():
 
 
 def test_necklace_of_identity_all_right():
-    identity = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(Permutation.identity(4), Color.RIGHT)
     nk = necklace_from_decorated(identity)
     assert nk.k == 0
     assert nk.terms == (frozenset(), frozenset(), frozenset(), frozenset())

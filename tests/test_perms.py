@@ -16,7 +16,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from conftest import compose, simple_transposition
-from oracles import affine_inversions, all_decorated_permutations, inversions, is_reduced, remove_letter
+from oracles import affine_inversions, all_decorated_permutations, inversions, is_reduced, remove_letter, uniform
 
 
 def test_permutation_validates_bijection():
@@ -66,14 +66,14 @@ def test_inversions_examples():
 def test_anti_exceedances():
     assert anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3)), {})) == 2
     identity = Permutation.identity(4)
-    assert anti_exceedance_count(DecoratedPermutation.uniform(identity, Color.RIGHT)) == 0
-    assert anti_exceedance_count(DecoratedPermutation.uniform(identity, Color.LEFT)) == 4
+    assert anti_exceedance_count(uniform(identity, Color.RIGHT)) == 0
+    assert anti_exceedance_count(uniform(identity, Color.LEFT)) == 4
 
 
 def test_affine_lift_examples():
     assert affine_lift(DecoratedPermutation(Permutation((2, 4, 1, 3)), {})).f == (2, 4, 5, 7)
     identity = Permutation.identity(4)
-    assert affine_lift(DecoratedPermutation.uniform(identity, Color.RIGHT)).f == (1, 2, 3, 4)
+    assert affine_lift(uniform(identity, Color.RIGHT)).f == (1, 2, 3, 4)
     dp = DecoratedPermutation(Permutation((1, 3, 2, 4)), {1: Color.RIGHT, 4: Color.LEFT})
     assert affine_lift(dp).f == (1, 3, 6, 8)
 

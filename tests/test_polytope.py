@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from stockpolytope import (
     Color,
-    DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
     PositroidPolytope,
@@ -31,6 +30,7 @@ from oracles import (
     rotate,
     subset_search_facets,
     tight_vertices,
+    uniform,
     vertices_from_inequalities,
 )
 
@@ -44,7 +44,7 @@ def market_polytope():
 def top_polytope(n=4, k=2):
     images = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
     return polytope_from_positroid(positroid_from_decorated(
-        DecoratedPermutation.uniform(Permutation(images))))
+        uniform(Permutation(images))))
 
 
 def test_market_polytope_vertices_and_cut():
@@ -213,19 +213,13 @@ def test_chain_reports_recrossing():
     assert [s.dimension for s in chain.steps] == [0, 1, 0]
 
 
-def test_chain_labels_and_color_rule():
-    chain = decomposition_chain(
-        WiringWord(2, (1,)), fixed_point_color=Color.LEFT, labels=("start", "cross")
-    )
+def test_chain_labels_and_right_fixed_points():
+    chain = decomposition_chain(WiringWord(3, (1,)), labels=("start", "cross"))
     assert [s.label for s in chain.steps] == ["start", "cross"]
-    assert chain.steps[0].state.left_fixed_points() == frozenset({1, 2})
-
-
-def test_chain_rejects_a_rule_that_gives_no_color():
-    # The steps build their states only when read, so the chain itself
-    # checks every color its rule gives.
-    with pytest.raises(TypeError, match="must be a Color"):
-        decomposition_chain(WiringWord(3, ()), fixed_point_color=lambda i: "right")
+    assert chain.steps[0].state == uniform(Permutation.identity(3), Color.RIGHT)
+    assert chain.steps[1].state == uniform(Permutation((2, 1, 3)), Color.RIGHT)
+    with pytest.raises(ValueError, match="expected 2 labels"):
+        decomposition_chain(WiringWord(3, (1,)), labels=("start",))
 
 
 def _random_word(rng, n, m):
@@ -238,18 +232,14 @@ def _random_word(rng, n, m):
     return WiringWord(n, tuple(letters))
 
 
-CHAIN_RULES = (Color.RIGHT, Color.LEFT, lambda i: Color.LEFT if i % 3 == 0 else Color.RIGHT)
-
-
-def assert_chain_matches_oracles(word, rule):
-    chain = decomposition_chain(word, fixed_point_color=rule)
+def assert_chain_matches_oracles(word):
+    chain = decomposition_chain(word)
     assert len(chain.steps) == len(word) + 1
     for t, step in enumerate(chain.steps):
         perm = word_to_permutation(word.prefix(t))
-        colors = {i: rule if isinstance(rule, Color) else rule(i) for i in perm.fixed_points()}
-        assert step.state == DecoratedPermutation(perm, colors), (word, rule, t)
+        assert step.state == uniform(perm, Color.RIGHT), (word, t)
         assert step.images == perm.images, (word, t)
-        assert step.dimension == cell_dimension(step.state), (word, rule, t)
+        assert step.dimension == cell_dimension(step.state), (word, t)
 
 
 def test_chain_matches_prefix_products_and_necklace_dimensions():
@@ -258,14 +248,12 @@ def test_chain_matches_prefix_products_and_necklace_dimensions():
     rng = random.Random(20140206)
     for _ in range(120):
         word = _random_word(rng, rng.randint(2, 8), rng.randint(0, 40))
-        for rule in CHAIN_RULES:
-            assert_chain_matches_oracles(word, rule)
+        assert_chain_matches_oracles(word)
 
 
 def test_chain_matches_oracles_on_30_stocks():
     word = _random_word(random.Random(30), 30, 248)
-    for rule in CHAIN_RULES:
-        assert_chain_matches_oracles(word, rule)
+    assert_chain_matches_oracles(word)
 
 
 def test_chain_is_linear_in_the_word_length():

@@ -33,6 +33,7 @@ from oracles import (
     necklace_of_positroid,
     positroid_from_decorated,
     subset_filter_bases,
+    uniform,
     verify_exchange_axiom,
 )
 
@@ -100,14 +101,14 @@ def test_matroid_rank_examples():
 def test_cell_dimension_examples():
     assert cell_dimension(dp((2, 4, 1, 3))) == 3
     assert interval_rank_summands(dp((2, 4, 1, 3))) == (1, 2, 2, 2)
-    identity = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(Permutation.identity(4), Color.RIGHT)
     assert cell_dimension(identity) == 0
     assert cell_dimension(dp((3, 4, 1, 2))) == 4
 
 
 def test_connected_components_examples():
     assert connected_components(decorated_from_necklace(EQ1)) == ((1, 2, 3, 4),)
-    identity = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(Permutation.identity(4), Color.RIGHT)
     assert connected_components(identity) == ((1,), (2,), (3,), (4,))
     assert connected_components(dp((2, 1, 4, 3))) == ((1, 2), (3, 4))
 

@@ -13,7 +13,7 @@ from stockpolytope import (
     render_hooks,
     render_wiring,
 )
-from oracles import all_decorated_permutations
+from oracles import all_decorated_permutations, uniform
 
 LABELS = ("AXP", "HD", "WMT", "PG")
 WORD = WiringWord(4, (1, 3, 2))
@@ -74,10 +74,10 @@ def test_chords_market_permutation():
 
 
 def test_chords_identity_loops():
-    right = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
+    right = uniform(Permutation.identity(4), Color.RIGHT)
     doc = render_chords(right, fmt="ascii")
     assert doc.count("o>") == 4
-    left = DecoratedPermutation.uniform(Permutation.identity(4), Color.LEFT)
+    left = uniform(Permutation.identity(4), Color.LEFT)
     assert render_chords(left, fmt="ascii").count("o<") == 4
 
 
@@ -98,7 +98,7 @@ def test_hooks_footers():
     doc = render_hooks(affine_lift(market), interval_rank_summands(market), fmt="ascii")
     assert "7 - 4 = 3" in doc
 
-    identity = DecoratedPermutation.uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(Permutation.identity(4), Color.RIGHT)
     doc = render_hooks(affine_lift(identity), interval_rank_summands(identity), fmt="ascii")
     assert "0 - 0 = 0" in doc
 

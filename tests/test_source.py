@@ -1,11 +1,13 @@
 """Checks on the package's source text, with the standard library's ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stockpolytope"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stockpolytope"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +39,10 @@ def test_an_unused_import_is_found():
     tree = ast.parse("from __future__ import annotations\nimport os, sys\nfrom typing import Any\n"
                      "__all__ = ['Any']\nprint(sys.argv)\n")
     assert unused_imports(tree) == ["os (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_parses_as_the_oldest_python_it_supports(path):
+    # Syntax newer than requires-python in pyproject.toml fails at import there.
+    oldest = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text("utf-8"))
+    ast.parse(path.read_text("utf-8"), feature_version=(3, int(oldest.group(1))))
