@@ -13,7 +13,7 @@ from datetime import date
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, rankings, read_price_csv
+from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import ConsistencyError, build_report, chain_to_json, check_report, report_to_json, report_to_text
 
@@ -101,8 +101,7 @@ def _cmd_render(args) -> str:
         events = crossing_stream(table, ref, end)
         word = WiringWord(table.n_stocks, tuple(e.position for e in events))
         return render_wiring(word, table.tickers, fmt=args.format)
-    chain = rankings(table, up_to=end, since=ref)
-    state = decorate(table, ref, end, chain=chain)
+    state = decorate(table, ref, end)
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)
     lift = affine_lift(state)

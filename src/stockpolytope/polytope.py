@@ -24,15 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .necklace import cyclic_interval
-from .perms import (
-    BoundedAffinePermutation,
-    Color,
-    DecoratedPermutation,
-    Permutation,
-    WiringWord,
-    affine_length,
-    affine_length_near,
-)
+from .perms import Color, DecoratedPermutation, Permutation, WiringWord, affine_length_near
 from .positroid import Positroid
 
 # ---------------------------------------------------------------------------
@@ -213,13 +205,13 @@ def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -
     of intermediate products carry no market data, so they are all RIGHT:
     the empty prefix is the identity, whose lift is f(i) = i.
 
-    One arrangement and its affine lift f run along the word, and l(f) is
-    counted in full once.  Letter p swaps their entries p and p + 1, which
-    changes only the pair's own term of l(f), by one.  The lift at i
-    depends only on the entry v there and i: v when v >= i, else v + n.
-    Where the swap makes or breaks a fixed point, that value moves by n
-    and l(f) is re-counted near it.  So a step costs O(n) and builds no
-    validated object.
+    One arrangement and its affine lift f run along the word, and l(f)
+    starts at 0, the identity's length.  Letter p swaps their entries p
+    and p + 1, which changes only the pair's own term of l(f), by one.
+    The lift at i depends only on the entry v there and i: v when v >= i,
+    else v + n.  Where the swap makes or breaks a fixed point, that value
+    moves by n and l(f) is re-counted near it.  So a step costs O(n) and
+    builds no validated object.
     """
     m, n = len(word.letters), word.n
     if labels is None:
@@ -227,7 +219,7 @@ def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -
     if len(labels) != m + 1:
         raise ValueError(f"expected {m + 1} labels, got {len(labels)}")
     line, f = list(range(1, n + 1)), list(range(1, n + 1))
-    k, length = 0, affine_length(BoundedAffinePermutation(n, tuple(f)))
+    k, length = 0, 0  # the identity lift has no inversions
     steps = [CellStep(str(labels[0]), tuple(line), k * (n - k) - length)]
     for t, p in enumerate(word.letters, start=1):
         # swapping f(p) and f(p + 1) adds one when f(p) < f(p + 1), else takes one

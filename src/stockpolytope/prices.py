@@ -18,15 +18,14 @@ Conventions, fixed once here:
   repeated left-to-right passes, giving exactly inversion-count many
   events per day.
 
-A command ranks its window once.  A date whose prices are pairwise
-distinct ranks the same whatever order came before it, so ``rankings``
-starts at the last such date at or before the reference date (else at
-the first date) and gives, date for date, the rankings of a chain from
-the first date: the tie convention is kept exactly.  ``permutation_at``,
-``crossing_stream`` and ``decorate`` share that one chain as ``chain=``.
-``parse_price_csv`` checks every row of the file, inside the window or
-not, and turns only the window's rows into Decimals, which ``PriceTable``
-checks once.
+A table ranks itself once: ``PriceTable.chain`` is ``rankings`` of the
+table, from its first date, computed on first read; ``permutation_at``,
+``crossing_stream`` and ``decorate`` all slice it.  A date whose prices
+are pairwise distinct ranks the same whatever order came before it, so
+``parse_price_csv`` can start a command's table at the last such date at
+or before the reference date and keep the tie convention exactly.  It
+checks every row of the file, inside the window or not, once, and turns
+only the window's rows into Decimals.
 
 Tables are immutable and all functions are pure, so per-date analyses
 can run concurrently without coordination.
@@ -39,6 +38,7 @@ import io
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 from itertools import pairwise
 
 from .perms import Color, DecoratedPermutation, Permutation
@@ -64,6 +64,7 @@ class PriceTable:
     """Closing prices: ``prices[d][s]`` is stock s on date d.
 
     Dates are strictly increasing; every price is a positive Decimal.
+    ``chain`` is the table's ranking chain, ranked on first read.
     """
 
     tickers: tuple[str, ...]
@@ -106,6 +107,10 @@ class PriceTable:
             return self._index[d]
         except KeyError:
             raise ValueError(f"unknown date {d.isoformat()}") from None
+
+    @cached_property
+    def chain(self) -> RankingChain:
+        return rankings(self)
 
 
 @dataclass(frozen=True)
@@ -155,21 +160,16 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _first_bad_price(tickers: tuple[str, ...], rows: list[list[str]], stop: int) -> PriceCsvError | None:
-    """The error for the first bad price on the data lines before line ``stop``, if any."""
-    for line_no, row in enumerate(rows[1 : stop - 1], start=2):
-        if _blank(row):
-            continue
-        for ticker, cell in zip(tickers, map(str.strip, row[1:])):
-            try:
-                value = Decimal(cell)
-            except InvalidOperation:
-                value = None
-            if value is None or not value.is_finite():
-                return PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker)
-            if value <= 0:
-                return PriceCsvError(f"non-positive price {cell!r}", row=line_no, column=ticker)
-    return None
+def _price(cell: str, line_no: int, ticker: str) -> Decimal:
+    try:
+        value = Decimal(cell)
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise PriceCsvError(f"malformed number {cell!r}", row=line_no, column=ticker)
+    if value <= 0:
+        raise PriceCsvError(f"non-positive price {cell!r}", row=line_no, column=ticker)
+    return value
 
 
 def _tickers(header: list[str]) -> tuple[str, ...]:
@@ -199,8 +199,8 @@ def _row_date(cell: str, line_no: int, seen: dict[date, object]) -> date:
     return d
 
 
-def _csv_table(text: str) -> PriceTable:
-    """The whole table of any price CSV, read by the CSV reader and checked cell by cell."""
+def _csv_table(text: str) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
+    """The tickers and rows of any price CSV, read by the CSV reader and checked row by row."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
@@ -210,24 +210,16 @@ def _csv_table(text: str) -> PriceTable:
         raise PriceCsvError("empty input")
     tickers = _tickers(rows[0])
     parsed: dict[date, tuple[Decimal, ...]] = {}
-    try:
-        for line_no, row in enumerate(rows[1:], start=2):
-            if _blank(row):
-                continue
-            if len(row) != len(tickers) + 1:
-                raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
-            d = _row_date(row[0].strip(), line_no, parsed)
-            parsed[d] = tuple(map(Decimal, row[1:]))
-        if not parsed:
-            raise PriceCsvError("no data rows")
-        dates = tuple(sorted(parsed))
-        return PriceTable(tickers, dates, tuple(parsed[d] for d in dates))
-    except (InvalidOperation, ValueError) as exc:
-        # Read the cells before the failing line (all of them when Decimal or
-        # PriceTable refused a price) one by one: a bad price on an earlier
-        # line is the first problem in file order, and this names its cell.
-        stop = getattr(exc, "row", None) or len(rows) + 1
-        raise _first_bad_price(tickers, rows, stop) or exc from None
+    for line_no, row in enumerate(rows[1:], start=2):
+        if _blank(row):
+            continue
+        if len(row) != len(tickers) + 1:
+            raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
+        d = _row_date(row[0].strip(), line_no, parsed)
+        parsed[d] = tuple(_price(cell.strip(), line_no, t) for t, cell in zip(tickers, row[1:]))
+    if not parsed:
+        raise PriceCsvError("no data rows")
+    return tickers, parsed
 
 
 _DIGITS = str.maketrans("", "", "0123456789")
@@ -235,7 +227,12 @@ _NONZERO = str.maketrans("123456789\n", "xxxxxxxxx,", "0")
 
 
 def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: date | None) -> PriceTable:
-    """The table of ``rows``, read by ``prices_of``, from where ``rankings`` starts through ``end_date``."""
+    """The table of ``rows``, read by ``prices_of``, from the anchor through ``end_date``.
+
+    The anchor is the last date at or before ``ref_date`` whose prices are
+    pairwise distinct, else the first date.  The whole table comes back
+    when either date is missing or ``end_date`` comes first.
+    """
     dates = sorted(rows)
     first, stop = 0, len(dates)
     if ref_date in rows and end_date in rows and ref_date <= end_date:
@@ -246,8 +243,8 @@ def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: d
     return PriceTable(tickers, kept, [prices_of(rows[d]) for d in kept])
 
 
-def _plain_table(text: str, ref_date: date | None, end_date: date | None) -> PriceTable | None:
-    """``parse_price_csv`` of a plain file; None when the file is not plain.
+def _plain_table(text: str) -> tuple[tuple[str, ...], dict[date, str]] | None:
+    """The tickers and rows of a plain file, each row's prices as text; None when the file is not plain.
 
     A plain header has no quote, carriage return or NUL.  Plain lines
     read ``date,p1,...,pn`` in ASCII digits and end in a newline; each
@@ -268,7 +265,7 @@ def _plain_table(text: str, ref_date: date | None, end_date: date | None) -> Pri
     for line_no, line in enumerate(lines, start=2):
         cell, _, prices = line.partition(",")
         rows[_row_date(cell, line_no, rows)] = prices
-    return _windowed(tickers, rows, lambda prices: tuple(map(Decimal, prices.split(","))), ref_date, end_date)
+    return tickers, rows
 
 
 def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
@@ -279,21 +276,22 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     mismatches, undecodable bytes and unreadable CSV raise PriceCsvError
     with the offending location: the first problem in file order.
 
-    Every row is checked, whatever dates a later analysis asks for: a
-    plain file by the skeleton of its characters and by its dates, any
-    other by the CSV reader, ``Decimal`` and ``PriceTable``.  Given
+    Every row is checked once, whatever dates a later analysis asks for:
+    a plain file by the skeleton of its characters and by its dates, any
+    other by the CSV reader, row by row and cell by cell.  Given
     ``ref_date`` and ``end_date``, the table holds only the dates from
-    where ``rankings`` starts (the last one at or before ``ref_date``
-    with pairwise distinct prices, else the first) through ``end_date``,
-    and only those rows of a plain file become Decimals.  If either date
-    is missing or ``end_date`` comes first, all dates are kept.
+    the anchor (the last one at or before ``ref_date`` with pairwise
+    distinct prices, else the first) through ``end_date``, and only those
+    rows of a plain file become Decimals.  The table's ``chain`` then
+    ranks just those dates, as a chain from the file's first date would.
+    If either date is missing or ``end_date`` comes first, all dates are
+    kept.
     """
     text = _decode(data)
-    plain = _plain_table(text, ref_date, end_date)
-    if plain is not None:
-        return plain
-    table = _csv_table(text)
-    return _windowed(table.tickers, dict(zip(table.dates, table.prices)), tuple, ref_date, end_date)
+    plain = _plain_table(text)
+    if plain is None:
+        return _windowed(*_csv_table(text), tuple, ref_date, end_date)
+    return _windowed(*plain, lambda prices: tuple(map(Decimal, prices.split(","))), ref_date, end_date)
 
 
 def read_price_csv(path, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
@@ -302,75 +300,56 @@ def read_price_csv(path, ref_date: date | None = None, end_date: date | None = N
         return parse_price_csv(handle.read(), ref_date, end_date)
 
 
-def rankings(table: PriceTable, up_to: date | None = None, since: date | None = None) -> RankingChain:
-    """The ranking chain through ``up_to`` (the last date by default).
+def rankings(table: PriceTable) -> RankingChain:
+    """The ranking of every date of the table, from the first.
 
     The first date sorts by (price, ticker); every later date stably
     re-sorts the previous order by the day's prices, so equal prices keep
-    their standing instead of fabricating a crossing.
-
-    A date whose prices are pairwise distinct ranks the same whatever
-    order came before it.  So the chain starts at the last such date at
-    or before ``since``, or at the first date when ``since`` is None or
-    no such date exists, and from there on it holds exactly the rankings
-    of a chain from the first date.  ``chain[0].date`` is where it starts.
+    their standing instead of fabricating a crossing.  ``table.chain``
+    keeps the result.
     """
-    latest = table.date_index(since) if since is not None else 0
-    stop = table.date_index(up_to) if up_to is not None else len(table.dates) - 1
-    n = table.n_stocks
-    start = next((i for i in range(min(latest, stop), 0, -1) if len(set(table.prices[i])) == n), 0)
-    row = table.prices[start]
-    order = tuple(sorted(range(n), key=lambda s: (row[s], table.tickers[s])))
-    out = [Ranking(table.dates[start], order)]
-    for di in range(start + 1, stop + 1):
-        order = tuple(sorted(order, key=table.prices[di].__getitem__))
-        out.append(Ranking(table.dates[di], order))
+    row = table.prices[0]
+    order = tuple(sorted(range(table.n_stocks), key=lambda s: (row[s], table.tickers[s])))
+    out = [Ranking(table.dates[0], order)]
+    for d, row in zip(table.dates[1:], table.prices[1:]):
+        order = tuple(sorted(order, key=row.__getitem__))
+        out.append(Ranking(d, order))
     return tuple(out)
 
 
-def _window(table: PriceTable, ref_date: date, target_date: date, chain: RankingChain | None) -> RankingChain:
-    """The rankings from the reference to the target date, taken from ``chain`` or ranked anew."""
+def _window(table: PriceTable, ref_date: date, target_date: date) -> RankingChain:
+    """The rankings from the reference to the target date."""
     ri, ti = table.date_index(ref_date), table.date_index(target_date)
     if ti < ri:
         raise ValueError(
             f"target date {target_date.isoformat()} is before reference {ref_date.isoformat()}"
         )
-    chain = chain or rankings(table, up_to=target_date, since=ref_date)
-    start = table.date_index(chain[0].date)
-    if not start <= ri <= ti < start + len(chain):
-        raise ValueError(f"the chain does not cover {ref_date.isoformat()} to {target_date.isoformat()}")
-    return chain[ri - start : ti - start + 1]
+    return table.chain[ri : ti + 1]
 
 
-def permutation_at(
-    table: PriceTable, ref_date: date, target_date: date, *, chain: RankingChain | None = None
-) -> Permutation:
+def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Permutation:
     """Permutation of reference ranks after the crossings up to the target.
 
     Entry q is the reference-date rank of the stock holding rank q at the
     target date; the identity when the dates coincide.  Equals the left
-    to right product of ``crossing_stream`` over the same range.  The
-    rankings come from ``chain``, a ``rankings`` result that covers the
-    range, or from a chain ranked for the range alone.
+    to right product of ``crossing_stream`` over the same range.
     """
-    window = _window(table, ref_date, target_date, chain)
+    window = _window(table, ref_date, target_date)
     ref_rank = {s: r for r, s in enumerate(window[0].order, start=1)}
     return Permutation(tuple(ref_rank[s] for s in window[-1].order))
 
 
-def crossing_stream(
-    table: PriceTable, ref_date: date, end_date: date, *, chain: RankingChain | None = None
-) -> tuple[CrossingEvent, ...]:
+def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
     """All crossing events between consecutive dates of the range.
 
     Each daily transition decomposes into adjacent swaps by bubble sort,
     in repeated left-to-right passes over the previous ranking: applying
     a date's events in ``seq`` order to it yields the date's ranking, and
     the concatenated stream multiplies to ``permutation_at(ref_date,
-    end_date)``.  ``chain`` is as there.
+    end_date)``.
     """
     events = []
-    for prev, cur in pairwise(_window(table, ref_date, end_date, chain)):
+    for prev, cur in pairwise(_window(table, ref_date, end_date)):
         today = {s: r for r, s in enumerate(cur.order)}
         arrangement, first = list(prev.order), len(events)
         swapped = True
@@ -385,21 +364,17 @@ def crossing_stream(
     return tuple(events)
 
 
-def decorate(
-    table: PriceTable, ref_date: date, target_date: date, *, chain: RankingChain | None = None
-) -> DecoratedPermutation:
+def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:
     """The permutation of the date range, its fixed points colored by the net price move.
 
     A fixed point's stock kept its rank; its cord points RIGHT when the
-    price rose or is unchanged, LEFT when it fell.  ``chain`` is as in
-    ``permutation_at``.
+    price rose or is unchanged, LEFT when it fell.
     """
-    window = _window(table, ref_date, target_date, chain)
-    perm = permutation_at(table, ref_date, target_date, chain=window)
-    before = table.prices[table.date_index(ref_date)]
-    after = table.prices[table.date_index(target_date)]
+    perm = permutation_at(table, ref_date, target_date)
+    ri, ti = table.date_index(ref_date), table.date_index(target_date)
+    order, before, after = table.chain[ri].order, table.prices[ri], table.prices[ti]
     colors = {}
     for i in perm.fixed_points():
-        stock = window[0].order[i - 1]
+        stock = order[i - 1]
         colors[i] = Color.RIGHT if after[stock] >= before[stock] else Color.LEFT
     return DecoratedPermutation(perm, colors)

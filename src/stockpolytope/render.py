@@ -7,16 +7,20 @@ or hashing.  Stock identity is conveyed by labels, not color alone.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from .perms import BoundedAffinePermutation, Color, DecoratedPermutation, WiringWord, word_to_permutation
 
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b", "#e377c2")
 
 
 def _escape(text: str) -> str:
-    """Text content for SVG: the three characters XML reserves there, escaped."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Text content for SVG, with ``&``, ``<``, ``>`` and CR escaped; refuses what XML 1.0 cannot carry."""
+    if _NOT_XML.search(text):
+        raise ValueError(f"label {text!r} holds a character XML 1.0 cannot carry")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 def _svg_open(width: int, height: int) -> list[str]:

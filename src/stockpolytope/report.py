@@ -38,7 +38,7 @@ from .polytope import (
     polytope_from_positroid,
 )
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
-from .prices import CrossingEvent, PriceTable, crossing_stream, decorate, rankings
+from .prices import CrossingEvent, PriceTable, crossing_stream, decorate
 
 SCHEMA_VERSION = 1
 
@@ -79,10 +79,9 @@ class AnalysisReport:
 def build_report(
     table: PriceTable, ref_date: date, end_date: date, with_facets: bool = False
 ) -> AnalysisReport:
-    """Run the whole pipeline for one date range, from one ranking chain."""
-    chain = rankings(table, up_to=end_date, since=ref_date)
-    state = decorate(table, ref_date, end_date, chain=chain)
-    events = crossing_stream(table, ref_date, end_date, chain=chain)
+    """Run the whole pipeline for one date range, from the table's one ranking chain."""
+    state = decorate(table, ref_date, end_date)
+    events = crossing_stream(table, ref_date, end_date)
     nk = necklace_from_decorated(state)
     lift = affine_lift(state)
     components = connected_components(state)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ def test_analyze_undecodable_csv(capsys, tmp_path):
     assert err.startswith("error: row 3: undecodable byte 0xa3")
 
 
-def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None):
+def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None, newline="\n"):
     # 30 stocks with pairwise distinct prices that all rise by a cent a day;
     # every seventh date two neighbours trade places for that day only.
     tickers = [f"T{s:02d}" for s in range(30)]
@@ -133,7 +135,7 @@ def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None):
             cells[5] = "1.2.3"
         rows.append((date(2001, 1, 1) + timedelta(days=t)).isoformat() + "," + ",".join(cells))
     path = tmp_path / "late.csv"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_bytes((newline.join(rows) + newline).encode())
     return path
 
 
@@ -156,16 +158,24 @@ def record_calls(monkeypatch, original):
     return results
 
 
-@pytest.mark.parametrize("command, flags", [
+RANKING_RUNS = [
     (["analyze"], ["--check"]), (["chain"], ["--format", "json"]),
     (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
-], ids=["analyze", "chain", "wiring", "chords", "hooks"])
-def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags):
-    path = write_late_window_csv(tmp_path)
+]
+RANKING_IDS = ["analyze", "chain", "wiring", "chords", "hooks"]
+
+
+@pytest.mark.parametrize("command, flags, newline", [(*run, nl) for nl in ("\n", "\r\n") for run in RANKING_RUNS],
+                         ids=RANKING_IDS + [f"{name}-crlf" for name in RANKING_IDS])
+def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags, newline):
+    # A CRLF file is not plain: the CSV reader reads it.
+    path = write_late_window_csv(tmp_path, newline=newline)
     chains = record_calls(monkeypatch, prices.rankings)
+    csv_reads = record_calls(monkeypatch, prices._csv_table)
     code, _, err = run_cli(capsys, *command, str(path), *LATE_WINDOW, *flags)
     assert code == 0, err
     assert [len(chain) for chain in chains] == [252]
+    assert len(csv_reads) == (newline == "\r\n")
 
 
 @pytest.mark.parametrize("command, calls", [
@@ -174,19 +184,27 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["analyze", "--check"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--facets", "--check"],
      {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
-    (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 1}),
+    (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 0}),
     (["analyze"], {prices.permutation_at: 1}),
     (["render", "chords"], {prices.permutation_at: 1}),
 ], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
-    # shares it only when --facets reads it.  The chain counts its length
-    # in full once and lifts no validated state per step.  The decoration
+    # shares it only when --facets reads it.  The chain never counts its
+    # length in full and lifts no validated state per step.  The decoration
     # works out the permutation it colors, and nothing else does.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
     assert {fn: len(results[fn]) for fn in calls} == calls
+
+
+def test_the_chain_recounts_its_length_only_near_each_crossing(capsys, monkeypatch):
+    near = record_calls(monkeypatch, perms.affine_length_near)
+    code, out, err = run_cli(capsys, "chain", str(SAMPLE), *RANGE, "--format", "json")
+    assert code == 0, err
+    crossings = len(json.loads(out)["steps"]) - 1
+    assert crossings > 0 and len(near) <= 4 * crossings
 
 
 def test_bad_price_after_end_date_still_exits_2(capsys, tmp_path):
@@ -521,3 +539,42 @@ def test_the_cli_exits_cleanly_on_random_files(tmp_path_factory, data, command, 
         assert code in (2, 3) and out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: " if code == 2 else "internal consistency breach: ")
+
+
+# Ticker text with the characters XML and CSV treat specially, among any others; no NUL,
+# which the CSV reader of Python 3.10 refuses.
+TICKER_CHARS = st.one_of(st.sampled_from('\x01\x0b\x1f\ufffe\r\n\t ,"&<>]'), st.characters(blacklist_categories=["Cs"]))
+TICKER_TEXT = st.text(TICKER_CHARS, min_size=1, max_size=5).filter(lambda t: t.strip() and "\x00" not in t)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(TICKER_TEXT, min_size=1, max_size=4, unique_by=str.strip))
+def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, tickers):
+    # The CSV reader hands back each ticker, which the parse strips.  analyze
+    # carries every ticker in its JSON; the wiring SVG either carries them
+    # as labels or refuses with exit 2.
+    header = io.StringIO()
+    csv.writer(header).writerow(["date", *tickers])  # its CRLF row end makes it quote any CR or LF
+    n = len(tickers)
+    rows = ["2020-01-01" + "".join(f",{s + 1}.00" for s in range(n)),
+            "2020-01-02" + "".join(f",{n - s}.00" for s in range(n))]
+    path = tmp_path_factory.getbasetemp() / "tickers.csv"
+    path.write_bytes((header.getvalue().removesuffix("\r\n") + "\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    stripped = [t.strip() for t in tickers]
+    window = [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
+    code, out, err = run_main(["analyze", *window])
+    assert code == 0, err
+    assert json.loads(out)["tickers"] == stripped
+    code, out, err = run_main(["render", "wiring", *window])
+    if code == 0:
+        labels = [t.text for t in ET.fromstring(out.encode("utf-8")).iter("{http://www.w3.org/2000/svg}text")]
+        assert labels[::2] == stripped and err == ""
+    else:
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1, err

@@ -23,7 +23,7 @@ from stockpolytope import (
     read_price_csv,
     word_to_permutation,
 )
-from stockpolytope import cli
+from stockpolytope import cli, prices
 from conftest import compose, plain_price_csv_inputs, price_csv_inputs, random_table, rank_at_date
 from oracles import first_date_rankings, inversions, per_cell_parse
 
@@ -268,24 +268,23 @@ def test_price_table_rejects_bad_rows(row, shown):
         assert str(err.value) == f"prices must be positive decimals, got {shown}"
 
 
-def test_chain_starts_at_last_distinct_date_at_or_before_since():
+@pytest.mark.parametrize("cell, newline, plain", [
+    ("{}.0", "\n", True), ("{}", "\n", False), ("{}.0", "\r\n", False),
+], ids=["plain", "csv-integers", "csv-crlf"])
+def test_the_window_starts_at_the_last_distinct_date_at_or_before_the_reference(cell, newline, plain):
     # dates 0 and 2 have distinct prices; 1 and 3 hold ties
-    table = table_from(
-        ["2020-01-01,1,2,3", "2020-01-02,2,2,3", "2020-01-03,3,1,2", "2020-01-04,3,1,1"]
-    )
-    starts = [rankings(table, since=d)[0].date for d in table.dates]
+    rows = [("2020-01-01", 1, 2, 3), ("2020-01-02", 2, 2, 3), ("2020-01-03", 3, 1, 2), ("2020-01-04", 3, 1, 1)]
+    text = "".join(f"{d},{','.join(cell.format(v) for v in row)}{newline}" for d, *row in rows)
+    text = "date,A,B,C" + newline + text
+    with mock.patch.object(prices, "_csv_table", wraps=prices._csv_table) as csv_table:
+        full = parse_price_csv(text)
+        windows = [parse_price_csv(text, d, full.dates[-1]) for d in full.dates]
+    assert csv_table.called is not plain
+    starts = [window.dates[0] for window in windows]
     assert starts == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 3), date(2020, 1, 3)]
-    assert rankings(table) == first_date_rankings(table)
-
-
-def test_chain_must_cover_the_range(sample_table):
-    end = date(2013, 6, 5)
-    chain = rankings(sample_table, up_to=end, since=REF)
-    assert permutation_at(sample_table, REF, end, chain=chain) == permutation_at(sample_table, REF, end)
-    with pytest.raises(ValueError, match="does not cover"):
-        permutation_at(sample_table, REF, end, chain=rankings(sample_table, up_to=date(2013, 6, 3)))
-    with pytest.raises(ValueError, match="does not cover"):
-        crossing_stream(sample_table, REF, end, chain=chain[1:])
+    oracle = first_date_rankings(full)
+    assert full.chain == rankings(full) == oracle
+    assert [window.chain for window in windows] == [oracle, oracle, oracle[2:], oracle[2:]]
 
 
 def _outcome(parse, data):
@@ -340,14 +339,12 @@ def tie_heavy_tables(draw):
 @given(tie_heavy_tables())
 def test_price_layers_match_first_date_chain(table):
     oracle = first_date_rankings(table)
-    n, dates = table.n_stocks, table.dates
+    assert table.chain == oracle
+    dates = table.dates
     for ri, ref in enumerate(dates):
         assert rank_at_date(table, ref) == oracle[ri]
-        anchor = max((i for i in range(1, ri + 1) if len(set(table.prices[i])) == n), default=0)
         for ti in range(ri, len(dates)):
             end = dates[ti]
-            chain = rankings(table, up_to=end, since=ref)
-            assert chain == oracle[anchor : ti + 1]
             perm = permutation_at(table, ref, end)
             ref_order, end_order = oracle[ri].order, oracle[ti].order
             assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)

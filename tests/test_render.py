@@ -138,3 +138,17 @@ def test_every_svg_parses_with_hostile_tickers():
         for state in all_decorated_permutations(n):
             ET.fromstring(render_chords(state))
             ET.fromstring(render_hooks(affine_lift(state), interval_rank_summands(state)))
+
+
+@pytest.mark.parametrize("bad", ["\x01", "\x0b", "\ufffe", "\x00", "\uffff"])
+def test_wiring_refuses_a_label_xml_cannot_carry(bad):
+    with pytest.raises(ValueError, match="XML 1.0 cannot carry") as err:
+        render_wiring(WORD, ("AA", f"A{bad}B", "CC", "DD"))
+    assert repr(f"A{bad}B") in str(err.value) and "\n" not in str(err.value)
+
+
+def test_wiring_keeps_a_carriage_return_in_a_label():
+    # An XML parser reads a bare CR in text as a line feed; a character reference survives.
+    tickers = ("A\rB", "C\r\nD", "E\nF", "G\tH")
+    root = ET.fromstring(render_wiring(WORD, tickers))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")][::2] == list(tickers)

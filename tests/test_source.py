@@ -41,6 +41,49 @@ def test_an_unused_import_is_found():
     assert unused_imports(tree) == ["os (line 2)"]
 
 
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and constants that no source reads or ``__all__`` exports.
+
+    ``sources`` maps file names to the package's source texts.  A name
+    counts as read where any of them loads it or imports it by name.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{file}: {name} (line {node.lineno})" for name in names
+                      if name not in read and not name.startswith("__")]
+    return found
+
+
+def test_every_definition_is_read():
+    assert unread_definitions({p.name: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_an_unread_definition_is_found():
+    sources = {
+        "a.py": "def used(): pass\ndef _left(): pass\nclass Kept: pass\nLIMIT: int = 3\n_OLD = LIMIT\n",
+        "b.py": "from .a import used\n__all__ = ['Kept']\nused()\n",
+    }
+    assert unread_definitions(sources) == ["a.py: _left (line 2)", "a.py: _OLD (line 5)"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_module_parses_as_the_oldest_python_it_supports(path):
     # Syntax newer than requires-python in pyproject.toml fails at import there.
