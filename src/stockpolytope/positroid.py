@@ -9,7 +9,8 @@ rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).
 Each cut bounds a difference of prefix sums x_1 + ... + x_j, so the
 polytope is alcoved (Lam-Postnikov, math/0501246).
 ``positroid_from_necklace`` builds the cuts and their ``prefix_closure``
-once and lists the bases from them; the positroid keeps both, and
+once and lists the bases from them, one search node per distinct set of
+bounds a fixed prefix leaves on the rest; the positroid keeps both, and
 ``polytope`` reads its dimension and facets off that closure.
 Components and dimensions come from the decorated permutation without
 the bases.
@@ -18,13 +19,12 @@ the bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, sub
 from typing import Iterable
 
 from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated, validate_necklace
 from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count
 
-# Steps (search nodes) ``positroid_from_necklace`` may take before giving up.
+# Suffix entries ``positroid_from_necklace`` may build before giving up.
 BASIS_SEARCH_STEPS = 200_000
 
 
@@ -47,7 +47,7 @@ class Positroid:
     closure: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", frozenset(frozenset(b) for b in self.bases))
+        object.__setattr__(self, "bases", frozenset(map(frozenset, self.bases)))
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
         if not self.bases:
@@ -92,14 +92,17 @@ def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) 
 def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     """Bases are the k-subsets within every cyclic-interval cut.
 
-    A depth-first search fixes the prefix sums P_1, P_2, ... in turn, each
-    to a value v with P_i - d[e][i] <= v <= P_i + d[i][e] for the fixed
-    P_i, i < e, where d is the ``prefix_closure`` of the cuts r[a, b].  A
-    closed network of difference constraints is decomposable
-    (Dechter-Meiri-Pearl, 1991): every value leads on to a basis, so the
-    search takes at most 1 + n steps per basis.  It gives up with
-    ValueError after ``BASIS_SEARCH_STEPS`` steps.  The positroid keeps
-    the cuts and d for its polytope.
+    The search fixes the prefix sums P_1, P_2, ... in turn.  With P_0..P_e
+    fixed, the rest see them only through the bounds lo <= P_j - P_e <= hi,
+    j > e, that d, the ``prefix_closure`` of the cuts r[a, b], puts on
+    them.  A closed network of difference constraints is decomposable
+    (Dechter-Meiri-Pearl, 1991), so every value in range leads on to a
+    basis.  Each node (e, lo, hi) lists its suffixes once, x_{e+1} = 1
+    first, so the bases come out in lexicographic order.  A step is one
+    suffix entry built on an x = 1 branch, at most k per basis, so a cell
+    with k * (bases) <= ``BASIS_SEARCH_STEPS`` always lists; past the
+    budget the search gives up with ValueError.  The positroid keeps the
+    cuts and d for its polytope.
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
@@ -111,33 +114,37 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     if violation is not None:
         raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
-    cuts = tuple(((a, b), cyclic_interval_rank(nk, a, b))
-                 for a in range(1, n + 1) for b in range(a, a + n - 1))
+    cuts = []
+    for a, term in enumerate(nk.terms, start=1):
+        r = 0
+        for b in range(a, a + n - 1):
+            r += (b - 1) % n + 1 in term
+            cuts.append(((a, b), r))
     d = prefix_closure(n, k, cuts)
-    columns = list(zip(*d))
-    prefix: list[int] = []  # P_0, ..., P_e along the path to the current node
-    bases: list[int] = []
-    # (node e, the value of P_e, bitmask of the elements chosen in 1..e).
-    # An explicit stack, since a recursive closure would sit in a reference
-    # cycle and keep the bases alive until the cyclic garbage collector ran.
-    stack = [(0, 0, 0)]
-    steps = 0
+    floors = [[-v for v in column] for column in zip(*d)]
+    # Node (e, lo, hi): lo[t] <= P_j - P_e <= hi[t], j = e + 1 + t; None: a branch not taken.  A stack,
+    # not recursion: the depth is n, and a recursive closure would keep the bases alive in a reference cycle.
+    root = (0, tuple(floors[0][1:]), tuple(d[0][1:]))
+    memo: dict[tuple | None, list[tuple[int, ...]]] = {None: [], (n, (), ()): [()]}
+    stack, steps = [(root, None)], 0
     while stack:
-        steps += 1
-        if steps > BASIS_SEARCH_STEPS:
-            raise ValueError(f"basis search ran out of its budget of {BASIS_SEARCH_STEPS} steps "
-                             f"(n = {n}, k = {k}) before it finished listing the bases")
-        e, value, mask = stack.pop()
-        del prefix[e:]
-        prefix.append(value)
-        if e == n:
-            bases.append(mask)
-            continue
-        lo = max(map(sub, prefix, d[e + 1]))
-        hi = min(map(add, prefix, columns[e + 1]))
-        stack.extend((e + 1, v, mask | (v - value) << e) for v in range(lo, hi + 1))
-    return Positroid(n, k, frozenset(
-        frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in bases), cuts, d)
+        node, children = stack.pop()
+        e, lo, hi = node
+        if children is not None:
+            one, zero = children
+            steps += len(memo[one])
+            if steps > BASIS_SEARCH_STEPS:
+                raise ValueError(f"basis search ran out of its budget of {BASIS_SEARCH_STEPS} steps "
+                                 f"(n = {n}, k = {k}) before it finished listing the bases")
+            memo[node] = [(e + 1, *s) for s in memo[one]] + memo[zero]
+        elif node not in memo:
+            row, floor = d[e + 1][e + 2:], floors[e + 1][e + 2:]
+            one = (e + 1, tuple(map(max, [v - 1 for v in lo[1:]], floor)),
+                   tuple(map(min, [v - 1 for v in hi[1:]], row))) if hi[0] > 0 else None
+            zero = (e + 1, tuple(map(max, lo[1:], floor)), tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
+            stack.append((node, (one, zero)))
+            stack.extend((child, None) for child in (zero, one) if child not in memo)
+    return Positroid(n, k, memo[root], tuple(cuts), d)
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:

@@ -23,6 +23,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
+def one_line(label: str) -> str:
+    """A label for text output; refuses a line break or whitespace but a space, which would blur the lines."""
+    if any(c.isspace() for c in label.replace(" ", "")):
+        raise ValueError(f"label {label!r} holds a line break or whitespace other than a space")
+    return label
+
+
 def _svg_open(width: int, height: int) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -40,7 +47,7 @@ def render_wiring(word: WiringWord, labels: Sequence[str], fmt: str = "svg") -> 
     if len(labels) != word.n:
         raise ValueError(f"expected {word.n} labels, got {len(labels)}")
     if fmt == "ascii":
-        return _wiring_ascii(word, labels)
+        return _wiring_ascii(word, [one_line(l) for l in labels])
     if fmt == "svg":
         return _wiring_svg(word, labels)
     raise ValueError(f"unknown format {fmt!r}")

@@ -39,6 +39,7 @@ from .polytope import (
 )
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
 from .prices import CrossingEvent, PriceTable, crossing_stream, decorate
+from .render import one_line
 
 SCHEMA_VERSION = 1
 
@@ -234,7 +235,7 @@ def report_to_text(report: AnalysisReport) -> str:
     lines = [
         f"reference date : {data['ref_date']}",
         f"target date    : {data['target_date']}",
-        f"tickers        : {' '.join(data['tickers'])}",
+        f"tickers        : {' '.join(map(one_line, data['tickers']))}",
         f"permutation    : {{{', '.join(str(v) for v in data['permutation'])}}}",
     ]
     if data["decorations"]:

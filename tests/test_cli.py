@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 import time
@@ -26,6 +28,7 @@ from stockpolytope import (
 from stockpolytope import cli, necklace, perms, polytope, positroid, prices
 from stockpolytope.cli import main
 from conftest import PLAIN_DATES, load_sample_table, plain_price_csv_inputs, price_csv_inputs, sample_csv_text
+from oracles import gale_geq
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
 RANGE = ["--ref-date", "2013-05-15", "--end-date", "2013-06-03"]
@@ -339,6 +342,41 @@ def test_analyze_stops_cleanly_on_30_stock_top_cell(tmp_path):
     assert "too many bases" not in result.stderr
 
 
+def write_random_walk_csv(tmp_path, seed, dates):
+    # The paper's scenario: 30 stocks that start uniformly in $20-$320 and
+    # take daily log-returns normal with sigma 1.5%, closing in cents; a date
+    # with a tie between two stocks is dropped.
+    rng = random.Random(seed)
+    walk = [rng.uniform(20, 320) for _ in range(30)]
+    rows, day = ["date," + ",".join(f"S{s:02d}" for s in range(30))], date(2020, 1, 1)
+    while len(rows) <= dates:
+        cents = [round(p * 100) for p in walk]
+        if len(set(cents)) == 30:
+            rows.append(day.isoformat() + "," + ",".join(f"{c // 100}.{c % 100:02d}" for c in cents))
+        walk = [p * math.exp(rng.gauss(0, 0.015)) for p in walk]
+        day += timedelta(days=1)
+    path = tmp_path / f"walk{seed}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return [str(path), "--ref-date", rows[1][:10], "--end-date", rows[-1][:10]]
+
+
+def test_analyze_lists_a_30_stock_random_walk(tmp_path):
+    # 35,000 bases of rank 14.  A search with one node per prefix needs
+    # 207,141 nodes here, past BASIS_SEARCH_STEPS; the listing shares the
+    # bases below each set of prefix bounds and needs 65,562 steps.
+    window = write_random_walk_csv(tmp_path, 9, 171)
+    started = time.perf_counter()
+    code, out, err = run_main(["analyze", *window, "--check"])
+    assert time.perf_counter() - started < 10.0
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    bases = report["bases"]
+    assert all(a < b for a, b in zip(bases, bases[1:]))
+    assert report["polytope"]["vertex_count"] == len(bases) == 35_000
+    for i, term in enumerate(report["necklace"], start=1):
+        assert all(gale_geq(b, term, i, 30) for b in bases), i
+
+
 def write_split_market_csv(tmp_path, swap):
     # 30 stocks over two dates: the 15 cheapest fall and the 15 dearest
     # rise, each keeping its rank, so ranks 1..15 are LEFT fixed points
@@ -559,7 +597,9 @@ def run_main(argv):
 def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, tickers):
     # The CSV reader hands back each ticker, which the parse strips.  analyze
     # carries every ticker in its JSON; the wiring SVG either carries them
-    # as labels or refuses with exit 2.
+    # as labels or refuses with exit 2.  The text formats refuse exactly the
+    # tickers holding a line break or whitespace other than a space, and
+    # otherwise print one line per row with every ticker whole.
     header = io.StringIO()
     csv.writer(header).writerow(["date", *tickers])  # its CRLF row end makes it quote any CR or LF
     n = len(tickers)
@@ -571,10 +611,31 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
     window = [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
     code, out, err = run_main(["analyze", *window])
     assert code == 0, err
-    assert json.loads(out)["tickers"] == stripped
+    report = json.loads(out)
+    assert report["tickers"] == stripped
     code, out, err = run_main(["render", "wiring", *window])
     if code == 0:
         labels = [t.text for t in ET.fromstring(out.encode("utf-8")).iter("{http://www.w3.org/2000/svg}text")]
         assert labels[::2] == stripped and err == ""
     else:
         assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
+    blurred = any(c.isspace() for t in stripped for c in t.replace(" ", ""))
+    for argv in (["analyze", *window, "--format", "text"], ["render", "wiring", *window, "--format", "ascii"]):
+        code, out, err = run_main(argv)
+        if blurred:
+            assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
+            continue
+        assert code == 0 and err == "", err
+        lines = out.split("\n")
+        assert lines.pop() == ""
+        if argv[0] == "analyze":
+            # Thirteen fixed rows and one per crossing, which names its two stocks last.
+            assert len(lines) == 13 + len(report["crossings"])
+            assert lines[2] == "tickers        : " + " ".join(stripped)
+            assert [line.rsplit("  ", 1)[1] for line in lines[7:7 + len(report["crossings"])]] == [
+                f"{a} x {b}" for a, b in (c["stocks"] for c in report["crossings"])]
+        else:
+            # Rank n on top: the reference order on the left, reversed by the end date.
+            width = max(map(len, stripped))
+            assert [line[:width].rstrip() for line in lines] == stripped[::-1]
+            assert all(line.endswith(" " + t) for line, t in zip(lines, stripped))

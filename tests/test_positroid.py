@@ -173,8 +173,9 @@ def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
         for state in all_decorated_permutations(n):
             nk = necklace_from_decorated(state)
             expected = subset_filter_bases(nk)
-            # The listing takes at most 1 + n steps per basis: no dead ends.
-            monkeypatch.setattr(positroid, "BASIS_SEARCH_STEPS", 1 + n * len(expected))
+            # The listing builds at most k suffix entries per basis: no dead
+            # ends, and each shared list is built once.
+            monkeypatch.setattr(positroid, "BASIS_SEARCH_STEPS", nk.k * len(expected))
             m = positroid_from_necklace(nk)
             assert m.bases == expected, state
             blocks = connected_components(state)
