@@ -361,9 +361,9 @@ def write_random_walk_csv(tmp_path, seed, dates):
 
 
 def test_analyze_lists_a_30_stock_random_walk(tmp_path):
-    # 35,000 bases of rank 14.  A search with one node per prefix needs
-    # 207,141 nodes here, past BASIS_SEARCH_STEPS; the listing shares the
-    # bases below each set of prefix bounds and needs 65,562 steps.
+    # 35,000 bases of rank 14: a search with one node per prefix would need
+    # 207,141 nodes, past BASIS_SEARCH_STEPS, while the listing shares the
+    # bases below each set of prefix bounds.
     window = write_random_walk_csv(tmp_path, 9, 171)
     started = time.perf_counter()
     code, out, err = run_main(["analyze", *window, "--check"])
@@ -632,8 +632,8 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
             # Thirteen fixed rows and one per crossing, which names its two stocks last.
             assert len(lines) == 13 + len(report["crossings"])
             assert lines[2] == "tickers        : " + " ".join(stripped)
-            assert [line.rsplit("  ", 1)[1] for line in lines[7:7 + len(report["crossings"])]] == [
-                f"{a} x {b}" for a, b in (c["stocks"] for c in report["crossings"])]
+            assert all(line.endswith(f"  {a} x {b}") for line, (a, b) in zip(
+                lines[7:], (c["stocks"] for c in report["crossings"])))
         else:
             # Rank n on top: the reference order on the left, reversed by the end date.
             width = max(map(len, stripped))
