@@ -12,10 +12,14 @@ Each of these inequalities bounds a difference of prefix sums
 x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
 math/0501246).  ``positroid_from_necklace`` closes the cuts once with
 ``prefix_closure`` and lists the bases from that closure; the polytope
-takes the same cuts and closure, and its dimension and facets come from
-the closure in integer arithmetic, with no row reduction and no
-vertex-subset search.  A facet is a bare inequality; which vertices it
-holds tight is left to whoever lists them.
+takes the same cuts and closure.  Its dimension is the number of classes
+of nodes whose prefix sums differ by a fixed amount, less one.  An
+alcoved polytope is a polytrope, so its facets are the closure entries
+d[u][v] between class representatives that no third class attains
+(Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Both are read
+in integer arithmetic, with no row reduction and no search.  A facet is
+a bare inequality; which vertices it holds tight is left to whoever
+lists them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .necklace import cyclic_interval
 from .perms import Color, DecoratedPermutation, Permutation, WiringWord, affine_length_near
 from .positroid import Positroid
 
@@ -66,10 +69,6 @@ class PositroidPolytope:
             if sum(v) != self.k:
                 raise ValueError(f"vertex {v} has {sum(v)} ones, expected {self.k}")
 
-    def cut_coefficients(self, a: int, b: int) -> tuple[int, ...]:
-        members = set(cyclic_interval(a, b, self.n))
-        return tuple(1 if i in members else 0 for i in range(1, self.n + 1))
-
 
 def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
     """Indicator vertices of the bases, with the cuts and closure they were listed from.
@@ -85,9 +84,9 @@ def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
     return PositroidPolytope(m.n, m.k, verts, m.interval_cuts, m.closure)
 
 
-def _class_count(d: Sequence[Sequence[int]]) -> int:
-    """Classes of nodes i, j with P_i - P_j fixed (d[i][j] + d[j][i] = 0)."""
-    return sum(1 for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i)))
+def _representatives(d: Sequence[Sequence[int]]) -> list[int]:
+    """The least node of each class of nodes i, j with P_i - P_j fixed (d[i][j] + d[j][i] = 0)."""
+    return [i for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i))]
 
 
 def polytope_dimension(closure: Sequence[Sequence[int]]) -> int:
@@ -98,16 +97,16 @@ def polytope_dimension(closure: Sequence[Sequence[int]]) -> int:
     >>> polytope_dimension(positroid_from_necklace(eq1).closure)
     3
     """
-    return _class_count(closure) - 1
+    return len(_representatives(closure)) - 1
 
 
 @dataclass(frozen=True)
 class Facet:
     """A facet as its supporting inequality normal . x <= offset.
 
-    It is the defining inequality the facet came from: -x_i <= 0,
-    x_i <= 1 or an interval cut, with its own coefficients, not a normal
-    projected into the affine hull.
+    It is P_v - P_u <= d[u][v] for two class representatives u, v of the
+    closure: the normal is +1 on x_{u+1..v} when u < v and -1 on
+    x_{v+1..u} when u > v, not a normal projected into the affine hull.
     """
 
     normal: tuple[int, ...]
@@ -115,48 +114,31 @@ class Facet:
 
 
 def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
-    """Facets among the inequalities that define the polytope, read off its closure.
+    """Facets by the polytrope rule, read off the closure.
 
-    The polytope is the hypersimplex cut by the cyclic-interval rank
-    inequalities (Ardila-Rincon-Williams, arXiv:1308.2698), and every
-    facet of a polytope is cut out by one inequality of any system that
-    defines it.  So the candidates x_i >= 0, x_i <= 1 and the interval
-    cuts, each a bound P_j - P_i <= c, are tested in that order, and the
-    facets come out in it.  One holds a proper face tight when the closure
-    has d[i][j] = c but not d[j][i] = -c; the face adds P_i - P_j <= -c,
-    closed in O(n^2), and is a facet when it has one class fewer than the
-    polytope.  Candidates with the same face (the same closure) count
-    once, as the first.  The vertices are never read, so the cost is
-    O(n^4) for any n.
+    The polytope is alcoved, so it is a polytrope: with one representative
+    node per class of fixed differences, it is full-dimensional in their
+    prefix sums, and its facets are the entries d[u][v] of the closure
+    that no third representative w attains, d[u][v] < d[u][w] + d[w][v]
+    (Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Each such
+    ordered pair gives the facet P_v - P_u <= d[u][v], in (u, v) order.
+    The vertices are never read, and the cost is O(c^3) for c classes.
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
     >>> market = polytope_from_positroid(positroid_from_necklace(eq1))
     >>> [(f.normal, f.offset) for f in enumerate_facets(market)]
-    [((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1), ((1, 1, 0, 0), 1)]
+    [((1, 1, 0, 0), 1), ((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, 1, 0), 1), ((-1, -1, -1, 0), -1)]
     """
-    n, k = p.n, p.k
     d = p.closure
-    facet_classes = _class_count(d) - 1
-    # (i, j, c, sign, a, b, offset): sign * (x_a + ... + x_b) <= offset, over the
-    # cyclic interval [a, b], is P_j - P_i <= c.  Only a facet builds its normal.
-    candidates = [(i + 1, i, 0, -1, i + 1, i + 1, 0) for i in range(n)]
-    candidates += [(i, i + 1, 1, 1, i + 1, i + 1, 1) for i in range(n)]
-    candidates += [(a - 1, b, r, 1, a, b, r) if b <= n else (a - 1, b - n, r - k, 1, a, b, r)
-                   for (a, b), r in p.interval_cuts]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    reps = _representatives(d)
     facets = []
-    for i, j, c, sign, a, b, offset in candidates:
-        if d[i][j] != c or d[j][i] == -c:
-            continue
-        to_i = [row[j] - c for row in d]  # from each node, on to i by the new bound
-        face = tuple([tuple([x if x < t + y else t + y for x, y in zip(row, d[i])])
-                      for row, t in zip(d, to_i)])
-        if face in seen:
-            continue
-        seen.add(face)
-        if _class_count(face) == facet_classes:
-            facets.append(Facet(tuple(sign * x for x in p.cut_coefficients(a, b)), offset))
+    for u in reps:
+        du = d[u]
+        for v in reps:
+            if u != v and all(du[v] < du[w] + d[w][v] for w in reps if w != u and w != v):
+                sign, lo, hi = (1, u, v) if u < v else (-1, v, u)
+                facets.append(Facet(tuple(sign if lo < i <= hi else 0 for i in range(1, p.n + 1)), du[v]))
     return tuple(facets)
 
 

@@ -7,8 +7,9 @@ the tests can compare both sides on every small cell.
 ``bases_side_cuts`` finds the polytope's cut bounds from the bases, where
 the package takes them from the necklace ranks the bases were listed
 from.  ``subset_search_facets`` finds the facets' incidence sets from the
-vertices, and ``tight_vertices`` gives a package facet's incidence set to
-compare with them.  The price oracles are the earlier parser, which
+vertices, ``face_search_facets`` finds the facets among the defining
+inequalities by closing the face each one holds tight, and
+``tight_vertices`` gives a facet's incidence set to compare with them.  The price oracles are the earlier parser, which
 checks cell by cell, and the ranking chain that always starts at the
 first date.  The Gale order, basis exchange, circuit and matroid rank
 helpers check positroids from their definitions; ``uniform`` colors
@@ -47,6 +48,7 @@ from stockpolytope import (
     Ranking,
     WiringWord,
     cell_dimension,
+    cyclic_interval,
     necklace_from_decorated,
     positroid_from_necklace,
     validate_necklace,
@@ -329,6 +331,12 @@ def _dot(a: Sequence[Number], b: Sequence[Number]) -> Number:
     return sum(x * y for x, y in zip(a, b))
 
 
+def cut_coefficients(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The 0/1 coefficients of the cut on the cyclic interval [a..b]."""
+    members = set(cyclic_interval(a, b, n))
+    return tuple(1 if i in members else 0 for i in range(1, n + 1))
+
+
 def contains(p: PositroidPolytope, point: Sequence[Number]) -> bool:
     """Membership in the inequality description (not just the hull)."""
     if len(point) != p.n:
@@ -338,7 +346,7 @@ def contains(p: PositroidPolytope, point: Sequence[Number]) -> bool:
     if sum(point) != p.k:
         return False
     for (a, b), bound in p.interval_cuts:
-        if _dot(p.cut_coefficients(a, b), point) > bound:
+        if _dot(cut_coefficients(a, b, p.n), point) > bound:
             return False
     return True
 
@@ -374,7 +382,7 @@ def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ..
         width = min(b - a + 1, n)
         if bound >= min(k, width):
             continue  # implied by the boxes and the level equation
-        essential.append((p.cut_coefficients(a, b), bound))
+        essential.append((cut_coefficients(a, b, p.n), bound))
     essential = sorted(set(essential))
 
     candidates: set[tuple[Fraction, ...]] = {
@@ -399,7 +407,7 @@ def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ..
         all_rows.append((tuple(-1 if j == i else 0 for j in range(n)), 0))
         all_rows.append((tuple(1 if j == i else 0 for j in range(n)), 1))
     for (a, b), bound in p.interval_cuts:
-        all_rows.append((p.cut_coefficients(a, b), bound))
+        all_rows.append((cut_coefficients(a, b, p.n), bound))
 
     found = []
     for point in candidates:
@@ -451,6 +459,48 @@ def subset_search_facets(p: PositroidPolytope) -> tuple[tuple[tuple[int, ...], .
             continue  # vertices on both sides, or all on the hyperplane: not a proper face
         incidences.add(tuple(v for v, value in zip(verts, vals) if value == 0))
     return tuple(sorted(incidences))
+
+
+def _class_count(d: Sequence[Sequence[int]]) -> int:
+    """Classes of nodes i, j with P_i - P_j fixed (d[i][j] + d[j][i] = 0)."""
+    return sum(1 for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i)))
+
+
+def face_search_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
+    """Facets among the defining inequalities, by closing the face each one holds tight.
+
+    Every facet of a polytope is cut out by one inequality of any system
+    that defines it.  So the candidates x_i >= 0, x_i <= 1 and the
+    interval cuts, each a bound P_j - P_i <= c, are tested in that order,
+    and the facets come out in it.  One holds a proper face tight when
+    the closure has d[i][j] = c but not d[j][i] = -c; the face adds
+    P_i - P_j <= -c, closed in O(n^2), and is a facet when it has one
+    class fewer than the polytope.  Candidates with the same face (the
+    same closure) count once, as the first.  The cost is O(n^4).
+    """
+    n, k = p.n, p.k
+    d = p.closure
+    facet_classes = _class_count(d) - 1
+    # (i, j, c, sign, a, b, offset): sign * (x_a + ... + x_b) <= offset, over the
+    # cyclic interval [a, b], is P_j - P_i <= c.
+    candidates = [(i + 1, i, 0, -1, i + 1, i + 1, 0) for i in range(n)]
+    candidates += [(i, i + 1, 1, 1, i + 1, i + 1, 1) for i in range(n)]
+    candidates += [(a - 1, b, r, 1, a, b, r) if b <= n else (a - 1, b - n, r - k, 1, a, b, r)
+                   for (a, b), r in p.interval_cuts]
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    facets = []
+    for i, j, c, sign, a, b, offset in candidates:
+        if d[i][j] != c or d[j][i] == -c:
+            continue
+        to_i = [row[j] - c for row in d]  # from each node, on to i by the new bound
+        face = tuple([tuple([x if x < t + y else t + y for x, y in zip(row, d[i])])
+                      for row, t in zip(d, to_i)])
+        if face in seen:
+            continue
+        seen.add(face)
+        if _class_count(face) == facet_classes:
+            facets.append(Facet(tuple(sign * x for x in cut_coefficients(a, b, n)), offset))
+    return tuple(facets)
 
 
 def per_cell_parse(data: str | bytes) -> PriceTable:

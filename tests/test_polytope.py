@@ -12,8 +12,10 @@ from stockpolytope import (
     PositroidPolytope,
     WiringWord,
     cell_dimension,
+    cyclic_interval_rank,
     decomposition_chain,
     enumerate_facets,
+    necklace_from_decorated,
     polytope_dimension,
     polytope_from_positroid,
     positroid_from_necklace,
@@ -25,6 +27,7 @@ from oracles import (
     all_decorated_permutations,
     dual,
     face_of_removal,
+    face_search_facets,
     necklace_of_positroid,
     positroid_from_decorated,
     rotate,
@@ -167,6 +170,56 @@ def test_facets_agree_with_the_dual_and_the_rotation(state):
         assert other.bases == bases, (state, image)
         assert cell_dimension(image) == cell_dimension(state), (state, image)
         assert len(enumerate_facets(polytope_from_positroid(other))) == facets, (state, image)
+
+
+def test_facets_match_the_face_search_n6():
+    # The polytrope rule against the face search over the defining
+    # inequalities: the same facets, by their tight vertices.
+    cells = 0
+    for n in range(1, 7):
+        for state in all_decorated_permutations(n):
+            poly = polytope_from_positroid(positroid_from_decorated(state))
+            rule, search = enumerate_facets(poly), face_search_facets(poly)
+            assert len(rule) == len(search), state
+            assert (sorted(tight_vertices(poly, f) for f in rule)
+                    == sorted(tight_vertices(poly, f) for f in search)), state
+            cells += 1
+    assert cells == 2371
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(decorated_permutations(max_n=14, min_n=7))
+def test_facet_count_matches_the_face_search(state):
+    poly = polytope_from_positroid(positroid_from_decorated(state))
+    assert len(enumerate_facets(poly)) == len(face_search_facets(poly)), state
+
+
+def polytope_from_cuts(state):
+    # Cuts and closure straight from the necklace ranks, with the single
+    # vertex I_1: the facets read the closure, never the vertices.
+    nk = necklace_from_decorated(state)
+    n = nk.n
+    cuts = tuple(((a, b), cyclic_interval_rank(nk, a, b)) for a in range(1, n + 1)
+                 for b in range(a, a + n - 1))
+    vertex = tuple(int(i in nk.term(1)) for i in range(1, n + 1))
+    return PositroidPolytope(n, nk.k, (vertex,), cuts, prefix_closure(n, nk.k, cuts))
+
+
+def test_facets_of_a_90_stock_cell_take_bounded_work():
+    # A seeded derangement of 90 elements, a connected cell; the face
+    # search takes several seconds here, the rule reads O(n^3) entries.
+    images = list(range(1, 91))
+    rng = random.Random(17)
+    while any(v == i for i, v in enumerate(images, start=1)):
+        rng.shuffle(images)
+    state = uniform(Permutation(tuple(images)))
+    poly = polytope_from_cuts(state)
+    assert polytope_dimension(poly.closure) == 89
+    started = time.perf_counter()
+    facets = enumerate_facets(poly)
+    assert time.perf_counter() - started < 1.0
+    for image in (dual(state), rotate(state)):
+        assert len(enumerate_facets(polytope_from_cuts(image))) == len(facets), image
 
 
 def test_vertex_enumeration_examples():
