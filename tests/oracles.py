@@ -9,13 +9,14 @@ the package takes them from the necklace ranks the bases were listed
 from.  ``subset_search_facets`` finds the facets' incidence sets from the
 vertices, ``face_search_facets`` finds the facets among the defining
 inequalities by closing the face each one holds tight, and
-``tight_vertices`` gives a facet's incidence set to compare with them.  The price oracles are the earlier parser, which
-checks cell by cell, and the ranking chain that always starts at the
-first date.  The Gale order, basis exchange, circuit and matroid rank
-helpers check positroids from their definitions; ``uniform`` colors
-every fixed point alike; ``decorated_from_necklace`` inverts the
-necklace map for the round trip, and ``dual`` and ``rotate`` give the
-cells the facet count must agree with.  The word helpers
+``tight_vertices`` gives a facet's incidence set to compare with them.
+The price oracles are the earlier parser, which checks cell by cell,
+and the ranking chain that always starts at the first date.  The Gale
+order, basis exchange, circuit and matroid rank helpers check
+positroids from their definitions; ``uniform`` colors every fixed point
+alike; ``decorated_from_necklace`` inverts the necklace map for the
+round trip, and ``dual`` and ``rotate`` give the cells the facet count
+must agree with.  The word helpers
 (``inversions``, ``is_reduced``, ``remove_letter``) and
 ``face_of_removal`` at the end compare a word's cell with the cell of
 the word less one crossing by their bases; the package itself never
