@@ -50,7 +50,6 @@ from .prices import (
     CrossingEvent,
     PriceCsvError,
     PriceTable,
-    Ranking,
     crossing_stream,
     decorate,
     parse_price_csv,
@@ -88,7 +87,6 @@ __all__ = [
     "PositroidPolytope",
     "PriceCsvError",
     "PriceTable",
-    "Ranking",
     "WiringWord",
     "affine_length",
     "affine_length_near",

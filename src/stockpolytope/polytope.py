@@ -74,14 +74,20 @@ def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
     """Indicator vertices of the bases, with the cuts and closure they were listed from.
 
     Every basis is a lattice point of that closure, so every vertex meets
-    every cut.  A positroid built from its bases alone carries no cuts:
-    build it with ``positroid_from_necklace``.
+    every cut.  The bases come in lexicographic order, so read backwards
+    their indicator vectors ascend, with no sort.  A positroid built from
+    its bases alone carries no cuts: build it with
+    ``positroid_from_necklace``.
     """
     if m.closure is None:
         raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
-    ground = range(1, m.n + 1)
-    verts = tuple(sorted(tuple(1 if i in b else 0 for i in ground) for b in m.bases))
-    return PositroidPolytope(m.n, m.k, verts, m.interval_cuts, m.closure)
+    verts = []
+    for b in reversed(m.bases):
+        v = [0] * m.n
+        for i in b:
+            v[i - 1] = 1
+        verts.append(tuple(v))
+    return PositroidPolytope(m.n, m.k, tuple(verts), m.interval_cuts, m.closure)
 
 
 def _representatives(d: Sequence[Sequence[int]]) -> list[int]:

@@ -11,14 +11,17 @@ polytope is alcoved (Lam-Postnikov, math/0501246).
 ``positroid_from_necklace`` builds the cuts and their ``prefix_closure``
 once and lists the bases from them, one search node per distinct set of
 bounds a fixed prefix leaves on the rest; the positroid keeps both, and
-``polytope`` reads its dimension and facets off that closure.
-Components and dimensions come from the decorated permutation without
-the bases.
+``polytope`` reads its dimension and facets off that closure.  The bases
+stay as the listing builds them, increasing tuples in lexicographic
+order; ``Positroid`` checks that form once, and no later stage wraps,
+sorts or checks them again.  Components and dimensions come from the
+decorated permutation without the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Iterable
 
 from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated, validate_necklace
@@ -30,9 +33,13 @@ BASIS_SEARCH_STEPS = 200_000
 
 @dataclass(frozen=True)
 class Positroid:
-    """Ground size, rank, and the set of bases.
+    """Ground size, rank, and the bases in the order they were listed.
 
-    The constructor checks shapes only, not the basis exchange axiom.
+    Each basis is a strictly increasing tuple of elements of 1..n, and
+    the bases come in strictly increasing lexicographic order, as
+    ``positroid_from_necklace`` lists them; rank 0 has the one basis ().
+    The constructor checks that form, not the basis exchange axiom, and
+    raises ValueError on anything else, sets included.
     ``positroid_from_necklace`` also keeps the cuts ((a, b), r[a, b]) for
     the cyclic intervals of width 1 to n-1 and their ``prefix_closure``,
     the bases' H-description; one built from bases alone has neither.
@@ -41,23 +48,20 @@ class Positroid:
 
     n: int
     k: int
-    bases: frozenset[frozenset[int]]
+    bases: tuple[tuple[int, ...], ...]
     interval_cuts: tuple[tuple[tuple[int, int], int], ...] | None = field(
         default=None, compare=False, repr=False)
     closure: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", frozenset(map(frozenset, self.bases)))
-        if self.n < 1:
+        n, k, bases = self.n, self.k, self.bases
+        if n < 1:
             raise ValueError("ground set must be nonempty")
-        if not self.bases:
-            raise ValueError("a matroid has at least one basis")
-        ground = frozenset(range(1, self.n + 1))
-        for b in self.bases:
-            if len(b) != self.k:
-                raise ValueError(f"basis {sorted(b)} has size {len(b)}, expected {self.k}")
-            if not b <= ground:
-                raise ValueError(f"basis {sorted(b)} is not a subset of 1..{self.n}")
+        if not (isinstance(bases, tuple) and bases and all(map(lt, bases, bases[1:]))):
+            raise ValueError("the bases must be a nonempty tuple in strictly increasing lexicographic order")
+        for b in bases:
+            if not (isinstance(b, tuple) and len(b) == k and all(map(lt, (0, *b), (*b, n + 1)))):
+                raise ValueError(f"basis {b!r} is not an increasing {k}-tuple of elements of 1..{n}")
 
 
 def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
@@ -98,7 +102,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     them.  A closed network of difference constraints is decomposable
     (Dechter-Meiri-Pearl, 1991), so every value in range leads on to a
     basis.  Each node (e, lo, hi) lists its suffixes once, x_{e+1} = 1
-    first, so the bases come out in lexicographic order.  A step is one
+    first, so the bases come out as increasing tuples in lexicographic
+    order, the form ``Positroid`` keeps them in.  A step is one
     suffix entry built on an x = 1 branch, at most k per basis, so a cell
     with k * (bases) <= ``BASIS_SEARCH_STEPS`` always lists; past the
     budget the search gives up with ValueError.  The positroid keeps the
@@ -107,8 +112,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
     >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
-    >>> sorted(sorted(b) for b in positroid_from_necklace(nk).bases)
-    [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+    >>> positroid_from_necklace(nk).bases
+    ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     """
     violation = validate_necklace(nk)
     if violation is not None:
@@ -144,7 +149,7 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
             zero = (e + 1, tuple(map(max, lo[1:], floor)), tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
             stack.append((node, (one, zero)))
             stack.extend((child, None) for child in (zero, one) if child not in memo)
-    return Positroid(n, k, memo[root], tuple(cuts), d)
+    return Positroid(n, k, tuple(memo[root]), tuple(cuts), d)
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:

@@ -19,9 +19,10 @@ Conventions, fixed once here:
   events per day.
 
 A table ranks itself once: ``PriceTable.chain`` is ``rankings`` of the
-table, from its first date, computed on first read; ``permutation_at``,
-``crossing_stream`` and ``decorate`` all slice it.  A date whose prices
-are pairwise distinct ranks the same whatever order came before it, so
+table, computed on first read: one stock order per date of
+``table.dates``, which ``permutation_at``, ``crossing_stream`` and
+``decorate`` index directly.  A date whose prices are pairwise
+distinct ranks the same whatever order came before it, so
 ``parse_price_csv`` can start a command's table at the last such date at
 or before the reference date and keep the tie convention exactly.  It
 checks every row of the file, inside the window or not, once, and turns
@@ -113,20 +114,7 @@ class PriceTable:
         return rankings(self)
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Stocks at one date, ascending by price; position p holds rank p+1."""
-
-    date: date
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"order {self.order} is not a permutation of 0..{len(self.order) - 1}")
-
-
-RankingChain = tuple[Ranking, ...]  # consecutive dates, as ``rankings`` returns them
+RankingChain = tuple[tuple[int, ...], ...]  # per table date, the stocks ascending by price
 
 
 @dataclass(frozen=True)
@@ -301,30 +289,30 @@ def read_price_csv(path, ref_date: date | None = None, end_date: date | None = N
 
 
 def rankings(table: PriceTable) -> RankingChain:
-    """The ranking of every date of the table, from the first.
+    """One stock order per table date, from the first: the ranking chain.
 
     The first date sorts by (price, ticker); every later date stably
     re-sorts the previous order by the day's prices, so equal prices keep
-    their standing instead of fabricating a crossing.  ``table.chain``
-    keeps the result.
+    their standing instead of fabricating a crossing.  Each order is the
+    tuple ``sorted`` built, unchecked; ``table.chain`` keeps the result.
     """
     row = table.prices[0]
     order = tuple(sorted(range(table.n_stocks), key=lambda s: (row[s], table.tickers[s])))
-    out = [Ranking(table.dates[0], order)]
-    for d, row in zip(table.dates[1:], table.prices[1:]):
+    out = [order]
+    for row in table.prices[1:]:
         order = tuple(sorted(order, key=row.__getitem__))
-        out.append(Ranking(d, order))
+        out.append(order)
     return tuple(out)
 
 
-def _window(table: PriceTable, ref_date: date, target_date: date) -> RankingChain:
-    """The rankings from the reference to the target date."""
+def _span(table: PriceTable, ref_date: date, target_date: date) -> tuple[int, int]:
+    """The indices of the reference and the target date, the reference first."""
     ri, ti = table.date_index(ref_date), table.date_index(target_date)
     if ti < ri:
         raise ValueError(
             f"target date {target_date.isoformat()} is before reference {ref_date.isoformat()}"
         )
-    return table.chain[ri : ti + 1]
+    return ri, ti
 
 
 def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Permutation:
@@ -334,9 +322,9 @@ def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Perm
     target date; the identity when the dates coincide.  Equals the left
     to right product of ``crossing_stream`` over the same range.
     """
-    window = _window(table, ref_date, target_date)
-    ref_rank = {s: r for r, s in enumerate(window[0].order, start=1)}
-    return Permutation(tuple(ref_rank[s] for s in window[-1].order))
+    ri, ti = _span(table, ref_date, target_date)
+    ref_rank = {s: r for r, s in enumerate(table.chain[ri], start=1)}
+    return Permutation(tuple(ref_rank[s] for s in table.chain[ti]))
 
 
 def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
@@ -348,17 +336,18 @@ def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[
     the concatenated stream multiplies to ``permutation_at(ref_date,
     end_date)``.
     """
+    ri, ti = _span(table, ref_date, end_date)
     events = []
-    for prev, cur in pairwise(_window(table, ref_date, end_date)):
-        today = {s: r for r, s in enumerate(cur.order)}
-        arrangement, first = list(prev.order), len(events)
+    for day, (prev, cur) in zip(table.dates[ri + 1 : ti + 1], pairwise(table.chain[ri : ti + 1])):
+        today = {s: r for r, s in enumerate(cur)}
+        arrangement, first = list(prev), len(events)
         swapped = True
         while swapped:
             swapped = False
             for p in range(1, len(arrangement)):
                 lower, upper = arrangement[p - 1], arrangement[p]
                 if today[lower] > today[upper]:
-                    events.append(CrossingEvent(cur.date, len(events) - first, p, (lower, upper)))
+                    events.append(CrossingEvent(day, len(events) - first, p, (lower, upper)))
                     arrangement[p - 1], arrangement[p] = upper, lower
                     swapped = True
     return tuple(events)
@@ -371,8 +360,8 @@ def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedP
     price rose or is unchanged, LEFT when it fell.
     """
     perm = permutation_at(table, ref_date, target_date)
-    ri, ti = table.date_index(ref_date), table.date_index(target_date)
-    order, before, after = table.chain[ri].order, table.prices[ri], table.prices[ti]
+    ri, ti = _span(table, ref_date, target_date)
+    order, before, after = table.chain[ri], table.prices[ri], table.prices[ti]
     colors = {}
     for i in perm.fixed_points():
         stock = order[i - 1]

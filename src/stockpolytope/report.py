@@ -160,7 +160,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "k": report.k,
         "necklace": [sorted(t) for t in report.necklace.terms],
         "affine_lift": list(report.lift.f),
-        "bases": sorted(sorted(b) for b in report.positroid.bases),
+        "bases": [list(b) for b in report.positroid.bases],
         "cell_dimension": report.cell_dim,
         "polytope": {
             "vertex_count": len(report.positroid.bases),

@@ -17,7 +17,6 @@ from stockpolytope import (
     DecoratedPermutation,
     Permutation,
     PriceTable,
-    Ranking,
     cell_dimension,
     parse_price_csv,
 )
@@ -138,8 +137,8 @@ def cached_dim(images: tuple[int, ...]) -> int:
     return cell_dimension(uniform(Permutation(images)))
 
 
-def rank_at_date(table: PriceTable, d: date) -> Ranking:
-    """The ranking of one date, read off the table's chain."""
+def rank_at_date(table: PriceTable, d: date) -> tuple[int, ...]:
+    """The stock order of one date, read off the table's chain."""
     return table.chain[table.date_index(d)]
 
 

@@ -13,7 +13,8 @@ inequalities by closing the face each one holds tight, and
 The price oracles are the earlier parser, which checks cell by cell,
 and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
-positroids from their definitions; ``uniform`` colors every fixed point
+positroids from their definitions, on the bases as sets from
+``basis_sets``, whatever form the package keeps them in; ``uniform`` colors every fixed point
 alike; ``decorated_from_necklace`` inverts the necklace map for the
 round trip, and ``dual`` and ``rotate`` give the cells the facet count
 must agree with.  The word helpers
@@ -46,7 +47,6 @@ from stockpolytope import (
     PositroidPolytope,
     PriceCsvError,
     PriceTable,
-    Ranking,
     WiringWord,
     cell_dimension,
     cyclic_interval,
@@ -158,12 +158,17 @@ def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
     return positroid_from_necklace(necklace_from_decorated(dp))
 
 
+def basis_sets(m: Positroid) -> frozenset[frozenset[int]]:
+    """The bases as a set of sets, whatever form the package keeps them in."""
+    return frozenset(map(frozenset, m.bases))
+
+
 def matroid_rank(m: Positroid, subset: Iterable[int]) -> int:
     """Size of the largest independent subset of ``subset``: the most of it any basis holds."""
     s = frozenset(subset)
     if not s <= frozenset(range(1, m.n + 1)):
         raise ValueError(f"{sorted(s)} is not a subset of 1..{m.n}")
-    return max(len(s & b) for b in m.bases)
+    return max(len(s & b) for b in basis_sets(m))
 
 
 def subset_filter_bases(nk: GrassmannNecklace) -> frozenset[frozenset[int]]:
@@ -203,11 +208,12 @@ def exchange_components(m: Positroid) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for b in m.bases:
+    bases = basis_sets(m)
+    for b in bases:
         outside = ground - b
         for e in b:
             for f in outside:
-                if (b - {e}) | {f} in m.bases:
+                if (b - {e}) | {f} in bases:
                     re, rf = find(e), find(f)
                     if re != rf:
                         parent[max(re, rf)] = min(re, rf)
@@ -226,7 +232,7 @@ def bases_side_cuts(m: Positroid) -> tuple[tuple[tuple[int, int], int], ...]:
     first basis that reaches the bound of the narrower interval plus one.
     """
     n, k = m.n, m.k
-    masks = [sum(1 << (i - 1) for i in b) for b in m.bases]
+    masks = [sum(1 << (i - 1) for i in b) for b in basis_sets(m)]
     cuts = []
     for a in range(1, n + 1):
         cut = bound = 0
@@ -561,16 +567,16 @@ def per_cell_parse(data: str | bytes) -> PriceTable:
     return PriceTable(tickers, dates, tuple(parsed[d] for d in dates))
 
 
-def first_date_rankings(table: PriceTable) -> tuple[Ranking, ...]:
-    """The ranking of every date, chained from the first one.
+def first_date_rankings(table: PriceTable) -> tuple[tuple[int, ...], ...]:
+    """The stock order of every date, chained from the first one.
 
     The first date sorts by (price, ticker); every later date stably
     re-sorts the previous order by the day's prices.
     """
     first = sorted(range(table.n_stocks), key=lambda s: (table.prices[0][s], table.tickers[s]))
-    out = [Ranking(table.dates[0], tuple(first))]
-    for row, d in zip(table.prices[1:], table.dates[1:]):
-        out.append(Ranking(d, tuple(sorted(out[-1].order, key=lambda s: row[s]))))
+    out = [tuple(first)]
+    for row in table.prices[1:]:
+        out.append(tuple(sorted(out[-1], key=lambda s: row[s])))
     return tuple(out)
 
 
@@ -620,10 +626,11 @@ def verify_exchange_axiom(m: Positroid) -> ExchangeFailure | None:
     For every pair of bases I, J and every i in I - J there must be some
     j in J - I with (I - {i}) + {j} again a basis.
     """
-    for a in m.bases:
-        for b in m.bases:
+    bases = basis_sets(m)
+    for a in bases:
+        for b in bases:
             for i in a - b:
-                if not any((a - {i}) | {j} in m.bases for j in b - a):
+                if not any((a - {i}) | {j} in bases for j in b - a):
                     return ExchangeFailure(a, b, i)
     return None
 
@@ -649,9 +656,9 @@ def gale_minimum(m: Positroid, shift: int) -> frozenset[int]:
     Raises ValueError when no basis dominates from below, which means the
     input is not a positroid.
     """
-    order = GaleOrder(m.n, shift)
-    candidate = min(m.bases, key=lambda b: tuple(order.position(x) for x in order.sort(b)))
-    for b in m.bases:
+    order, bases = GaleOrder(m.n, shift), basis_sets(m)
+    candidate = min(bases, key=lambda b: tuple(order.position(x) for x in order.sort(b)))
+    for b in bases:
         if not order.geq(b, candidate):
             raise ValueError(f"no Gale minimum at shift {shift}: {sorted(candidate)} "
                              f"does not sit below {sorted(b)}")
@@ -687,5 +694,5 @@ def face_of_removal(word: WiringWord, index: int, fixed_point_color: Color = Col
     dp_new = uniform(word_to_permutation(remove_letter(word, index)), fixed_point_color)
     old = positroid_from_decorated(dp_old)
     new = positroid_from_decorated(dp_new)
-    contained = all(matroid_rank(old, b) == len(b) for b in new.bases)
+    contained = all(matroid_rank(old, b) == len(b) for b in basis_sets(new))
     return RemovalFace(dp_new, cell_dimension(dp_new), contained)

@@ -24,6 +24,7 @@ from oracles import (
     affine_dimension,
     all_decorated_permutations,
     bases_side_cuts,
+    basis_sets,
     circuits,
     contains,
     decorated_from_necklace,
@@ -69,7 +70,7 @@ def test_positroid_from_market_necklace():
 
 def test_positroid_rank_zero():
     nk = GrassmannNecklace(3, 0, (set(), set(), set()))
-    assert positroid_from_necklace(nk).bases == frozenset({frozenset()})
+    assert positroid_from_necklace(nk).bases == ((),)
 
 
 def test_positroid_of_double_swap():
@@ -79,14 +80,35 @@ def test_positroid_of_double_swap():
 
 def test_exchange_axiom_passes_on_positroids():
     assert verify_exchange_axiom(positroid_from_necklace(EQ1)) is None
-    assert verify_exchange_axiom(Positroid(2, 0, {frozenset()})) is None
+    assert verify_exchange_axiom(Positroid(2, 0, ((),))) is None
 
 
 def test_exchange_axiom_counterexample():
-    bad = Positroid(4, 2, {frozenset({1, 2}), frozenset({3, 4})})
+    bad = Positroid(4, 2, ((1, 2), (3, 4)))
     failure = verify_exchange_axiom(bad)
     assert failure is not None
     assert failure.element in failure.basis_a - failure.basis_b
+
+
+@pytest.mark.parametrize("n, k, bases", [
+    (4, 2, []),
+    (4, 2, ((1, 2), (1, 2, 3))),
+    (4, 2, ((1, 5),)),
+    (4, 2, ((0, 1),)),
+    (4, 2, ((2, 1),)),
+    (4, 2, ((1, 3), (1, 2))),
+    (4, 2, ((1, 2), (1, 2))),
+    (4, 2, {frozenset({1, 2}), frozenset({1, 3})}),
+    (4, 2, (frozenset({1, 2}),)),
+], ids=["empty", "wrong size", "above n", "below 1", "not increasing", "out of order", "repeated", "set",
+        "set basis"])
+def test_positroid_takes_only_the_listed_form(n, k, bases):
+    with pytest.raises(ValueError):
+        Positroid(n, k, bases)
+
+
+def test_positroid_takes_the_rank_zero_form():
+    assert Positroid(3, 0, ((),)).bases == ((),)
 
 
 def test_matroid_rank_examples():
@@ -177,7 +199,8 @@ def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
             # ends, and each shared list is built once.
             monkeypatch.setattr(positroid, "BASIS_SEARCH_STEPS", nk.k * len(expected))
             m = positroid_from_necklace(nk)
-            assert m.bases == expected, state
+            assert basis_sets(m) == expected, state
+            assert m.bases == tuple(sorted(tuple(sorted(b)) for b in expected)), state
             blocks = connected_components(state)
             assert blocks == exchange_components(m), state
             poly = polytope_from_positroid(m)
@@ -200,7 +223,7 @@ def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):
 def test_closure_matches_oracles_on_random_cells(state):
     nk = necklace_from_decorated(state)
     m = positroid_from_necklace(nk)
-    assert m.bases == subset_filter_bases(nk)
+    assert basis_sets(m) == subset_filter_bases(nk)
     poly = polytope_from_positroid(m)
     assert polytope_dimension(poly.closure) == affine_dimension(poly.vertices)
     assert polytope_dimension(poly.closure) == state.n - len(connected_components(state))

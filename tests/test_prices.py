@@ -89,11 +89,11 @@ def test_parse_error_reports_location():
 def test_rank_at_date_paper_row(sample_table):
     ranking = rank_at_date(sample_table, date(2013, 6, 5))
     # prices (74.76, 75.25, 75.10, 76.66) sort as AXP, WMT, HD, PG
-    assert tuple(sample_table.tickers[s] for s in ranking.order) == ("AXP", "WMT", "HD", "PG")
+    assert tuple(sample_table.tickers[s] for s in ranking) == ("AXP", "WMT", "HD", "PG")
 
 
 def test_rank_at_date_sorted_row_is_identity(sample_table):
-    assert rank_at_date(sample_table, REF).order == (0, 1, 2, 3)
+    assert rank_at_date(sample_table, REF) == (0, 1, 2, 3)
 
 
 def test_rank_unknown_date(sample_table):
@@ -103,7 +103,7 @@ def test_rank_unknown_date(sample_table):
 
 def test_tie_keeps_previous_order():
     table = table_from(["2020-01-01,1.00,2.00,3.00", "2020-01-02,2.50,2.50,3.50"])
-    assert rank_at_date(table, date(2020, 1, 2)).order == (0, 1, 2)
+    assert rank_at_date(table, date(2020, 1, 2)) == (0, 1, 2)
     # and no crossing events are fabricated
     assert crossing_stream(table, date(2020, 1, 1), date(2020, 1, 2)) == ()
 
@@ -111,7 +111,7 @@ def test_tie_keeps_previous_order():
 def test_tie_at_first_date_breaks_by_ticker():
     table = parse_price_csv("date,B,A\n2020-01-01,1.00,1.00")
     # stock index 1 is ticker A, which wins the alphabetical tie
-    assert rank_at_date(table, date(2020, 1, 1)).order == (1, 0)
+    assert rank_at_date(table, date(2020, 1, 1)) == (1, 0)
 
 
 def test_permutation_identity_when_dates_equal(sample_table):
@@ -285,6 +285,7 @@ def test_the_window_starts_at_the_last_distinct_date_at_or_before_the_reference(
     oracle = first_date_rankings(full)
     assert full.chain == rankings(full) == oracle
     assert [window.chain for window in windows] == [oracle, oracle, oracle[2:], oracle[2:]]
+    assert [window.dates for window in windows] == [full.dates, full.dates, full.dates[2:], full.dates[2:]]
 
 
 def _outcome(parse, data):
@@ -346,7 +347,7 @@ def test_price_layers_match_first_date_chain(table):
         for ti in range(ri, len(dates)):
             end = dates[ti]
             perm = permutation_at(table, ref, end)
-            ref_order, end_order = oracle[ri].order, oracle[ti].order
+            ref_order, end_order = oracle[ri], oracle[ti]
             assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)
             events = crossing_stream(table, ref, end)
             assert all(ref < e.date <= end for e in events)
@@ -358,7 +359,7 @@ def test_price_layers_match_first_date_chain(table):
                     p = e.position
                     assert e.stocks == (arrangement[p - 1], arrangement[p])
                     arrangement[p - 1], arrangement[p] = arrangement[p], arrangement[p - 1]
-                assert tuple(arrangement) == oracle[di].order
+                assert tuple(arrangement) == oracle[di]
             state = decorate(table, ref, end)
             assert state.perm == perm
             assert dict(state.colors) == {
