@@ -14,10 +14,10 @@ The price oracles are the earlier parser, which checks cell by cell,
 and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
 positroids from their definitions, on the bases as sets from
-``basis_sets``, whatever form the package keeps them in; ``uniform`` colors every fixed point
-alike; ``decorated_from_necklace`` inverts the necklace map for the
-round trip, and ``dual`` and ``rotate`` give the cells the facet count
-must agree with.  The word helpers
+``basis_sets``, whatever form the package keeps them in; ``uniform``
+colors every fixed point alike; ``decorated_from_necklace`` inverts the
+necklace map for the round trip, and ``dual`` and ``rotate`` give the
+cells the facet count must agree with.  The word helpers
 (``inversions``, ``is_reduced``, ``remove_letter``) and
 ``face_of_removal`` at the end compare a word's cell with the cell of
 the word less one crossing by their bases; the package itself never
