@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import DecoratedPermutation, anti_exceedance_count
-
-
-def cyclic_position(x: int, shift: int, n: int) -> int:
-    """Rank of x in the cyclic order shift < shift+1 < ... < shift-1."""
-    return (x - shift) % n
+from .perms import DecoratedPermutation
 
 
 def cyclic_interval(a: int, b: int, n: int) -> tuple[int, ...]:
@@ -63,34 +58,27 @@ class NecklaceViolation:
 
 
 def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
-    """Necklace term I_i collects the anti-exceedances seen from position i.
+    """The necklace by Postnikov's recurrence (math/0609764).
 
-    A value j belongs to I_i when its preimage comes strictly later than j
-    in the cyclic order starting at i.  LEFT fixed points always qualify,
-    RIGHT fixed points never do.
+    I_1 holds the anti-exceedance values pi(i) < i and the LEFT fixed
+    points.  Each i that pi moves leaves I_i for I_{i+1} = I_i - {i} + {pi(i)};
+    a fixed point keeps the term as it is.  So every term has k elements,
+    and the necklace costs one set step per moved point and one copy per term.
 
     >>> from .perms import Permutation
     >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
     >>> [sorted(t) for t in nk.terms]
     [[1, 3], [2, 3], [3, 4], [1, 4]]
     """
-    n = dp.n
-    inv = dp.perm.inverse()
-    left = dp.left_fixed_points()
+    images = dp.perm.images
+    term = set(dp.left_fixed_points()).union(v for i, v in enumerate(images, start=1) if v < i)
     terms = []
-    for i in range(1, n + 1):
-        members = set(left)
-        for j in range(1, n + 1):
-            pre = inv(j)
-            if pre == j:
-                continue
-            if cyclic_position(pre, i, n) > cyclic_position(j, i, n):
-                members.add(j)
-        terms.append(frozenset(members))
-    k = anti_exceedance_count(dp)
-    if any(len(t) != k for t in terms):
-        raise AssertionError(f"necklace terms of {dp} do not all have size {k}")
-    return GrassmannNecklace(n, k, tuple(terms))
+    for i, v in enumerate(images, start=1):
+        terms.append(frozenset(term))
+        if v != i:
+            term.remove(i)
+            term.add(v)
+    return GrassmannNecklace(dp.n, len(term), tuple(terms))
 
 
 def validate_necklace(nk: GrassmannNecklace) -> NecklaceViolation | None:

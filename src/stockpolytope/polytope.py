@@ -12,7 +12,9 @@ Each of these inequalities bounds a difference of prefix sums
 x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
 math/0501246).  ``positroid_from_necklace`` closes the cuts once with
 ``prefix_closure`` and lists the bases from that closure; the polytope
-takes the same cuts and closure.  Its dimension is the number of classes
+is a view of that positroid, and reads its cuts and closure through it.
+Its vertex tuples are built only when read, which no stage of the
+pipeline does.  Its dimension is the number of classes
 of nodes whose prefix sums differ by a fixed amount, less one.  An
 alcoved polytope is a polytrope, so its facets are the closure entries
 d[u][v] between class representatives that no third class attains
@@ -24,7 +26,8 @@ lists them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .perms import Color, DecoratedPermutation, Permutation, WiringWord, affine_length_near
@@ -37,57 +40,44 @@ from .positroid import Positroid
 
 @dataclass(frozen=True)
 class PositroidPolytope:
-    """Vertices plus the cyclic-interval inequality description.
+    """The hull of a positroid's bases, read through the positroid.
 
-    ``interval_cuts`` holds ((a, b), bound) entries meaning that the
-    coordinates in the cyclic interval [a..b] sum to at most ``bound``.
-    The level equation (sum of all coordinates equals k) and the box
-    constraints 0 <= x_i <= 1 are implicit in every method that needs
-    them.  Cuts cover the windows of width 1 to n-1; the full window is
-    the level equation itself.  ``closure`` is their ``prefix_closure``,
-    which the dimension and the facets read; ``polytope_from_positroid``
-    passes the positroid's own.  The constructor checks the vertices'
-    shapes only; neither the dimension nor the facets read them.
+    ``n``, ``k``, ``interval_cuts`` and ``closure`` are the positroid's:
+    the cuts ((a, b), bound) say that the coordinates in the cyclic
+    interval [a..b] sum to at most ``bound``, for the windows of width 1
+    to n-1, and the closure is their ``prefix_closure``, which the
+    dimension and the facets read.  The level equation (the coordinates
+    sum to k) and the boxes 0 <= x_i <= 1 are implicit.  A positroid
+    built from its bases alone carries no cuts, and the constructor
+    refuses it: build it with ``positroid_from_necklace``.
     """
 
-    n: int
-    k: int
-    vertices: tuple[tuple[int, ...], ...]
-    interval_cuts: tuple[tuple[tuple[int, int], int], ...]
-    closure: list[list[int]] = field(repr=False, compare=False)
+    positroid: Positroid
 
     def __post_init__(self) -> None:
-        verts = tuple(tuple(map(int, v)) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if not verts:
-            raise ValueError("a polytope needs at least one vertex")
-        for v in verts:
-            if len(v) != self.n:
-                raise ValueError(f"vertex {v} does not live in dimension {self.n}")
-            if not {0, 1}.issuperset(v):
-                raise ValueError(f"vertex {v} is not a 0/1 indicator vector")
-            if sum(v) != self.k:
-                raise ValueError(f"vertex {v} has {sum(v)} ones, expected {self.k}")
+        if self.positroid.closure is None:
+            raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
+
+    n = property(lambda self: self.positroid.n)
+    k = property(lambda self: self.positroid.k)
+    interval_cuts = property(lambda self: self.positroid.interval_cuts)
+    closure = property(lambda self: self.positroid.closure)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The bases' indicator vectors, ascending: the lexicographic listing read backwards."""
+        verts = []
+        for b in reversed(self.positroid.bases):
+            v = [0] * self.n
+            for i in b:
+                v[i - 1] = 1
+            verts.append(tuple(v))
+        return tuple(verts)
 
 
 def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
-    """Indicator vertices of the bases, with the cuts and closure they were listed from.
-
-    Every basis is a lattice point of that closure, so every vertex meets
-    every cut.  The bases come in lexicographic order, so read backwards
-    their indicator vectors ascend, with no sort.  A positroid built from
-    its bases alone carries no cuts: build it with
-    ``positroid_from_necklace``.
-    """
-    if m.closure is None:
-        raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
-    verts = []
-    for b in reversed(m.bases):
-        v = [0] * m.n
-        for i in b:
-            v[i - 1] = 1
-        verts.append(tuple(v))
-    return PositroidPolytope(m.n, m.k, tuple(verts), m.interval_cuts, m.closure)
+    """The polytope of a positroid that ``positroid_from_necklace`` built."""
+    return PositroidPolytope(m)
 
 
 def _representatives(d: Sequence[Sequence[int]]) -> list[int]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _str
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
@@ -30,13 +29,7 @@ from .perms import (
     anti_exceedance_count,
     word_to_permutation,
 )
-from .polytope import (
-    CellChain,
-    PositroidPolytope,
-    enumerate_facets,
-    polytope_dimension,
-    polytope_from_positroid,
-)
+from .polytope import CellChain, enumerate_facets, polytope_dimension, polytope_from_positroid
 from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
 from .prices import CrossingEvent, PriceTable, crossing_stream, decorate
 from .render import one_line
@@ -62,11 +55,6 @@ class AnalysisReport:
     facet_count: int | None
     components: tuple[tuple[int, ...], ...]
     polytope_dim: int
-
-    @cached_property
-    def polytope(self) -> PositroidPolytope:
-        """The vertex polytope of the bases, built on first read (``--facets``)."""
-        return polytope_from_positroid(self.positroid)
 
     @property
     def permutation(self) -> Permutation:
@@ -101,7 +89,7 @@ def build_report(
         state.n - len(components),  # a matroid polytope's dimension (Feichtner-Sturmfels)
     )
     if with_facets:
-        report.facet_count = len(enumerate_facets(report.polytope))
+        report.facet_count = len(enumerate_facets(polytope_from_positroid(report.positroid)))
     _assert_consistent(report)
     return report
 

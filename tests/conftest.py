@@ -132,6 +132,29 @@ def decorated_permutations(draw, max_n=9, min_n=1):
     return DecoratedPermutation(perm, colors)
 
 
+@st.composite
+def nested_sums(draw, max_part=7):
+    """Two cells side by side: the inner one in a gap of the outer one, the whole turned.
+
+    Neither cell's cycles cross the other's, so the blocks of both are the
+    blocks of the sum; after the turn they need not be intervals.
+    """
+    outer = draw(decorated_permutations(max_n=max_part, min_n=2))
+    inner = draw(decorated_permutations(max_n=max_part, min_n=2))
+    a, b = outer.n, inner.n
+    gap, turn = draw(st.integers(0, a)), draw(st.integers(0, a + b - 1))
+    spot = lambda x: (x - 1 + turn) % (a + b) + 1
+    outer_at = lambda p: spot(p if p <= gap else p + b)
+    inner_at = lambda q: spot(gap + q)
+    images = [0] * (a + b)
+    colors = {}
+    for part, at in ((outer, outer_at), (inner, inner_at)):
+        for i, v in enumerate(part.perm.images, start=1):
+            images[at(i) - 1] = at(v)
+        colors.update((at(i), c) for i, c in part.colors)
+    return DecoratedPermutation(Permutation(tuple(images)), colors)
+
+
 @lru_cache(maxsize=None)
 def cached_dim(images: tuple[int, ...]) -> int:
     return cell_dimension(uniform(Permutation(images)))

@@ -15,9 +15,12 @@ and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
 positroids from their definitions, on the bases as sets from
 ``basis_sets``, whatever form the package keeps them in; ``uniform``
-colors every fixed point alike; ``decorated_from_necklace`` inverts the
-necklace map for the round trip, and ``dual`` and ``rotate`` give the
-cells the facet count must agree with.  The word helpers
+colors every fixed point alike; ``necklace_by_definition`` builds the
+necklace term by term from its definition, where the package runs
+Postnikov's recurrence; ``decorated_from_necklace`` inverts the necklace
+map for the round trip; ``dual`` and ``rotate`` give the cells the facet
+count must agree with, and ``restrict`` gives each connected component's
+own cell, over which the counts multiply or add.  The word helpers
 (``inversions``, ``is_reduced``, ``remove_letter``) and
 ``face_of_removal`` at the end compare a word's cell with the cell of
 the word less one crossing by their bases; the package itself never
@@ -48,6 +51,7 @@ from stockpolytope import (
     PriceCsvError,
     PriceTable,
     WiringWord,
+    anti_exceedance_count,
     cell_dimension,
     cyclic_interval,
     necklace_from_decorated,
@@ -131,6 +135,22 @@ def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
     return DecoratedPermutation(Permutation(tuple(images)), colors)
 
 
+def necklace_by_definition(dp: DecoratedPermutation) -> GrassmannNecklace:
+    """Necklace term I_i collects the anti-exceedances seen from position i.
+
+    A value j belongs to I_i when its preimage comes strictly later than j
+    in the cyclic order starting at i.  LEFT fixed points always qualify,
+    RIGHT fixed points never do.
+    """
+    n, inv = dp.n, dp.perm.inverse()
+    terms = []
+    for i in range(1, n + 1):
+        members = set(dp.left_fixed_points())
+        members.update(j for j in range(1, n + 1) if inv(j) != j and (inv(j) - i) % n > (j - i) % n)
+        terms.append(frozenset(members))
+    return GrassmannNecklace(n, anti_exceedance_count(dp), tuple(terms))
+
+
 def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
     """The dual positroid's decorated permutation: pi^-1, every fixed point's color swapped.
 
@@ -152,6 +172,18 @@ def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
     for i, v in enumerate(dp.perm.images, start=1):
         images[i % n] = v % n + 1
     return DecoratedPermutation(Permutation(tuple(images)), {i % n + 1: c for i, c in dp.colors})
+
+
+def restrict(dp: DecoratedPermutation, block: Sequence[int]) -> DecoratedPermutation:
+    """pi on a union of its cycles, relabelled 1..|block| in order, each color carried along.
+
+    On a connected component this is the component's own positroid: a
+    positroid is the direct sum of its components (Ardila-Rincon-Williams,
+    arXiv:1308.2698).
+    """
+    label = {x: t for t, x in enumerate(block, start=1)}
+    images = tuple(label[dp.perm(x)] for x in block)
+    return DecoratedPermutation(Permutation(images), {label[i]: c for i, c in dp.colors if i in label})
 
 
 def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:

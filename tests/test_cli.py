@@ -202,6 +202,16 @@ def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, comman
     assert {fn: len(results[fn]) for fn in calls} == calls
 
 
+def test_facets_and_check_build_no_vertex_tuple(capsys, monkeypatch):
+    # The facets and the dimension read the closure; the vertex tuples
+    # are built only when something reads them, and nothing here does.
+    built = record_calls(monkeypatch, polytope.polytope_from_positroid)
+    code, out, err = run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--facets", "--check")
+    assert code == 0, err
+    assert json.loads(out)["polytope"]["facet_count"] == 5
+    assert len(built) == 1 and "vertices" not in vars(built[0])
+
+
 def test_the_chain_recounts_its_length_only_near_each_crossing(capsys, monkeypatch):
     near = record_calls(monkeypatch, perms.affine_length_near)
     code, out, err = run_cli(capsys, "chain", str(SAMPLE), *RANGE, "--format", "json")

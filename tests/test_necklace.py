@@ -12,7 +12,7 @@ from stockpolytope import (
     validate_necklace,
 )
 from conftest import decorated_permutations
-from oracles import all_decorated_permutations, decorated_from_necklace, uniform
+from oracles import all_decorated_permutations, decorated_from_necklace, necklace_by_definition, uniform
 
 EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
@@ -87,6 +87,16 @@ def test_roundtrip_at_the_papers_scale(state):
     nk = necklace_from_decorated(state)
     assert validate_necklace(nk) is None
     assert decorated_from_necklace(nk) == state
+    assert nk == necklace_by_definition(state)
+
+
+def test_recurrence_matches_the_definition_n7():
+    cells = 0
+    for n in range(1, 8):
+        for state in all_decorated_permutations(n):
+            assert necklace_from_decorated(state) == necklace_by_definition(state), state
+            cells += 1
+    assert cells == 16071
 
 
 def test_interval_rank_examples():

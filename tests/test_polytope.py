@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ from stockpolytope import (
     Color,
     GrassmannNecklace,
     Permutation,
-    PositroidPolytope,
+    Positroid,
     WiringWord,
     cell_dimension,
     cyclic_interval_rank,
@@ -22,15 +23,17 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope.positroid import prefix_closure
-from conftest import cached_dim, decorated_permutations, reduced_words
+from conftest import cached_dim, decorated_permutations, nested_sums, reduced_words
 from oracles import (
     all_decorated_permutations,
     basis_sets,
     dual,
+    exchange_components,
     face_of_removal,
     face_search_facets,
     necklace_of_positroid,
     positroid_from_decorated,
+    restrict,
     rotate,
     subset_search_facets,
     tight_vertices,
@@ -81,13 +84,6 @@ def test_hypersimplex_polytope():
 def test_polytope_dimensions():
     assert polytope_dimension(market_polytope().closure) == 3
     assert polytope_dimension(top_polytope().closure) == 3  # cell dimension is 4
-
-
-def test_vertex_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PositroidPolytope(3, 1, ((1, 1, 0),), (), prefix_closure(3, 1, ()))
-    with pytest.raises(ValueError):
-        PositroidPolytope(3, 1, ((2, -1, 0),), (), prefix_closure(3, 1, ()))
 
 
 def test_market_facets_form_square_pyramid():
@@ -204,15 +200,50 @@ def test_facet_count_matches_the_face_search(state):
     assert len(enumerate_facets(poly)) == len(face_search_facets(poly)), state
 
 
+def assert_counts_add_over_the_components(state):
+    # A positroid is the direct sum of its connected components and its
+    # polytope the product of theirs (Ardila-Rincon-Williams,
+    # arXiv:1308.2698): the basis count multiplies over the blocks, and
+    # the facet count and the cell dimension add.  The blocks come from
+    # basis exchange, not from the package's noncrossing closure.
+    m = positroid_from_decorated(state)
+    parts = [restrict(state, block) for block in exchange_components(m)]
+    cells = [positroid_from_decorated(part) for part in parts]
+    assert len(m.bases) == math.prod(len(c.bases) for c in cells), state
+    facets = len(enumerate_facets(polytope_from_positroid(m)))
+    assert facets == sum(len(enumerate_facets(polytope_from_positroid(c))) for c in cells), state
+    assert cell_dimension(state) == sum(map(cell_dimension, parts)), state
+
+
+def test_counts_add_over_the_components_n6():
+    cells = 0
+    for n in range(1, 7):
+        for state in all_decorated_permutations(n):
+            assert_counts_add_over_the_components(state)
+            cells += 1
+    assert cells == 2371
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nested_sums(max_part=7))
+def test_counts_add_over_the_components_of_nested_sums(state):
+    # Up to 14 elements in at least two blocks, which a random permutation
+    # that size seldom has.  Past n = 6 this is the one route to the facet
+    # count that does not lean on a symmetry of the rule.
+    assert len(exchange_components(positroid_from_decorated(state))) >= 2
+    assert_counts_add_over_the_components(state)
+
+
 def polytope_from_cuts(state):
-    # Cuts and closure straight from the necklace ranks, with the single
-    # vertex I_1: the facets read the closure, never the vertices.
+    # Cuts and closure straight from the necklace ranks, on a positroid
+    # whose one listed basis is I_1: the facets read the closure, never
+    # the bases, which at n = 90 could not be listed.
     nk = necklace_from_decorated(state)
     n = nk.n
     cuts = tuple(((a, b), cyclic_interval_rank(nk, a, b)) for a in range(1, n + 1)
                  for b in range(a, a + n - 1))
-    vertex = tuple(int(i in nk.term(1)) for i in range(1, n + 1))
-    return PositroidPolytope(n, nk.k, (vertex,), cuts, prefix_closure(n, nk.k, cuts))
+    m = Positroid(n, nk.k, (tuple(sorted(nk.term(1))),), cuts, prefix_closure(n, nk.k, cuts))
+    return polytope_from_positroid(m)
 
 
 def test_facets_of_a_90_stock_cell_take_bounded_work():

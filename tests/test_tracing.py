@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,9 @@ def test_traced_layer_names_resolve(module, attr):
 
 def test_traced_job_prints_the_same_and_counts_the_polytope(capsys):
     # The counters read .bases, .vertices and .interval_cuts off the results
-    # they wrap; a broken read would crash the traced job.
+    # they wrap; a broken read would crash the traced job.  Only the tracer
+    # reads the polytope's vertices, so their counts are pinned by value,
+    # against the report's own: 5 bases, and 12 cuts on 4 stocks.
     argv = ["analyze", str(SAMPLE), "--ref-date", "2013-05-15", "--end-date", "2013-06-03",
             "--facets", "--check"]
     assert cli.main(argv) == 0
@@ -40,4 +43,9 @@ def test_traced_job_prints_the_same_and_counts_the_polytope(capsys):
     tracer = load_tracing().Tracer()
     assert tracer.run_job(tracer.patches(), lambda: cli.main(argv)) == 0
     assert capsys.readouterr().out == untraced
-    assert {"positroid.bases", "polytope.vertices", "polytope.facets"} <= tracer.counts[-1].keys()
+    polytope = json.loads(untraced)["polytope"]
+    assert (polytope["vertex_count"], polytope["facet_count"]) == (5, 5)
+    counts = tracer.counts[-1]
+    assert {name: counts[name] for name in
+            ("positroid.bases", "polytope.vertices", "polytope.cut_checks", "polytope.facets")} == {
+        "positroid.bases": 5, "polytope.vertices": 5, "polytope.cut_checks": 60, "polytope.facets": 5}
