@@ -228,8 +228,9 @@ def test_counts_add_over_the_components_n6():
 @given(nested_sums(max_part=7))
 def test_counts_add_over_the_components_of_nested_sums(state):
     # Up to 14 elements in at least two blocks, which a random permutation
-    # that size seldom has.  Past n = 6 this is the one route to the facet
-    # count that does not lean on a symmetry of the rule.
+    # that size seldom has.  Like the face search, and unlike the dual and
+    # the rotation, this route to the facet count does not lean on a
+    # symmetry of the rule.
     assert len(exchange_components(positroid_from_decorated(state))) >= 2
     assert_counts_add_over_the_components(state)
 
