@@ -11,11 +11,9 @@ indicator vectors of the bases.
 
 from .necklace import (
     GrassmannNecklace,
-    NecklaceViolation,
     cyclic_interval,
     cyclic_interval_rank,
     necklace_from_decorated,
-    validate_necklace,
 )
 from .perms import (
     BoundedAffinePermutation,
@@ -81,7 +79,6 @@ __all__ = [
     "DecoratedPermutation",
     "Facet",
     "GrassmannNecklace",
-    "NecklaceViolation",
     "Permutation",
     "Positroid",
     "PositroidPolytope",
@@ -117,6 +114,5 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "report_to_text",
-    "validate_necklace",
     "word_to_permutation",
 ]

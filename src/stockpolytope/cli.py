@@ -13,7 +13,7 @@ from datetime import date
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, read_price_csv
+from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, iso_date, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import ConsistencyError, build_report, chain_to_json, check_report, report_to_json, report_to_text
 
@@ -51,16 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_date(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"bad ISO-8601 date {text!r}") from None
-
-
 def _load(args) -> tuple[PriceTable, date, date]:
     try:
-        ref, end = _parse_date(args.ref_date), _parse_date(args.end_date)
+        ref, end = iso_date(args.ref_date), iso_date(args.end_date)
     except ValueError:
         read_price_csv(args.csv)  # a bad file is reported before a bad date
         raise

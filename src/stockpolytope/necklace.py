@@ -26,6 +26,8 @@ def cyclic_interval(a: int, b: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GrassmannNecklace:
+    """The terms I_1..I_n; the constructor refuses any that break the increment axiom."""
+
     n: int
     k: int
     terms: tuple[frozenset[int], ...]
@@ -43,18 +45,18 @@ class GrassmannNecklace:
                 raise ValueError(f"term {idx} has size {len(term)}, expected {self.k}")
             if not term <= frozenset(range(1, self.n + 1)):
                 raise ValueError(f"term {idx} is not a subset of 1..{self.n}")
+        for i, (cur, nxt) in enumerate(zip(self.terms, self.terms[1:] + self.terms[:1]), start=1):
+            if i in cur and not cur - nxt <= {i}:
+                reason = f"I_{i} contains {i} but I_{i + 1} does not extend I_{i} minus {{{i}}}"
+            elif i not in cur and nxt != cur:
+                reason = f"I_{i} omits {i} but I_{i + 1} differs from I_{i}"
+            else:
+                continue
+            raise ValueError(f"invalid necklace at index {i}: {reason}")
 
     def term(self, i: int) -> frozenset[int]:
         """I_i with cyclic indexing, so term(n + 1) is term(1)."""
         return self.terms[(i - 1) % self.n]
-
-
-@dataclass(frozen=True)
-class NecklaceViolation:
-    """First index where the increment axiom fails, with the reason."""
-
-    index: int
-    reason: str
 
 
 def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
@@ -79,30 +81,6 @@ def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
             term.remove(i)
             term.add(v)
     return GrassmannNecklace(dp.n, len(term), tuple(terms))
-
-
-def validate_necklace(nk: GrassmannNecklace) -> NecklaceViolation | None:
-    """Check the increment axiom at every cyclic index.
-
-    Returns None when the necklace is valid, otherwise a report naming the
-    first index that breaks the axiom.  Re-inserting the removed element
-    (I_{i+1} = I_i with i in both) is allowed; that is how LEFT fixed points
-    appear.
-    """
-    for i in range(1, nk.n + 1):
-        cur = nk.term(i)
-        nxt = nk.term(i + 1)
-        if i in cur:
-            if not (cur - {i}) <= nxt:
-                return NecklaceViolation(
-                    i, f"I_{i} contains {i} but I_{i + 1} does not extend I_{i} minus {{{i}}}"
-                )
-        else:
-            if nxt != cur:
-                return NecklaceViolation(
-                    i, f"I_{i} omits {i} but I_{i + 1} differs from I_{i}"
-                )
-    return None
 
 
 def cyclic_interval_rank(nk: GrassmannNecklace, a: int, b: int) -> int:

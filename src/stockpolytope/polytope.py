@@ -10,14 +10,15 @@ the boxes and the level equation alone.
 
 Each of these inequalities bounds a difference of prefix sums
 x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
-math/0501246).  ``positroid_from_necklace`` closes the cuts once with
-``prefix_closure`` and lists the bases from that closure; the polytope
-is a view of that positroid, and reads its cuts and closure through it.
-Its vertex tuples are built only when read, which no stage of the
-pipeline does.  Its dimension is the number of classes
-of nodes whose prefix sums differ by a fixed amount, less one.  An
-alcoved polytope is a polytrope, so its facets are the closure entries
-d[u][v] between class representatives that no third class attains
+math/0501246), and the tightest bound on each difference is a rank.
+``positroid_from_necklace`` reads that closure off the necklace once
+with ``prefix_closure`` and lists the bases from it; the polytope is a
+view of that positroid and reads the closure, and the cuts it holds,
+through it.  Its vertex tuples are built only when read, which no stage
+of the pipeline does.  Its dimension is the number of classes of nodes
+whose prefix sums differ by a fixed amount, less one.  An alcoved
+polytope is a polytrope, so its facets are the closure entries d[u][v]
+between class representatives that no third class attains
 (Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Both are read
 in integer arithmetic, with no row reduction and no search.  A facet is
 a bare inequality; which vertices it holds tight is left to whoever
@@ -42,14 +43,15 @@ from .positroid import Positroid
 class PositroidPolytope:
     """The hull of a positroid's bases, read through the positroid.
 
-    ``n``, ``k``, ``interval_cuts`` and ``closure`` are the positroid's:
-    the cuts ((a, b), bound) say that the coordinates in the cyclic
-    interval [a..b] sum to at most ``bound``, for the windows of width 1
-    to n-1, and the closure is their ``prefix_closure``, which the
-    dimension and the facets read.  The level equation (the coordinates
-    sum to k) and the boxes 0 <= x_i <= 1 are implicit.  A positroid
-    built from its bases alone carries no cuts, and the constructor
-    refuses it: build it with ``positroid_from_necklace``.
+    ``n``, ``k`` and ``closure`` are the positroid's; the closure is the
+    necklace's ``prefix_closure``, which the dimension and the facets
+    read.  ``interval_cuts`` reads the cuts ((a, b), bound) back off it:
+    the coordinates in the cyclic interval [a..b] sum to at most
+    ``bound``, for the windows of width 1 to n-1, a-major.  The level
+    equation (the coordinates sum to k) and the boxes 0 <= x_i <= 1 are
+    implicit.  A positroid built from its bases alone carries no
+    closure, and the constructor refuses it: build it with
+    ``positroid_from_necklace``.
     """
 
     positroid: Positroid
@@ -60,8 +62,14 @@ class PositroidPolytope:
 
     n = property(lambda self: self.positroid.n)
     k = property(lambda self: self.positroid.k)
-    interval_cuts = property(lambda self: self.positroid.interval_cuts)
     closure = property(lambda self: self.positroid.closure)
+
+    @property
+    def interval_cuts(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """r[a, b] is d[a-1][b], or d[a-1][b-n] + k when [a..b] wraps past n."""
+        n, k, d = self.n, self.k, self.closure
+        return tuple(((a, b), d[a - 1][b] if b <= n else d[a - 1][b - n] + k)
+                     for a in range(1, n + 1) for b in range(a, a + n - 1))
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:

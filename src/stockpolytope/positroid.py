@@ -7,11 +7,12 @@ at i.  Equivalently H meets every cyclic interval [a..b] in at most its
 rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).
 
 Each cut bounds a difference of prefix sums x_1 + ... + x_j, so the
-polytope is alcoved (Lam-Postnikov, math/0501246).
-``positroid_from_necklace`` builds the cuts and their ``prefix_closure``
-once and lists the bases from them, one search node per distinct set of
-bounds a fixed prefix leaves on the rest; the positroid keeps both, and
-``polytope`` reads its dimension and facets off that closure.  The bases
+polytope is alcoved (Lam-Postnikov, math/0501246), and the tightest bound
+on each difference is itself a rank.  ``prefix_closure`` reads those
+bounds off the necklace in one O(n^2) pass; ``positroid_from_necklace``
+builds that closure once, lists the bases from it, one search node per
+distinct set of bounds a fixed prefix leaves on the rest, and keeps it,
+and ``polytope`` reads its cuts, dimension and facets off it.  The bases
 stay as the listing builds them, increasing tuples in lexicographic
 order; ``Positroid`` checks that form once, and no later stage wraps,
 sorts or checks them again.  Components and dimensions come from the
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import lt
-from typing import Iterable
 
-from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated, validate_necklace
+from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated
 from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count
 
 # Suffix entries ``positroid_from_necklace`` may build before giving up.
@@ -40,17 +40,15 @@ class Positroid:
     ``positroid_from_necklace`` lists them; rank 0 has the one basis ().
     The constructor checks that form, not the basis exchange axiom, and
     raises ValueError on anything else, sets included.
-    ``positroid_from_necklace`` also keeps the cuts ((a, b), r[a, b]) for
-    the cyclic intervals of width 1 to n-1 and their ``prefix_closure``,
-    the bases' H-description; one built from bases alone has neither.
-    Neither takes part in equality or the repr.
+    ``positroid_from_necklace`` also keeps the necklace's
+    ``prefix_closure``, which holds every cut r[a, b] and so is the
+    bases' H-description; one built from bases alone has none.  It takes
+    no part in equality or the repr.
     """
 
     n: int
     k: int
     bases: tuple[tuple[int, ...], ...]
-    interval_cuts: tuple[tuple[tuple[int, int], int], ...] | None = field(
-        default=None, compare=False, repr=False)
     closure: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -64,32 +62,35 @@ class Positroid:
                 raise ValueError(f"basis {b!r} is not an increasing {k}-tuple of elements of 1..{n}")
 
 
-def prefix_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
-    """The tightest bounds d[i][j] >= P_j - P_i over a positroid polytope.
+def prefix_closure(nk: GrassmannNecklace) -> list[list[int]]:
+    """The tightest bounds d[i][j] >= P_j - P_i over the necklace's positroid polytope.
 
-    P_j = x_1 + ... + x_j on the nodes 0..n.  The boxes 0 <= x_j <= 1
-    give d[j-1][j] = 1 and d[j][j-1] = 0, the level equation gives
-    d[0][n] = k and d[n][0] = -k, and a cut ((a, b), r) on the cyclic
-    interval [a..b] gives d[a-1][b] <= r, or d[a-1][b-n] <= r - k when it
-    wraps past n.  One Floyd-Warshall pass closes the system, after which
-    every bound is attained by a point of the polytope.
+    P_j = x_1 + ... + x_j on the nodes 0..n.  The largest sum of the
+    coordinates in a set, over a matroid polytope, is the set's rank, and
+    a cyclic interval's rank is r[a, b] = |I_a ∩ [a..b]|.  So for i < j,
+    d[i][j] is r[i+1, j]; for i > j, P_j - P_i is the sum over the
+    cyclic interval [i+1..j+n] less k, and d[i][j] = r[i+1, j+n] - k.
+    One running count over widths 1..n fills row i; node n is node 0
+    shifted by k, so d[n][j] = d[0][j] - k and d[i][0] = d[i][n] - k.
+    Every bound is attained by a vertex, and no search is needed.
 
-    >>> d = prefix_closure(4, 2, [((1, 2), 1)])  # x1 + x2 <= 1, so x3 + x4 >= 1
-    >>> d[0][2], -d[4][2]
+    >>> d = prefix_closure(GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4})))
+    >>> d[0][2], -d[4][2]  # x1 + x2 <= 1, so x3 + x4 >= 1
     (1, 1)
     """
-    d = [[j - i if i <= j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    d[0][n], d[n][0] = k, -k
-    for (a, b), r in cuts:
-        i, j, bound = (a - 1, b, r) if b <= n else (a - 1, b - n, r - k)
-        d[i][j] = min(d[i][j], bound)
-    nodes = range(n + 1)
-    for m, through in enumerate(d):
-        for row in d:
-            via = row[m]
-            for j in nodes:
-                if via + through[j] < row[j]:
-                    row[j] = via + through[j]
+    n, k = nk.n, nk.k
+    d = []
+    for a, term in enumerate(nk.terms, start=1):
+        row, r = [0] * (n + 1), 0
+        for b in range(a, n + 1):
+            r += b in term
+            row[b] = r
+        for b in range(1, a):  # the interval wraps past n
+            r += b in term
+            row[b] = r - k
+        row[0] = row[n] - k
+        d.append(row)
+    d.append([v - k for v in d[0]])
     return d
 
 
@@ -98,16 +99,16 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
 
     The search fixes the prefix sums P_1, P_2, ... in turn.  With P_0..P_e
     fixed, the rest see them only through the bounds lo <= P_j - P_e <= hi,
-    j > e, that d, the ``prefix_closure`` of the cuts r[a, b], puts on
-    them.  A closed network of difference constraints is decomposable
+    j > e, that d, the necklace's ``prefix_closure``, puts on them.  A
+    closed network of difference constraints is decomposable
     (Dechter-Meiri-Pearl, 1991), so every value in range leads on to a
     basis.  Each node (e, lo, hi) lists its suffixes once, x_{e+1} = 1
     first, so the bases come out as increasing tuples in lexicographic
     order, the form ``Positroid`` keeps them in.  A step is one
     suffix entry built on an x = 1 branch, at most k per basis, so a cell
     with k * (bases) <= ``BASIS_SEARCH_STEPS`` always lists; past the
-    budget the search gives up with ValueError.  The positroid keeps the
-    cuts and d for its polytope.
+    budget the search gives up with ValueError.  The positroid keeps d
+    for its polytope.
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
@@ -115,17 +116,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     >>> positroid_from_necklace(nk).bases
     ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     """
-    violation = validate_necklace(nk)
-    if violation is not None:
-        raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
-    cuts = []
-    for a, term in enumerate(nk.terms, start=1):
-        r = 0
-        for b in range(a, a + n - 1):
-            r += (b - 1) % n + 1 in term
-            cuts.append(((a, b), r))
-    d = prefix_closure(n, k, cuts)
+    d = prefix_closure(nk)
     floors = [[-v for v in column] for column in zip(*d)]
     # Node (e, lo, hi): lo[t] <= P_j - P_e <= hi[t], j = e + 1 + t; None: a branch not taken.  A stack,
     # not recursion: the depth is n, and a recursive closure would keep the bases alive in a reference cycle.
@@ -149,7 +141,7 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
             zero = (e + 1, tuple(map(max, lo[1:], floor)), tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
             stack.append((node, (one, zero)))
             stack.extend((child, None) for child in (zero, one) if child not in memo)
-    return Positroid(n, k, tuple(memo[root]), tuple(cuts), d)
+    return Positroid(n, k, tuple(memo[root]), d)
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:

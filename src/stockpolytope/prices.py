@@ -177,11 +177,26 @@ def _tickers(header: list[str]) -> tuple[str, ...]:
     return tickers
 
 
+def iso_date(text: str) -> date:
+    """The date ``text`` writes as YYYY-MM-DD, else ValueError, on every Python it supports.
+
+    Python 3.11 also reads 20200101 and 2020-W01-1 as dates, and 3.10
+    refuses both.  Ten characters with dashes at 4 and 7 is the shape of
+    YYYY-MM-DD alone, and every version reads such text the same way.
+    """
+    if len(text) == 10 and text[4] == text[7] == "-":
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise ValueError(f"bad ISO-8601 date {text!r}")
+
+
 def _row_date(cell: str, line_no: int, seen: dict[date, object]) -> date:
     try:
-        d = date.fromisoformat(cell)
-    except ValueError:
-        raise PriceCsvError(f"bad ISO-8601 date {cell!r}", row=line_no, column="date") from None
+        d = iso_date(cell)
+    except ValueError as exc:
+        raise PriceCsvError(str(exc), row=line_no, column="date") from None
     if d in seen:
         raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
     return d

@@ -6,7 +6,8 @@ of the inequality description found without the bases; they are kept so
 the tests can compare both sides on every small cell.
 ``bases_side_cuts`` finds the polytope's cut bounds from the bases, where
 the package takes them from the necklace ranks the bases were listed
-from.  ``subset_search_facets`` finds the facets' incidence sets from the
+from, and ``floyd_warshall_closure`` closes the cuts by search, where the
+package reads each tightest bound off the ranks.  ``subset_search_facets`` finds the facets' incidence sets from the
 vertices, ``face_search_facets`` finds the facets among the defining
 inequalities by closing the face each one holds tight, and
 ``tight_vertices`` gives a facet's incidence set to compare with them.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
@@ -56,7 +58,6 @@ from stockpolytope import (
     cyclic_interval,
     necklace_from_decorated,
     positroid_from_necklace,
-    validate_necklace,
     word_to_permutation,
 )
 
@@ -109,15 +110,12 @@ def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
 
 
 def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
-    """Invert the necklace construction; raises ValueError on invalid input.
+    """Invert the necklace construction; ``GrassmannNecklace`` refuses invalid input.
 
     When i is absent from I_i the point is a RIGHT fixed point.  Otherwise
     pi(i) is the single element that I_{i+1} gains over I_i minus {i}; if
     that element is i itself, the point is a LEFT fixed point.
     """
-    violation = validate_necklace(nk)
-    if violation is not None:
-        raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     images = [0] * nk.n
     colors: dict[int, Color] = {}
     for i in range(1, nk.n + 1):
@@ -209,9 +207,6 @@ def subset_filter_bases(nk: GrassmannNecklace) -> frozenset[frozenset[int]]:
     Scans all C(n, k) subsets and compares sorted cyclic positions
     componentwise against each term, in that term's own order.
     """
-    violation = validate_necklace(nk)
-    if violation is not None:
-        raise ValueError(f"invalid necklace at index {violation.index}: {violation.reason}")
     n, k = nk.n, nk.k
     targets = [sorted((x - i) % n for x in nk.term(i)) for i in range(1, n + 1)]
     bases = []
@@ -274,6 +269,35 @@ def bases_side_cuts(m: Positroid) -> tuple[tuple[tuple[int, int], int], ...]:
                 bound += 1
             cuts.append(((a, a + width - 1), bound))
     return tuple(cuts)
+
+
+def floyd_warshall_closure(n: int, k: int, cuts: Iterable[tuple[tuple[int, int], int]]) -> list[list[int]]:
+    """The tightest bounds d[i][j] >= P_j - P_i, closed by search from the cuts.
+
+    P_j = x_1 + ... + x_j on the nodes 0..n.  The boxes 0 <= x_j <= 1
+    give d[j-1][j] = 1 and d[j][j-1] = 0, the level equation gives
+    d[0][n] = k and d[n][0] = -k, and a cut ((a, b), r) on the cyclic
+    interval [a..b] gives d[a-1][b] <= r, or d[a-1][b-n] <= r - k when it
+    wraps past n.  One Floyd-Warshall pass closes the system, in O(n^3);
+    the package reads the same bounds off the necklace's ranks.
+
+    >>> d = floyd_warshall_closure(4, 2, [((1, 2), 1)])  # x1 + x2 <= 1, so x3 + x4 >= 1
+    >>> d[0][2], -d[4][2]
+    (1, 1)
+    """
+    d = [[j - i if i <= j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    d[0][n], d[n][0] = k, -k
+    for (a, b), r in cuts:
+        i, j, bound = (a - 1, b, r) if b <= n else (a - 1, b - n, r - k)
+        d[i][j] = min(d[i][j], bound)
+    nodes = range(n + 1)
+    for m, through in enumerate(d):
+        for row in d:
+            via = row[m]
+            for j in nodes:
+                if via + through[j] < row[j]:
+                    row[j] = via + through[j]
+    return d
 
 
 # Exact linear algebra for the polytope oracles, over fractions.Fraction.
@@ -576,6 +600,8 @@ def per_cell_parse(data: str | bytes) -> PriceTable:
                 f"expected {len(tickers) + 1} fields, got {len(cells)}", row=line_no
             )
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0]):
+                raise ValueError("not YYYY-MM-DD")  # what Python 3.10 reads, and nothing newer
             d = date.fromisoformat(cells[0])
         except ValueError:
             raise PriceCsvError(f"bad ISO-8601 date {cells[0]!r}", row=line_no, column="date") from None

@@ -653,3 +653,16 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
             width = max(map(len, stripped))
             assert [line[:width].rstrip() for line in lines] == stripped[::-1]
             assert all(line.endswith(" " + t) for line, t in zip(lines, stripped))
+
+
+def test_only_dashed_calendar_dates_are_read(capsys, tmp_path):
+    # Python 3.11 reads 2020-W01-1 (Monday of ISO week 1, 2019-12-30) and
+    # 20200101 as dates, and 3.10 reads neither; the program reads neither
+    # on any version, in a file or on the command line.
+    path = tmp_path / "week.csv"
+    path.write_text("date,A,B\n2020-W01-1,1.00,2.00\n2019-12-30,1.50,2.50\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", "2019-12-30", "--end-date", "2019-12-30")
+    assert (code, out, err) == (2, "", "error: row 2, column date: bad ISO-8601 date '2020-W01-1'\n")
+    for ref, end, bad in (("20130515", "2013-06-03", "20130515"), ("2013-05-15", "2013-W23-1", "2013-W23-1")):
+        code, out, err = run_cli(capsys, "chain", str(SAMPLE), "--ref-date", ref, "--end-date", end)
+        assert (code, out, err) == (2, "", f"error: bad ISO-8601 date '{bad}'\n")

@@ -9,7 +9,6 @@ from stockpolytope import (
     anti_exceedance_count,
     cyclic_interval_rank,
     necklace_from_decorated,
-    validate_necklace,
 )
 from conftest import decorated_permutations
 from oracles import all_decorated_permutations, decorated_from_necklace, necklace_by_definition, uniform
@@ -38,19 +37,19 @@ def test_necklace_of_double_swap():
 
 
 def test_validate_accepts_examples():
-    assert validate_necklace(EQ1) is None
-    assert validate_necklace(GrassmannNecklace(3, 0, (set(), set(), set()))) is None
+    # The constructor checks the increment axiom; these pass it.
+    assert EQ1.terms[0] == {1, 3}
+    assert GrassmannNecklace(3, 0, (set(), set(), set())).k == 0
     # coloops re-insert the removed element, which is legal
-    assert validate_necklace(GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4)) is None
+    assert GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4).terms == (frozenset({1, 2, 3, 4}),) * 4
 
 
 def test_validate_reports_first_violation():
-    violation = validate_necklace(GrassmannNecklace(3, 2, ({1, 2}, {1, 3}, {1, 2})))
-    assert violation is not None
-    assert violation.index == 1
-    violation = validate_necklace(GrassmannNecklace(3, 1, ({1}, {1}, {2})))
-    assert violation is not None
-    assert violation.index == 2
+    # I_1 = {1, 2} holds 1, so I_2 must keep 2; the first index named is the first that fails.
+    with pytest.raises(ValueError, match=r"^invalid necklace at index 1: I_1 contains 1 but I_2 does not extend"):
+        GrassmannNecklace(3, 2, ({1, 2}, {1, 3}, {1, 2}))
+    with pytest.raises(ValueError, match=r"^invalid necklace at index 2: I_2 omits 2 but I_3 differs from I_2$"):
+        GrassmannNecklace(3, 1, ({1}, {1}, {2}))
 
 
 def test_decode_examples():
@@ -76,7 +75,6 @@ def test_roundtrip_exhaustive_small():
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
             nk = necklace_from_decorated(state)
-            assert validate_necklace(nk) is None
             assert decorated_from_necklace(nk) == state
             assert all(len(t) == anti_exceedance_count(state) for t in nk.terms)
 
@@ -85,7 +83,6 @@ def test_roundtrip_exhaustive_small():
 @given(decorated_permutations(max_n=30))
 def test_roundtrip_at_the_papers_scale(state):
     nk = necklace_from_decorated(state)
-    assert validate_necklace(nk) is None
     assert decorated_from_necklace(nk) == state
     assert nk == necklace_by_definition(state)
 

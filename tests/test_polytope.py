@@ -13,7 +13,6 @@ from stockpolytope import (
     Positroid,
     WiringWord,
     cell_dimension,
-    cyclic_interval_rank,
     decomposition_chain,
     enumerate_facets,
     necklace_from_decorated,
@@ -236,15 +235,11 @@ def test_counts_add_over_the_components_of_nested_sums(state):
 
 
 def polytope_from_cuts(state):
-    # Cuts and closure straight from the necklace ranks, on a positroid
-    # whose one listed basis is I_1: the facets read the closure, never
-    # the bases, which at n = 90 could not be listed.
+    # The closure straight from the necklace ranks, on a positroid whose
+    # one listed basis is I_1: the facets read the closure, never the
+    # bases, which at n = 90 could not be listed.
     nk = necklace_from_decorated(state)
-    n = nk.n
-    cuts = tuple(((a, b), cyclic_interval_rank(nk, a, b)) for a in range(1, n + 1)
-                 for b in range(a, a + n - 1))
-    m = Positroid(n, nk.k, (tuple(sorted(nk.term(1))),), cuts, prefix_closure(n, nk.k, cuts))
-    return polytope_from_positroid(m)
+    return polytope_from_positroid(Positroid(nk.n, nk.k, (tuple(sorted(nk.term(1))),), prefix_closure(nk)))
 
 
 def test_facets_of_a_90_stock_cell_take_bounded_work():

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from stockpolytope import (
     Color,
@@ -18,7 +20,8 @@ from stockpolytope import (
     positroid_from_necklace,
 )
 from stockpolytope import positroid
-from conftest import brute_circuits, components_from_circuits, decorated_permutations
+from stockpolytope.positroid import prefix_closure
+from conftest import brute_circuits, components_from_circuits, decorated_permutations, nested_sums
 from oracles import (
     GaleOrder,
     affine_dimension,
@@ -29,6 +32,7 @@ from oracles import (
     contains,
     decorated_from_necklace,
     exchange_components,
+    floyd_warshall_closure,
     gale_geq,
     matroid_rank,
     necklace_of_positroid,
@@ -224,3 +228,68 @@ def test_closure_matches_oracles_on_random_cells(state):
     poly = polytope_from_positroid(m)
     assert polytope_dimension(poly.closure) == affine_dimension(poly.vertices)
     assert polytope_dimension(poly.closure) == state.n - len(connected_components(state))
+
+
+def searched_closure(nk):
+    """The Floyd-Warshall closure of the necklace-rank cuts on the widths 1 to n-1."""
+    n = nk.n
+    cuts = [((a, b), cyclic_interval_rank(nk, a, b)) for a in range(1, n + 1) for b in range(a, a + n - 1)]
+    return floyd_warshall_closure(n, nk.k, cuts)
+
+
+def test_closure_matches_floyd_warshall_n7():
+    cells = 0
+    for n in range(1, 8):
+        for state in all_decorated_permutations(n):
+            nk = necklace_from_decorated(state)
+            assert prefix_closure(nk) == searched_closure(nk), state
+            cells += 1
+    assert cells == 16071
+
+
+def seeded_derangement(n, seed):
+    images = list(range(1, n + 1))
+    rng = random.Random(seed)
+    while any(v == i for i, v in enumerate(images, start=1)):
+        rng.shuffle(images)
+    return uniform(Permutation(tuple(images)))
+
+
+@pytest.mark.parametrize("state", [
+    uniform(Permutation(tuple((i + 14) % 30 + 1 for i in range(1, 31)))),
+    uniform(Permutation(tuple(range(30, 0, -1)))),
+    DecoratedPermutation(Permutation.identity(30), {i: Color.LEFT if i % 3 else Color.RIGHT for i in range(1, 31)}),
+    seeded_derangement(90, 17),
+], ids=["half-turn-30", "reversal-30", "mixed-identity-30", "derangement-90"])
+def test_closure_matches_floyd_warshall_on_named_cells(state):
+    # The half turn is the top cell, C(30, 15) bases; the reversal has 15
+    # blocks of two; the identity's colours make it a product of loops and
+    # coloops, k = 20.
+    nk = necklace_from_decorated(state)
+    assert prefix_closure(nk) == searched_closure(nk)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(decorated_permutations(max_n=90), nested_sums(max_part=45)))
+def test_closure_matches_floyd_warshall_at_scale(state):
+    nk = necklace_from_decorated(state)
+    assert prefix_closure(nk) == searched_closure(nk), state
+
+
+def test_closure_entries_are_ranks_n6():
+    # Over a matroid polytope the most P_j - P_i can be is the rank of
+    # (i..j] when i <= j, and the rank of the rest, less k, when i > j:
+    # each entry checked against the listed bases.
+    cells = 0
+    for n in range(1, 7):
+        for state in all_decorated_permutations(n):
+            m = positroid_from_decorated(state)
+            for i, row in enumerate(m.closure):
+                for j, bound in enumerate(row):
+                    if i <= j:
+                        assert bound == matroid_rank(m, range(i + 1, j + 1)), (state, i, j)
+                    else:
+                        rest = [*range(i + 1, n + 1), *range(1, j + 1)]
+                        assert bound == matroid_rank(m, rest) - m.k, (state, i, j)
+            cells += 1
+    assert cells == 2371

@@ -89,3 +89,17 @@ def test_every_module_parses_as_the_oldest_python_it_supports(path):
     # Syntax newer than requires-python in pyproject.toml fails at import there.
     oldest = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text("utf-8"))
     ast.parse(path.read_text("utf-8"), feature_version=(3, int(oldest.group(1))))
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    # A name removed from a module must leave __all__ too, or
+    # ``from stockpolytope import *`` fails on it.
+    import stockpolytope
+
+    tree = ast.parse((SRC / "__init__.py").read_text("utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__" for alias in node.names}
+    exported = stockpolytope.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == imported
+    assert [name for name in exported if not hasattr(stockpolytope, name)] == []
