@@ -7,10 +7,11 @@ the tests can compare both sides on every small cell.
 ``bases_side_cuts`` finds the polytope's cut bounds from the bases, where
 the package takes them from the necklace ranks the bases were listed
 from, and ``floyd_warshall_closure`` closes the cuts by search, where the
-package reads each tightest bound off the ranks.  ``subset_search_facets`` finds the facets' incidence sets from the
-vertices, ``face_search_facets`` finds the facets among the defining
-inequalities by closing the face each one holds tight, and
-``tight_vertices`` gives a facet's incidence set to compare with them.
+package reads each tightest bound off the ranks.  ``subset_search_facets``
+finds the facets' incidence sets from the vertices,
+``face_search_facets`` finds the facets among the defining inequalities
+by closing the face each one holds tight, and ``tight_vertices`` gives
+a facet's incidence set to compare with them.
 The price oracles are the earlier parser, which checks cell by cell,
 and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
