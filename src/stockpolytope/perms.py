@@ -16,6 +16,16 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 
+def trusted(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values`` as its fields, without its ``__post_init__`` check.
+
+    For a producer in this package that makes, and so has checked, the form the constructor checks.
+    """
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return made
+
+
 class Color(Enum):
     """Direction tag carried by a fixed point of a decorated permutation."""
 

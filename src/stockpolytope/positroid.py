@@ -14,9 +14,10 @@ builds that closure once, lists the bases from it, one search node per
 distinct set of bounds a fixed prefix leaves on the rest, and keeps it,
 and ``polytope`` reads its cuts, dimension and facets off it.  The bases
 stay as the listing builds them, increasing tuples in lexicographic
-order; ``Positroid`` checks that form once, and no later stage wraps,
-sorts or checks them again.  Components and dimensions come from the
-decorated permutation without the bases.
+order; the listing makes that form, so it builds its ``Positroid``
+unchecked, and no later stage wraps, sorts or checks them again.
+Components and dimensions come from the decorated permutation without
+the bases.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import lt
 
 from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated
-from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count
+from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count, trusted
 
 # Suffix entries ``positroid_from_necklace`` may build before giving up.
 BASIS_SEARCH_STEPS = 200_000
@@ -39,7 +40,8 @@ class Positroid:
     the bases come in strictly increasing lexicographic order, as
     ``positroid_from_necklace`` lists them; rank 0 has the one basis ().
     The constructor checks that form, not the basis exchange axiom, and
-    raises ValueError on anything else, sets included.
+    raises ValueError on anything else, sets included; the listing,
+    which makes that form, skips the check.
     ``positroid_from_necklace`` also keeps the necklace's
     ``prefix_closure``, which holds every cut r[a, b] and so is the
     bases' H-description; one built from bases alone has none.  It takes
@@ -141,7 +143,7 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
             zero = (e + 1, tuple(map(max, lo[1:], floor)), tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
             stack.append((node, (one, zero)))
             stack.extend((child, None) for child in (zero, one) if child not in memo)
-    return Positroid(n, k, tuple(memo[root]), d)
+    return trusted(Positroid, n, k, tuple(memo[root]), d)
 
 
 def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:

@@ -24,9 +24,18 @@ table, computed on first read: one stock order per date of
 ``decorate`` index directly.  A date whose prices are pairwise
 distinct ranks the same whatever order came before it, so
 ``parse_price_csv`` can start a command's table at the last such date at
-or before the reference date and keep the tie convention exactly.  It
-checks every row of the file, inside the window or not, once, and turns
-only the window's rows into Decimals.
+or before the reference date and keep the tie convention exactly.
+
+Parsing pays for the whole file in bulk and per cell only for the
+window.  A plain file is checked in passes over all its bytes at once:
+its skeleton (one ``translate``), its zero prices (one regex search) and
+its dates (one read of every date, which also finds a repeat).  Any
+other file, or a plain one that fails a pass, goes to the CSV reader,
+which checks row by row and cell by cell and so names the first bad row.
+Each price is checked once: by the skeleton, or by the CSV reader as it
+reads the cell.  Only the window's rows then become Decimals, each once,
+and the table is built without checking them again; ``PriceTable(...)``
+called directly checks every price.
 
 Tables are immutable and all functions are pure, so per-date analyses
 can run concurrently without coordination.
@@ -36,13 +45,16 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from itertools import pairwise
+from itertools import repeat
+from operator import itemgetter, ne
+from typing import NamedTuple
 
-from .perms import Color, DecoratedPermutation, Permutation
+from .perms import Color, DecoratedPermutation, Permutation, trusted
 
 
 class PriceCsvError(ValueError):
@@ -71,7 +83,6 @@ class PriceTable:
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
     prices: tuple[tuple[Decimal, ...], ...]
-    _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -90,18 +101,17 @@ class PriceTable:
         for row in self.prices:
             if len(row) != len(self.tickers):
                 raise ValueError("every row needs one price per ticker")
-            try:
-                positive = all(map(Decimal.is_finite, row)) and min(row) > 0
-            except TypeError:  # Decimal.is_finite of something else
-                positive = False
-            if not positive:
-                bad = next(p for p in row if not isinstance(p, Decimal) or not p.is_finite() or p <= 0)
-                raise ValueError(f"prices must be positive decimals, got {bad!r}")
-        object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.dates)})
+            for p in row:
+                if not isinstance(p, Decimal) or not p.is_finite() or p <= 0:
+                    raise ValueError(f"prices must be positive decimals, got {p!r}")
 
     @property
     def n_stocks(self) -> int:
         return len(self.tickers)
+
+    @cached_property
+    def _index(self) -> dict[date, int]:
+        return {d: i for i, d in enumerate(self.dates)}
 
     def date_index(self, d: date) -> int:
         try:
@@ -117,8 +127,7 @@ class PriceTable:
 RankingChain = tuple[tuple[int, ...], ...]  # per table date, the stocks ascending by price
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(NamedTuple):
     """One adjacent rank swap: ranks ``position`` and ``position + 1``.
 
     ``stocks`` names the two stock indices as (lower ranked, higher
@@ -142,10 +151,6 @@ def _decode(data: str | bytes) -> str:
         before = exc.object[: exc.start]  # one row per \r\n, \r or \n, as the CSV reader reads them
         line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
-
-
-def _blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def _price(cell: str, line_no: int, ticker: str) -> Decimal:
@@ -192,16 +197,6 @@ def iso_date(text: str) -> date:
     raise ValueError(f"bad ISO-8601 date {text!r}")
 
 
-def _row_date(cell: str, line_no: int, seen: dict[date, object]) -> date:
-    try:
-        d = iso_date(cell)
-    except ValueError as exc:
-        raise PriceCsvError(str(exc), row=line_no, column="date") from None
-    if d in seen:
-        raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
-    return d
-
-
 def _csv_table(text: str) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
     """The tickers and rows of any price CSV, read by the CSV reader and checked row by row."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -214,19 +209,25 @@ def _csv_table(text: str) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ..
     tickers = _tickers(rows[0])
     parsed: dict[date, tuple[Decimal, ...]] = {}
     for line_no, row in enumerate(rows[1:], start=2):
-        if _blank(row):
+        if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(tickers) + 1:
             raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
-        d = _row_date(row[0].strip(), line_no, parsed)
+        try:
+            d = iso_date(row[0].strip())
+        except ValueError as exc:
+            raise PriceCsvError(str(exc), row=line_no, column="date") from None
+        if d in parsed:
+            raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
         parsed[d] = tuple(_price(cell.strip(), line_no, t) for t, cell in zip(tickers, row[1:]))
     if not parsed:
         raise PriceCsvError("no data rows")
     return tickers, parsed
 
 
-_DIGITS = str.maketrans("", "", "0123456789")
-_NONZERO = str.maketrans("123456789\n", "xxxxxxxxx,", "0")
+_DIGITS = b"0123456789"
+_ZERO_PRICE = re.compile(rb",0*\.0*[,\n]")  # a price with no digit but 0
+_DATE_CELL = itemgetter(slice(0, 11))  # YYYY-MM-DD and its comma
 
 
 def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: date | None) -> PriceTable:
@@ -234,41 +235,52 @@ def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: d
 
     The anchor is the last date at or before ``ref_date`` whose prices are
     pairwise distinct, else the first date.  The whole table comes back
-    when either date is missing or ``end_date`` comes first.
+    when either date is missing or ``end_date`` comes first.  Each kept
+    row is read once, and every producer of ``rows`` has checked its
+    prices, so the table is not checked again.
     """
     dates = sorted(rows)
     first, stop = 0, len(dates)
     if ref_date in rows and end_date in rows and ref_date <= end_date:
-        ri, stop = dates.index(ref_date), dates.index(end_date) + 1
-        distinct = (i for i in range(ri, 0, -1) if len(set(prices_of(rows[dates[i]]))) == len(tickers))
-        first = next(distinct, 0)
-    kept = dates[first:stop]
-    return PriceTable(tickers, kept, [prices_of(rows[d]) for d in kept])
+        first, stop = dates.index(ref_date), dates.index(end_date) + 1
+    kept = [prices_of(rows[d]) for d in dates[first:stop]]
+    while first and len(set(kept[0])) < len(tickers):
+        first -= 1
+        kept.insert(0, prices_of(rows[dates[first]]))
+    return trusted(PriceTable, tickers, tuple(dates[first:stop]), tuple(kept))
 
 
-def _plain_table(text: str) -> tuple[tuple[str, ...], dict[date, str]] | None:
-    """The tickers and rows of a plain file, each row's prices as text; None when the file is not plain.
+def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | None:
+    """The tickers and rows of a plain file, each row as its line; None when the file is not plain.
 
-    A plain header has no quote, carriage return or NUL.  Plain lines
-    read ``date,p1,...,pn`` in ASCII digits and end in a newline; each
-    price has one point and a digit other than 0.  The CSV reader would
-    split such a file at every comma and fail nowhere.
+    A plain header is UTF-8 with no quote, carriage return or NUL.
+    Plain lines read ``date,p1,...,pn`` in ASCII digits, each date a
+    distinct YYYY-MM-DD, and end in a newline; each price has one point
+    and a digit other than 0.  The CSV reader would split such a file at
+    every comma and fail nowhere.
     """
-    head, _, body = text.partition("\n")
-    lines = body.split("\n")
-    if lines.pop() or not lines or any(c in head for c in '"\r\0'):
+    lines = data.split(b"\n")
+    head = lines[0]
+    if lines.pop() or len(lines) < 2 or b'"' in head or b"\r" in head or b"\0" in head:
         return None
-    too_long = max(map(len, [head] + lines)) > csv.field_size_limit()  # for the CSV reader
-    if too_long or body.translate(_DIGITS) != ("--" + ",." * head.count(",") + "\n") * len(lines):
+    skeleton = head.translate(None, _DIGITS) + (b"\n--" + b",." * head.count(b",")) * (len(lines) - 1) + b"\n"
+    if max(map(len, lines)) > csv.field_size_limit() or data.translate(None, _DIGITS) != skeleton:
+        return None  # the length is the CSV reader's field limit
+    if _ZERO_PRICE.search(data):
         return None
-    if ",.," in body.translate(_NONZERO):  # a price of no digit but 0; line ends read as commas
+    try:
+        tickers = _tickers(head.decode("utf-8-sig").split(","))
+    except UnicodeDecodeError:
         return None
-    tickers = _tickers(head.split(","))
-    rows: dict[date, str] = {}
-    for line_no, line in enumerate(lines, start=2):
-        cell, _, prices = line.partition(",")
-        rows[_row_date(cell, line_no, rows)] = prices
-    return tickers, rows
+    del lines[0]
+    cells, m = b"".join(map(_DATE_CELL, lines)), len(lines)
+    if len(cells) != 11 * m or cells[4::11] + cells[7::11] + cells[10::11] != b"-" * 2 * m + b"," * m:
+        return None
+    try:
+        rows = dict(zip(map(date.fromisoformat, cells[:-1].decode().split(",")), lines))
+    except ValueError:
+        return None
+    return (tickers, rows) if len(rows) == m else None  # else a date repeats
 
 
 def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
@@ -280,7 +292,7 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     with the offending location: the first problem in file order.
 
     Every row is checked once, whatever dates a later analysis asks for:
-    a plain file by the skeleton of its characters and by its dates, any
+    a plain file by the skeleton of its bytes and by its dates, any
     other by the CSV reader, row by row and cell by cell.  Given
     ``ref_date`` and ``end_date``, the table holds only the dates from
     the anchor (the last one at or before ``ref_date`` with pairwise
@@ -290,11 +302,12 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     If either date is missing or ``end_date`` comes first, all dates are
     kept.
     """
-    text = _decode(data)
-    plain = _plain_table(text)
+    # Text as UTF-8: the header's decoding strips just the mark utf-8-sig adds, and a surrogate is not plain.
+    raw = data.encode("utf-8-sig", "surrogatepass") if isinstance(data, str) else data
+    plain = _plain_table(raw)
     if plain is None:
-        return _windowed(*_csv_table(text), tuple, ref_date, end_date)
-    return _windowed(*plain, lambda prices: tuple(map(Decimal, prices.split(","))), ref_date, end_date)
+        return _windowed(*_csv_table(_decode(data)), tuple, ref_date, end_date)
+    return _windowed(*plain, lambda line: tuple(map(Decimal, line[11:].decode().split(","))), ref_date, end_date)
 
 
 def read_price_csv(path, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
@@ -349,23 +362,27 @@ def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[
     in repeated left-to-right passes over the previous ranking: applying
     a date's events in ``seq`` order to it yields the date's ranking, and
     the concatenated stream multiplies to ``permutation_at(ref_date,
-    end_date)``.
+    end_date)``.  The passes cover only the ranks between the first and
+    the last that change, and a day's prices decide each swap: its
+    ranking sorts by them and keeps equal prices in their old order.
     """
     ri, ti = _span(table, ref_date, end_date)
-    events = []
-    for day, (prev, cur) in zip(table.dates[ri + 1 : ti + 1], pairwise(table.chain[ri : ti + 1])):
-        today = {s: r for r, s in enumerate(cur)}
-        arrangement, first = list(prev), len(events)
-        swapped = True
-        while swapped:
-            swapped = False
+    chain, events = table.chain, []
+    for i in range(ri + 1, ti + 1):
+        prev, cur, row = chain[i - 1], chain[i], table.prices[i]
+        if prev == cur:
+            continue
+        moved = list(map(ne, prev, cur))
+        lo, hi = moved.index(True), len(moved) - moved[::-1].index(True)
+        arrangement, target, seq = list(prev[lo:hi]), list(cur[lo:hi]), 0
+        while arrangement != target:
             for p in range(1, len(arrangement)):
                 lower, upper = arrangement[p - 1], arrangement[p]
-                if today[lower] > today[upper]:
-                    events.append(CrossingEvent(day, len(events) - first, p, (lower, upper)))
+                if row[lower] > row[upper]:
+                    events.append((table.dates[i], seq, lo + p, (lower, upper)))
                     arrangement[p - 1], arrangement[p] = upper, lower
-                    swapped = True
-    return tuple(events)
+                    seq += 1
+    return tuple(map(tuple.__new__, repeat(CrossingEvent), events))  # each record made in C
 
 
 def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:

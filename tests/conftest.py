@@ -15,12 +15,22 @@ from hypothesis import strategies as st
 from stockpolytope import (
     Color,
     DecoratedPermutation,
+    GrassmannNecklace,
     Permutation,
     PriceTable,
     cell_dimension,
     parse_price_csv,
 )
 from oracles import matroid_rank, uniform
+
+
+def eq1() -> GrassmannNecklace:
+    """The sample market's necklace, (13, 23, 34, 14) in Gr(2, 4).
+
+    Built inside each test that reads it, so a fault in the constructor
+    fails those tests rather than the collection of their modules.
+    """
+    return GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

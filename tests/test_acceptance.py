@@ -18,7 +18,6 @@ from pathlib import Path
 from stockpolytope import (
     Color,
     DecoratedPermutation,
-    GrassmannNecklace,
     Permutation,
     PriceTable,
     WiringWord,
@@ -39,7 +38,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope.cli import main
-from conftest import load_sample_table, reduced_affine_chains
+from conftest import eq1, load_sample_table, reduced_affine_chains
 from oracles import (
     all_decorated_permutations,
     decorated_from_necklace,
@@ -54,7 +53,6 @@ from oracles import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
-EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
 
 def announce(num, message):
@@ -76,7 +74,7 @@ def test_criterion_1_end_to_end_reproduction():
     state = decorate(table, ref, end)
     assert state.perm == perm
     nk = necklace_from_decorated(state)
-    assert nk == EQ1
+    assert nk == eq1()
     assert anti_exceedance_count(state) == 2
     assert affine_lift(state).f == (2, 4, 5, 7)
 
@@ -224,7 +222,7 @@ def test_criterion_7_polytope_suite():
             assert tuple(tuple(int(x) for x in v) for v in verts) == poly.vertices
             count += 1
 
-    market = polytope_from_positroid(positroid_from_necklace(EQ1))
+    market = polytope_from_positroid(positroid_from_necklace(eq1()))
     assert len(market.vertices) == 5
     assert polytope_dimension(market.closure) == 3
     market_facets = enumerate_facets(market)

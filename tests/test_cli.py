@@ -291,13 +291,16 @@ def test_the_cli_turns_only_the_window_into_decimals(capsys, monkeypatch, tmp_pa
             return Decimal(value)
 
     monkeypatch.setattr(prices, "Decimal", Counted)
+    read_date, per_line = prices.iso_date, []  # the CSV reader reads each row's date by itself
+    monkeypatch.setattr(prices, "iso_date", lambda text: per_line.append(text) or read_date(text))
     code, _, err = run_cli(capsys, "analyze", str(path), *LATE_WINDOW)
     assert code == 0, err
     window = tuple(date(2001, 1, 1) + timedelta(days=t) for t in range(196, 448))
     assert [table.dates for table in tables] == [window]
-    # Of 600 rows of 30 prices, the window's 252 (and the reference row
-    # may be read twice, to see that its prices are distinct).
-    assert 252 * 30 <= len(made) <= 253 * 30
+    # Of 600 rows of 30 prices, the window's 252, each price once; the
+    # file's 600 dates are read in one pass, never line by line.
+    assert len(made) == 252 * 30
+    assert per_line == []
 
 
 def test_facets_of_a_9_stock_point(capsys, tmp_path):

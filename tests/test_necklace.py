@@ -10,10 +10,8 @@ from stockpolytope import (
     cyclic_interval_rank,
     necklace_from_decorated,
 )
-from conftest import decorated_permutations
+from conftest import decorated_permutations, eq1
 from oracles import all_decorated_permutations, decorated_from_necklace, necklace_by_definition, uniform
-
-EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
 
 def dp(images, colors=None):
@@ -21,7 +19,7 @@ def dp(images, colors=None):
 
 
 def test_necklace_of_market_permutation():
-    assert necklace_from_decorated(dp((2, 4, 1, 3))) == EQ1
+    assert necklace_from_decorated(dp((2, 4, 1, 3))) == eq1()
 
 
 def test_necklace_of_identity_all_right():
@@ -38,7 +36,7 @@ def test_necklace_of_double_swap():
 
 def test_validate_accepts_examples():
     # The constructor checks the increment axiom; these pass it.
-    assert EQ1.terms[0] == {1, 3}
+    assert eq1().terms[0] == {1, 3}
     assert GrassmannNecklace(3, 0, (set(), set(), set())).k == 0
     # coloops re-insert the removed element, which is legal
     assert GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4).terms == (frozenset({1, 2, 3, 4}),) * 4
@@ -53,7 +51,7 @@ def test_validate_reports_first_violation():
 
 
 def test_decode_examples():
-    state = decorated_from_necklace(EQ1)
+    state = decorated_from_necklace(eq1())
     assert state.perm.images == (2, 4, 1, 3)
     assert state.colors == ()
 
@@ -97,17 +95,17 @@ def test_recurrence_matches_the_definition_n7():
 
 
 def test_interval_rank_examples():
-    assert cyclic_interval_rank(EQ1, 1, 2) == 1
-    assert cyclic_interval_rank(EQ1, 2, 4) == 2
+    assert cyclic_interval_rank(eq1(), 1, 2) == 1
+    assert cyclic_interval_rank(eq1(), 2, 4) == 2
     for a in range(1, 5):
-        assert cyclic_interval_rank(EQ1, a, a + 3) == 2  # full window
-        assert cyclic_interval_rank(EQ1, a, a + 4) == 2  # full lap with wrap
+        assert cyclic_interval_rank(eq1(), a, a + 3) == 2  # full window
+        assert cyclic_interval_rank(eq1(), a, a + 4) == 2  # full lap with wrap
 
 
 def test_interval_rank_bounds():
     with pytest.raises(ValueError):
-        cyclic_interval_rank(EQ1, 0, 2)
+        cyclic_interval_rank(eq1(), 0, 2)
     with pytest.raises(ValueError):
-        cyclic_interval_rank(EQ1, 2, 1)
+        cyclic_interval_rank(eq1(), 2, 1)
     with pytest.raises(ValueError):
-        cyclic_interval_rank(EQ1, 2, 7)
+        cyclic_interval_rank(eq1(), 2, 7)

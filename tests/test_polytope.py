@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from stockpolytope import (
     Color,
-    GrassmannNecklace,
     Permutation,
     Positroid,
     WiringWord,
@@ -22,7 +21,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope.positroid import prefix_closure
-from conftest import cached_dim, decorated_permutations, nested_sums, reduced_words
+from conftest import cached_dim, decorated_permutations, eq1, nested_sums, reduced_words
 from oracles import (
     all_decorated_permutations,
     basis_sets,
@@ -40,11 +39,9 @@ from oracles import (
     vertices_from_inequalities,
 )
 
-EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
-
 
 def market_polytope():
-    return polytope_from_positroid(positroid_from_necklace(EQ1))
+    return polytope_from_positroid(positroid_from_necklace(eq1()))
 
 
 def top_polytope(n=4, k=2):

@@ -21,7 +21,7 @@ from stockpolytope import (
 )
 from stockpolytope import positroid
 from stockpolytope.positroid import prefix_closure
-from conftest import brute_circuits, components_from_circuits, decorated_permutations, nested_sums
+from conftest import brute_circuits, components_from_circuits, decorated_permutations, eq1, nested_sums
 from oracles import (
     GaleOrder,
     affine_dimension,
@@ -41,8 +41,6 @@ from oracles import (
     uniform,
     verify_exchange_axiom,
 )
-
-EQ1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
 
 
 def bases_of(m):
@@ -68,7 +66,7 @@ def test_gale_order_object():
 
 
 def test_positroid_from_market_necklace():
-    m = positroid_from_necklace(EQ1)
+    m = positroid_from_necklace(eq1())
     assert bases_of(m) == [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
 
 
@@ -83,7 +81,7 @@ def test_positroid_of_double_swap():
 
 
 def test_exchange_axiom_passes_on_positroids():
-    assert verify_exchange_axiom(positroid_from_necklace(EQ1)) is None
+    assert verify_exchange_axiom(positroid_from_necklace(eq1())) is None
     assert verify_exchange_axiom(Positroid(2, 0, ((),))) is None
 
 
@@ -112,8 +110,16 @@ def test_positroid_takes_only_the_listed_form(bases):
         Positroid(4, 2, bases)
 
 
+def test_the_listing_makes_the_form_the_constructor_checks():
+    # The listing builds its Positroid unchecked; the checked constructor must take every result.
+    for n in range(1, 6):
+        for state in all_decorated_permutations(n):
+            listed = positroid_from_necklace(necklace_from_decorated(state))
+            assert Positroid(listed.n, listed.k, listed.bases) == listed
+
+
 def test_matroid_rank_examples():
-    m = positroid_from_necklace(EQ1)
+    m = positroid_from_necklace(eq1())
     assert matroid_rank(m, {1, 2}) == 1
     assert matroid_rank(m, set()) == 0
     assert matroid_rank(m, {2, 3, 4}) == 2
@@ -130,14 +136,14 @@ def test_cell_dimension_examples():
 
 
 def test_connected_components_examples():
-    assert connected_components(decorated_from_necklace(EQ1)) == ((1, 2, 3, 4),)
+    assert connected_components(decorated_from_necklace(eq1())) == ((1, 2, 3, 4),)
     identity = uniform(Permutation.identity(4), Color.RIGHT)
     assert connected_components(identity) == ((1,), (2,), (3,), (4,))
     assert connected_components(dp((2, 1, 4, 3))) == ((1, 2), (3, 4))
 
 
 def test_circuits_of_market_positroid():
-    m = positroid_from_necklace(EQ1)
+    m = positroid_from_necklace(eq1())
     # bases 13, 14, 23, 24, 34: 234 has size 3 > k and every 2-subset a basis
     expected = {frozenset({1, 2}), frozenset({1, 3, 4}), frozenset({2, 3, 4})}
     assert set(circuits(m)) == expected

@@ -327,6 +327,44 @@ def assert_parses_as_oracle(data):
         assert got == want
 
 
+def test_a_lone_surrogate_in_text_is_a_malformed_number():
+    with pytest.raises(PriceCsvError) as err:
+        parse_price_csv("date,A,B\n2020-01-01,1.5,2.5\n2020-01-02,1.5,2\ud8005\n")
+    assert (str(err.value), err.value.row, err.value.column) == (
+        "row 3, column B: malformed number " + repr("2\ud8005"), 3, "B")
+
+
+PLANTED = ["bad date", "duplicate date", "0.00", "0.", ".", "over-long field", "non-ASCII digit",
+           "out-of-order date"]
+
+
+@settings(derandomize=True, max_examples=160, deadline=None)
+@given(st.sampled_from(PLANTED), st.integers(0, 39), st.integers(1, 30), st.booleans())
+def test_one_defect_in_a_plain_30_stock_file_reads_as_the_per_cell_oracle(defect, row, column, as_bytes):
+    lines = [[(date(2020, 1, 1) + timedelta(days=t)).isoformat()] + [f"{10 + s + t / 100:.2f}" for s in range(30)]
+             for t in range(40)]
+    cells = lines[row]
+    if defect == "bad date":
+        cells[0] = "2020-02-30"
+    elif defect == "duplicate date":
+        cells[0] = lines[row - 1 if row else 1][0]
+    elif defect == "over-long field":
+        cells[column] = "1" * csv.field_size_limit() + ".5"
+    elif defect == "non-ASCII digit":
+        cells[column] = "\u0661" + cells[column]  # ARABIC-INDIC DIGIT ONE, a digit to Decimal
+    elif defect == "out-of-order date":
+        lines.insert(0 if row else 1, lines.pop(row))
+    else:
+        cells[column] = defect
+    text = "".join(",".join(line) + "\n" for line in [["date"] + [f"T{s:02d}" for s in range(30)]] + lines)
+    data = text.encode() if as_bytes else text
+    assert_parses_as_oracle(data)
+    if defect == "over-long field":  # the oracle's csv.Error names no row
+        with pytest.raises(PriceCsvError, match="field larger than field limit") as err:
+            parse_price_csv(data)
+        assert err.value.row == row + 2
+
+
 @st.composite
 def tie_heavy_tables(draw):
     n = draw(st.integers(1, 5))

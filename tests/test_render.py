@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -13,6 +14,7 @@ from stockpolytope import (
     render_hooks,
     render_wiring,
 )
+from stockpolytope import render
 from oracles import all_decorated_permutations, uniform
 
 LABELS = ("AXP", "HD", "WMT", "PG")
@@ -145,6 +147,13 @@ def test_wiring_refuses_a_label_xml_cannot_carry(bad):
     with pytest.raises(ValueError, match="XML 1.0 cannot carry") as err:
         render_wiring(WORD, ("AA", f"A{bad}B", "CC", "DD"))
     assert repr(f"A{bad}B") in str(err.value) and "\n" not in str(err.value)
+
+
+def test_the_refused_characters_are_those_outside_xml_1_0s_char_production():
+    # XML 1.0's Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+    char = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every = "".join(map(chr, range(0x110000)))
+    assert render._NOT_XML.findall(every) == char.findall(every)
 
 
 def test_wiring_keeps_a_carriage_return_in_a_label():
