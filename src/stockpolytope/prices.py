@@ -153,6 +153,10 @@ def _decode(data: str | bytes) -> str:
         raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
 
 
+def _blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def _price(cell: str, line_no: int, ticker: str) -> Decimal:
     try:
         value = Decimal(cell)
@@ -209,7 +213,7 @@ def _csv_table(text: str) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ..
     tickers = _tickers(rows[0])
     parsed: dict[date, tuple[Decimal, ...]] = {}
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if _blank(row):
             continue
         if len(row) != len(tickers) + 1:
             raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
