@@ -93,7 +93,8 @@ def _cmd_render(args) -> str:
     if args.mode == "wiring":
         events = crossing_stream(table, ref, end)
         word = WiringWord(table.n_stocks, tuple(e.position for e in events))
-        return render_wiring(word, table.tickers, fmt=args.format)
+        ranked = table.chain[table.date_index(ref)]  # the stock at each reference rank, not CSV order
+        return render_wiring(word, [table.tickers[s] for s in ranked], fmt=args.format)
     state = decorate(table, ref, end)
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)

@@ -41,7 +41,8 @@ def _svg_open(width: int, height: int) -> list[str]:
 def render_wiring(word: WiringWord, labels: Sequence[str], fmt: str = "svg") -> str:
     """Wiring diagram: wires left to right, one column per crossing.
 
-    Rank 1 sits at the bottom.  Labels name the wires on the left edge
+    Rank 1 sits at the bottom.  ``labels[w - 1]`` names the stock at
+    reference rank w; the labels name the wires on the left edge
     (reference order) and again on the right edge (final order).
     """
     if len(labels) != word.n:

@@ -4,16 +4,19 @@ JSON output is canonical: keys sorted, two-space indent, only strings,
 integers and null, trailing newline.  Identical inputs therefore produce
 byte identical documents.  The schemas carry ``schema_version`` 1.
 
-``report_to_json`` and ``chain_to_json`` lay their documents out with
-fixed templates, one f-string per crossing, decoration or chain step,
-keys already in sorted order.  The standard ``json`` encoder would run
-its pure-Python code under ``indent``; here strings go through its C
-escaper, and the standard encoder (``dumps`` with ``sort_keys=True,
-indent=2``, plus a newline) is the test oracle, byte for byte.
+The writers (``report_to_json``, ``report_to_text``, ``chain_to_json``)
+read the report's fields and only format them.  The JSON ones lay the
+documents out with fixed templates, keys in sorted order, since the
+standard encoder runs pure Python under ``indent``; strings go through
+its C escaper.  ``report_to_dict`` is the JSON document read back.  The
+test oracle is that encoder (``dumps`` with ``sort_keys=True, indent=2``,
+plus a newline) over a mapping built in the tests from the report's fields.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii as _str
@@ -120,55 +123,26 @@ def check_report(report: AnalysisReport) -> None:
     if polytope_dimension(report.positroid.closure) != report.polytope_dim:
         raise ConsistencyError("polytope dimension from the closure's classes differs from "
                                "n minus the number of components")
+    bases = report.positroid.bases  # term I_i is the Gale-least basis from i (Postnikov): listed, I_1 first
+    for i, term in enumerate(report.necklace.terms, start=1):
+        at = bisect_left(bases, basis := tuple(sorted(term)))
+        if bases[at:at + 1] != (basis,) or i == 1 and at:
+            raise ConsistencyError(f"necklace term I_{i} is not {'the first' if i == 1 else 'a'} listed basis")
     word = WiringWord(n, tuple(e.position for e in report.crossings))
     if word_to_permutation(word) != report.permutation:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    """Canonical JSON-ready mapping (strings and integers only)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ref_date": report.ref_date.isoformat(),
-        "target_date": report.target_date.isoformat(),
-        "tickers": list(report.tickers),
-        "permutation": list(report.permutation.images),
-        "decorations": [
-            {"point": i, "color": c.value} for i, c in report.state.colors
-        ],
-        "crossings": [
-            {
-                "date": e.date.isoformat(),
-                "seq": e.seq,
-                "position": e.position,
-                "stocks": [report.tickers[e.stocks[0]], report.tickers[e.stocks[1]]],
-            }
-            for e in report.crossings
-        ],
-        "k": report.k,
-        "necklace": [sorted(t) for t in report.necklace.terms],
-        "affine_lift": list(report.lift.f),
-        "bases": [list(b) for b in report.positroid.bases],
-        "cell_dimension": report.cell_dim,
-        "polytope": {
-            "vertex_count": len(report.positroid.bases),
-            "affine_dimension": report.polytope_dim,
-            "facet_count": report.facet_count,
-        },
-        "noncrossing_partition": [list(block) for block in report.components],
-    }
 
 
 # Newline plus indent for the depths of the documents.
 _P1, _P2, _P3, _P4 = "\n  ", "\n    ", "\n      ", "\n        "
 
 
-def _array(items, pad: str, fmt=str) -> str:
+def _array(items, pad: str) -> str:
     """A JSON array laid out as the standard encoder lays it out with ``indent=2``, at ``pad``."""
     if not items:
         return "[]"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(fmt, items)) + pad + "]"
+    return "[" + inner + ("," + inner).join(map(str, items)) + pad + "]"
 
 
 def _null(value: int | None) -> str:
@@ -176,35 +150,37 @@ def _null(value: int | None) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """The report as canonical JSON: the values of ``report_to_dict``, laid out."""
-    d = report_to_dict(report)
+    """The report as canonical JSON, laid out straight from its fields."""
+    names = [_str(t) for t in report.tickers]
     crossings = [
-        f'{{{_P3}"date": {_str(c["date"])},{_P3}"position": {c["position"]},{_P3}"seq": {c["seq"]},'
-        f'{_P3}"stocks": [{_P4}{_str(c["stocks"][0])},{_P4}{_str(c["stocks"][1])}{_P3}]{_P2}}}'
-        for c in d["crossings"]
+        f'{{{_P3}"date": "{e.date}",{_P3}"position": {e.position},{_P3}"seq": {e.seq},'
+        f'{_P3}"stocks": [{_P4}{names[e.stocks[0]]},{_P4}{names[e.stocks[1]]}{_P3}]{_P2}}}'
+        for e in report.crossings
     ]
-    decorations = [
-        f'{{{_P3}"color": {_str(c["color"])},{_P3}"point": {c["point"]}{_P2}}}' for c in d["decorations"]
-    ]
-    sets = lambda key: _array([_array(s, _P2) for s in d[key]], _P1)
-    poly = d["polytope"]
+    decorations = [f'{{{_P3}"color": "{c.value}",{_P3}"point": {i}{_P2}}}' for i, c in report.state.colors]
+    sets = lambda groups: _array([_array(s, _P2) for s in groups], _P1)
     return (
-        f'{{{_P1}"affine_lift": {_array(d["affine_lift"], _P1)},'
-        f'{_P1}"bases": {sets("bases")},'
-        f'{_P1}"cell_dimension": {d["cell_dimension"]},'
+        f'{{{_P1}"affine_lift": {_array(report.lift.f, _P1)},'
+        f'{_P1}"bases": {sets(report.positroid.bases)},'
+        f'{_P1}"cell_dimension": {report.cell_dim},'
         f'{_P1}"crossings": {_array(crossings, _P1)},'
         f'{_P1}"decorations": {_array(decorations, _P1)},'
-        f'{_P1}"k": {d["k"]},'
-        f'{_P1}"necklace": {sets("necklace")},'
-        f'{_P1}"noncrossing_partition": {sets("noncrossing_partition")},'
-        f'{_P1}"permutation": {_array(d["permutation"], _P1)},'
-        f'{_P1}"polytope": {{{_P2}"affine_dimension": {poly["affine_dimension"]},'
-        f'{_P2}"facet_count": {_null(poly["facet_count"])},{_P2}"vertex_count": {poly["vertex_count"]}{_P1}}},'
-        f'{_P1}"ref_date": {_str(d["ref_date"])},'
-        f'{_P1}"schema_version": {d["schema_version"]},'
-        f'{_P1}"target_date": {_str(d["target_date"])},'
-        f'{_P1}"tickers": {_array(d["tickers"], _P1, _str)}\n}}\n'
+        f'{_P1}"k": {report.k},'
+        f'{_P1}"necklace": {sets(sorted(t) for t in report.necklace.terms)},'
+        f'{_P1}"noncrossing_partition": {sets(report.components)},'
+        f'{_P1}"permutation": {_array(report.permutation.images, _P1)},'
+        f'{_P1}"polytope": {{{_P2}"affine_dimension": {report.polytope_dim},'
+        f'{_P2}"facet_count": {_null(report.facet_count)},{_P2}"vertex_count": {len(report.positroid.bases)}{_P1}}},'
+        f'{_P1}"ref_date": "{report.ref_date}",'
+        f'{_P1}"schema_version": {SCHEMA_VERSION},'
+        f'{_P1}"target_date": "{report.target_date}",'
+        f'{_P1}"tickers": {_array(names, _P1)}\n}}\n'
     )
+
+
+def report_to_dict(report: AnalysisReport) -> dict:
+    """The JSON document read back, so the mapping and the document cannot disagree."""
+    return json.loads(report_to_json(report))
 
 
 def chain_to_json(events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
@@ -219,38 +195,26 @@ def chain_to_json(events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
 
 
 def report_to_text(report: AnalysisReport) -> str:
-    data = report_to_dict(report)
+    tickers = report.tickers
+    sets = lambda groups: " ".join("{" + ",".join(map(str, s)) + "}" for s in groups)
+    decorations = "  ".join(f"{i} -> {c.value}" for i, c in report.state.colors)
+    facets = "not computed" if report.facet_count is None else f"{report.facet_count} facets"
     lines = [
-        f"reference date : {data['ref_date']}",
-        f"target date    : {data['target_date']}",
-        f"tickers        : {' '.join(map(one_line, data['tickers']))}",
-        f"permutation    : {{{', '.join(str(v) for v in data['permutation'])}}}",
+        f"reference date : {report.ref_date}",
+        f"target date    : {report.target_date}",
+        f"tickers        : {' '.join(map(one_line, tickers))}",
+        f"permutation    : {{{', '.join(map(str, report.permutation.images))}}}",
+        f"decorations    : {decorations or '(no fixed points)'}",
+        f"k              : {report.k}",
+        "crossings      :" if report.crossings else "crossings      : (none)",
+        *(f"  {e.date}  seq {e.seq}  position {e.position}  {tickers[e.stocks[0]]} x {tickers[e.stocks[1]]}"
+          for e in report.crossings),
+        f"necklace       : {sets(sorted(t) for t in report.necklace.terms)}",
+        f"affine lift    : ({', '.join(map(str, report.lift.f))})",
+        f"bases          : {sets(report.positroid.bases)}",
+        f"cell dimension : {report.cell_dim}",
+        f"polytope       : {len(report.positroid.bases)} vertices, "
+        f"affine dimension {report.polytope_dim}, {facets}",
+        f"partition      : {sets(report.components)}",
     ]
-    if data["decorations"]:
-        deco = "  ".join(f"{d['point']} -> {d['color']}" for d in data["decorations"])
-    else:
-        deco = "(no fixed points)"
-    lines.append(f"decorations    : {deco}")
-    lines.append(f"k              : {data['k']}")
-    if data["crossings"]:
-        lines.append("crossings      :")
-        for e in data["crossings"]:
-            lines.append(
-                f"  {e['date']}  seq {e['seq']}  position {e['position']}  "
-                f"{e['stocks'][0]} x {e['stocks'][1]}"
-            )
-    else:
-        lines.append("crossings      : (none)")
-    fmt_sets = lambda sets: " ".join("{" + ",".join(str(x) for x in s) + "}" for s in sets)
-    lines.append(f"necklace       : {fmt_sets(data['necklace'])}")
-    lines.append(f"affine lift    : ({', '.join(str(v) for v in data['affine_lift'])})")
-    lines.append(f"bases          : {fmt_sets(data['bases'])}")
-    lines.append(f"cell dimension : {data['cell_dimension']}")
-    poly = data["polytope"]
-    facets = "not computed" if poly["facet_count"] is None else f"{poly['facet_count']} facets"
-    lines.append(
-        f"polytope       : {poly['vertex_count']} vertices, "
-        f"affine dimension {poly['affine_dimension']}, {facets}"
-    )
-    lines.append(f"partition      : {fmt_sets(data['noncrossing_partition'])}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import operator
@@ -26,7 +27,7 @@ from stockpolytope import (
     report_to_json,
     report_to_text,
 )
-from stockpolytope import cli, necklace, perms, polytope, positroid, prices
+from stockpolytope import cli, necklace, perms, polytope, positroid, prices, report
 from stockpolytope.cli import main
 from conftest import PLAIN_DATES, load_sample_table, plain_price_csv_inputs, price_csv_inputs, sample_csv_text
 
@@ -190,12 +191,16 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 0}),
     (["analyze"], {prices.permutation_at: 1}),
     (["render", "chords"], {prices.permutation_at: 1}),
-], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
+    (["analyze"], {report.report_to_dict: 0}),
+    (["analyze", "--format", "text"], {report.report_to_dict: 0}),
+], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation",
+        "json-no-mapping", "text-no-mapping"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
     # shares it only when --facets reads it.  The chain never counts its
     # length in full and lifts no validated state per step.  The decoration
-    # works out the permutation it colors, and nothing else does.
+    # works out the permutation it colors, and nothing else does.  The
+    # writers read the report, not the mapping read back from its JSON.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -478,6 +483,42 @@ def test_chain_matches_goldens(capsys, end, fmt, suffix):
     assert out == (GOLDEN / f"chain_2013-05-15_{end}.{suffix}").read_text()
 
 
+def test_analyze_text_matches_golden(capsys):
+    code, out, err = run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--facets", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "analyze_2013-05-15_2013-06-03.txt").read_text()
+
+
+def write_columns(path, source, order):
+    """``source``'s CSV with its ticker columns in ``order`` (indices after the date)."""
+    rows = [line.split(",") for line in source.read_text().splitlines()]
+    path.write_text("".join(",".join([row[0], *(row[1 + c] for c in order)]) + "\n" for row in rows))
+    return path
+
+
+COLUMN_OUTPUTS = [
+    ["chain"], ["chain", "--format", "json"],
+    *([*mode, *fmt] for mode in (["render", "wiring"], ["render", "chords"], ["render", "hooks"])
+      for fmt in ([], ["--format", "ascii"])),
+]
+
+
+@pytest.mark.parametrize("argv", COLUMN_OUTPUTS, ids=[" ".join(a) for a in COLUMN_OUTPUTS])
+def test_the_column_order_of_a_file_changes_no_chain_or_render_output(capsys, tmp_path, argv):
+    # A wiring label names the stock at a reference rank, wherever its column
+    # stands.  The second file's first date ties B and A, which breaks by ticker.
+    tie = tmp_path / "first-date-tie.csv"
+    tie.write_text("date,B,A,C\n2020-01-01,2.00,2.00,1.00\n2020-01-02,2.50,2.00,3.00\n2020-01-03,1.00,3.00,2.00\n")
+    files = [(SAMPLE, RANGE), (tie, ["--ref-date", "2020-01-01", "--end-date", "2020-01-03"])]
+    for source, window in files:
+        first = run_cli(capsys, *argv, str(source), *window)
+        assert first[0] == 0, first[2]
+        n = len(source.read_text().split("\n", 1)[0].split(",")) - 1
+        for t, order in enumerate(itertools.permutations(range(n))):
+            moved = write_columns(tmp_path / f"columns-{t}.csv", source, order)
+            assert run_cli(capsys, *argv, str(moved), *window) == first, order
+
+
 def test_chain_no_crossings(capsys):
     code, out, _ = run_cli(
         capsys, "chain", str(SAMPLE), "--ref-date", "2013-05-15", "--end-date", "2013-05-16"
@@ -564,6 +605,19 @@ def test_check_catches_raised_polytope_dimension():
     raised = dataclasses.replace(report, polytope_dim=report.polytope_dim + 1)
     with pytest.raises(ConsistencyError, match="closure's classes differs from n minus the number of components"):
         check_report(raised)
+
+
+@pytest.mark.parametrize("bases, message", [
+    (((1, 3), (1, 4), (2, 4), (3, 4)), "necklace term I_2 is not a listed basis"),
+    (((1, 4), (2, 3), (2, 4), (3, 4)), "necklace term I_1 is not the first listed basis"),
+    (((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), "necklace term I_1 is not the first listed basis"),
+], ids=["lacks-I_2", "lacks-I_1", "extra-ahead-of-I_1"])
+def test_check_finds_each_necklace_term_among_the_bases(bases, message):
+    # The sample's terms are 13, 23, 34 and 14; its bases 13, 14, 23, 24 and 34.
+    report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
+    wrong = dataclasses.replace(report, positroid=dataclasses.replace(report.positroid, bases=bases))
+    with pytest.raises(ConsistencyError, match=message):
+        check_report(wrong)
 
 
 def test_sample_csv_text_matches_packaged_file():
