@@ -15,6 +15,8 @@ from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 from stockpolytope import (
     Color,
     DecoratedPermutation,
@@ -287,3 +289,16 @@ def test_criterion_9_determinism_and_goldens(capsys, tmp_path):
     assert outputs[0] == golden_json
     assert outputs[1] == golden_svg
     announce(9, "analyze and render outputs are byte-identical across runs and match goldens")
+
+
+@pytest.mark.parametrize("mode, fmt, suffix", [
+    ("wiring", "ascii", "txt"),
+    ("chords", "svg", "svg"),
+    ("chords", "ascii", "txt"),
+    ("hooks", "svg", "svg"),
+    ("hooks", "ascii", "txt"),
+])
+def test_criterion_9_every_render_output_matches_its_golden(capsys, mode, fmt, suffix):
+    args = ["render", mode, str(SAMPLE), "--ref-date", "2013-05-15", "--end-date", "2013-06-03", "--format", fmt]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{mode}_2013-05-15_2013-06-03.{suffix}").read_text()

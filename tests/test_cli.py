@@ -24,12 +24,12 @@ from stockpolytope import (
     build_report,
     check_report,
     report_to_dict,
-    report_to_json,
     report_to_text,
 )
 from stockpolytope import cli, necklace, perms, polytope, positroid, prices, report
 from stockpolytope.cli import main
 from conftest import PLAIN_DATES, load_sample_table, plain_price_csv_inputs, price_csv_inputs, sample_csv_text
+from test_report import report_dict
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
 RANGE = ["--ref-date", "2013-05-15", "--end-date", "2013-06-03"]
@@ -587,8 +587,7 @@ def test_report_roundtrip_and_check():
     table = load_sample_table()
     report = build_report(table, date(2013, 5, 15), date(2013, 6, 3), with_facets=True)
     check_report(report)
-    as_dict = report_to_dict(report)
-    assert json.loads(report_to_json(report)) == as_dict
+    assert report_to_dict(report) == report_dict(report)
     text = report_to_text(report)
     assert "5 vertices" in text and "5 facets" in text
 

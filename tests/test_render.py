@@ -1,3 +1,5 @@
+import hashlib
+import random
 import re
 import xml.etree.ElementTree as ET
 
@@ -125,8 +127,13 @@ def test_hooks_annotations_and_svg():
 
 def test_unknown_format_rejected():
     state = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
-    with pytest.raises(ValueError):
-        render_chords(state, fmt="png")
+    for draw, args in (
+        (render_wiring, (WORD, LABELS)),
+        (render_chords, (state,)),
+        (render_hooks, (affine_lift(state), interval_rank_summands(state))),
+    ):
+        with pytest.raises(ValueError, match="unknown format 'png'"):
+            draw(*args, fmt="png")
 
 
 def test_every_svg_parses_with_hostile_tickers():
@@ -136,10 +143,29 @@ def test_every_svg_parses_with_hostile_tickers():
         root = ET.fromstring(render_wiring(word, tickers))
         texts = [t.text for t in root.iter(svg)]
         assert sorted(texts) == sorted(tickers * 2)
+    rng = random.Random(30)
+    shapes = ("AT&T{}", "<{}>", '"{}"', "]]>{}", "A\r{}", "B {}", "C\n{}")
+    for n in (30, 100):
+        tickers = tuple(rng.choice(shapes).format(i) for i in range(n))
+        word = WiringWord(n, tuple(rng.randint(1, n - 1) for _ in range(300)))
+        root = ET.fromstring(render_wiring(word, tickers))
+        assert sorted(t.text for t in root.iter(svg)) == sorted(tickers * 2)
+    states = [random_decorated(rng, n) for n in (30, 100)]
     for n in range(1, 5):
-        for state in all_decorated_permutations(n):
-            ET.fromstring(render_chords(state))
-            ET.fromstring(render_hooks(affine_lift(state), interval_rank_summands(state)))
+        states += all_decorated_permutations(n)
+    for state in states:
+        ET.fromstring(render_chords(state))
+        ET.fromstring(render_hooks(affine_lift(state), interval_rank_summands(state)))
+
+
+def random_decorated(rng, n):
+    """A seeded decorated permutation of {1..n}: about a quarter of its points fixed, each colored at random."""
+    fixed = [i for i in range(1, n + 1) if rng.random() < 0.25]
+    moved = [i for i in range(1, n + 1) if i not in fixed]
+    images = dict(zip(moved, rng.sample(moved, len(moved))))
+    images.update((i, i) for i in fixed)
+    perm = Permutation(tuple(images[i] for i in range(1, n + 1)))
+    return DecoratedPermutation(perm, {i: rng.choice((Color.RIGHT, Color.LEFT)) for i in perm.fixed_points()})
 
 
 @pytest.mark.parametrize("bad", ["\x01", "\x0b", "\ufffe", "\x00", "\uffff"])
@@ -161,3 +187,57 @@ def test_wiring_keeps_a_carriage_return_in_a_label():
     tickers = ("A\rB", "C\r\nD", "E\nF", "G\tH")
     root = ET.fromstring(render_wiring(WORD, tickers))
     assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")][::2] == list(tickers)
+
+
+HOSTILE = ("&", "<", "\r", " ", "\n", "\x01")
+
+
+def attempt(draw, *args):
+    """The document ``draw`` returns, or the error it raises, as one string."""
+    try:
+        return draw(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def render_corpus():
+    """Every output, or error, of a fixed corpus, in a fixed order.
+
+    Every decorated permutation with n <= 6 through ``render_chords`` and
+    ``render_hooks``, and seeded wiring words with n <= 8 whose labels hold
+    characters that SVG must escape, text output must refuse, or XML cannot
+    carry; each in both formats and an unknown one, the words also with a
+    label too many.
+    """
+    for n in range(1, 7):
+        for state in all_decorated_permutations(n):
+            lift, ranks = affine_lift(state), interval_rank_summands(state)
+            for fmt in ("svg", "ascii", "png"):
+                yield attempt(render_chords, state, fmt)
+                yield attempt(render_hooks, lift, ranks, fmt)
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        word = WiringWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 12) if n > 1 else 0)))
+        labels = []
+        for _ in range(n):
+            label = rng.choice(LABELS)
+            if rng.random() < 0.5:
+                at = rng.randint(0, len(label))
+                label = label[:at] + rng.choice(HOSTILE) + label[at:]
+            labels.append(label)
+        for fmt in ("svg", "ascii", "png"):
+            yield attempt(render_wiring, word, labels, fmt)
+        yield attempt(render_wiring, word, labels + ["KO"], rng.choice(("svg", "ascii")))
+
+
+def test_render_corpus_digest_is_unchanged():
+    # Written from the module before its writers shared one format switch, one
+    # SVG frame and one geometry pass per diagram: every byte must match it.
+    digest = hashlib.sha256()
+    count = 0
+    for doc in render_corpus():
+        digest.update(repr(doc).encode() + b"\n")
+        count += 1
+    assert count == 6 * 2371 + 4 * 400
+    assert digest.hexdigest() == "b1e5ced0cbfcd9215d20b5ba65a5de55c7a752cb9b757087d88fa9a4582602fd"
