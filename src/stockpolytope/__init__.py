@@ -9,12 +9,7 @@ a cell dimension, and the positroid polytope whose vertices are the 0/1
 indicator vectors of the bases.
 """
 
-from .necklace import (
-    GrassmannNecklace,
-    cyclic_interval,
-    cyclic_interval_rank,
-    necklace_from_decorated,
-)
+from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import (
     BoundedAffinePermutation,
     Color,
@@ -94,8 +89,6 @@ __all__ = [
     "check_report",
     "connected_components",
     "crossing_stream",
-    "cyclic_interval",
-    "cyclic_interval_rank",
     "decorate",
     "decomposition_chain",
     "enumerate_facets",

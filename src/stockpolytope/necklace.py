@@ -1,4 +1,4 @@
-"""Grassmann necklaces and cyclic interval ranks.
+"""Grassmann necklaces.
 
 A Grassmann necklace on ground set {1..n} is a cyclic sequence I_1, ..., I_n
 of k-subsets obeying the increment axiom: if i is in I_i, then I_{i+1} is
@@ -6,9 +6,10 @@ of k-subsets obeying the increment axiom: if i is in I_i, then I_{i+1} is
 I_i, then I_{i+1} = I_i.  Indices wrap, so I_{n+1} means I_1.
 
 Necklaces are equivalent data to decorated permutations.  The direction
-the pipeline runs, from the permutation to the necklace, lives here with
-the interval rank r[a, b] used by the cell dimension formula; the inverse
-bijection is a test oracle, which checks the round trip.
+the pipeline runs, from the permutation to the necklace, lives here; the
+inverse bijection is a test oracle, which checks the round trip.  The
+interval ranks r[a, b] = |I_a ∩ [a..b]| are read off the necklace's
+``positroid.prefix_closure``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import DecoratedPermutation
-
-
-def cyclic_interval(a: int, b: int, n: int) -> tuple[int, ...]:
-    """Elements a, a+1, ..., b around the n-cycle, at most one full lap."""
-    width = min(b - a + 1, n)
-    return tuple((a - 1 + t) % n + 1 for t in range(width))
 
 
 @dataclass(frozen=True)
@@ -54,10 +49,6 @@ class GrassmannNecklace:
                 continue
             raise ValueError(f"invalid necklace at index {i}: {reason}")
 
-    def term(self, i: int) -> frozenset[int]:
-        """I_i with cyclic indexing, so term(n + 1) is term(1)."""
-        return self.terms[(i - 1) % self.n]
-
 
 def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
     """The necklace by Postnikov's recurrence (math/0609764).
@@ -81,19 +72,3 @@ def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
             term.remove(i)
             term.add(v)
     return GrassmannNecklace(dp.n, len(term), tuple(terms))
-
-
-def cyclic_interval_rank(nk: GrassmannNecklace, a: int, b: int) -> int:
-    """Rank of the cyclic column interval [a..b], computed as |I_a ∩ [a..b]|.
-
-    ``b`` may exceed n and wraps; a window of width n or more covers the
-    whole ground set and has rank k.
-    """
-    if not 1 <= a <= nk.n:
-        raise ValueError(f"interval start {a} outside 1..{nk.n}")
-    if not a <= b <= a + nk.n:
-        raise ValueError(f"interval end {b} outside [{a}, {a + nk.n}]")
-    if b - a + 1 >= nk.n:
-        return nk.k
-    window = cyclic_interval(a, b, nk.n)
-    return len(nk.term(a).intersection(window))

@@ -112,12 +112,6 @@ class DecoratedPermutation:
     def n(self) -> int:
         return self.perm.n
 
-    def color_of(self, i: int) -> Color:
-        for point, color in self.colors:
-            if point == i:
-                return color
-        raise KeyError(f"{i} is not a colored fixed point")
-
     def left_fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, c in self.colors if c is Color.LEFT)
 
@@ -213,7 +207,7 @@ def affine_lift(dp: DecoratedPermutation) -> BoundedAffinePermutation:
     >>> affine_lift(dp).f
     (2, 4, 5, 7)
     """
-    n = dp.n
+    n, left = dp.n, dp.left_fixed_points()
     out = []
     for i, v in enumerate(dp.perm.images, start=1):
         if v > i:
@@ -221,7 +215,7 @@ def affine_lift(dp: DecoratedPermutation) -> BoundedAffinePermutation:
         elif v < i:
             out.append(v + n)
         else:
-            out.append(i if dp.color_of(i) is Color.RIGHT else i + n)
+            out.append(i + n if i in left else i)
     return BoundedAffinePermutation(n, tuple(out))
 
 

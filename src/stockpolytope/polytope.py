@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .perms import Color, DecoratedPermutation, Permutation, WiringWord, affine_length_near
-from .positroid import Positroid
+from .positroid import Positroid, interval_rank
 
 # ---------------------------------------------------------------------------
 # The polytope itself.
@@ -66,10 +66,9 @@ class PositroidPolytope:
 
     @property
     def interval_cuts(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """r[a, b] is d[a-1][b], or d[a-1][b-n] + k when [a..b] wraps past n."""
-        n, k, d = self.n, self.k, self.closure
-        return tuple(((a, b), d[a - 1][b] if b <= n else d[a - 1][b - n] + k)
-                     for a in range(1, n + 1) for b in range(a, a + n - 1))
+        """Each cut's bound r[a, b], read off the closure by ``interval_rank``."""
+        n, d = self.n, self.closure
+        return tuple(((a, b), interval_rank(d, a, b)) for a in range(1, n + 1) for b in range(a, a + n - 1))
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:

@@ -9,7 +9,9 @@ rank r[a, b] = |I_a ∩ [a..b]| (Oh, arXiv:0803.1018).
 Each cut bounds a difference of prefix sums x_1 + ... + x_j, so the
 polytope is alcoved (Lam-Postnikov, math/0501246), and the tightest bound
 on each difference is itself a rank.  ``prefix_closure`` reads those
-bounds off the necklace in one O(n^2) pass; ``positroid_from_necklace``
+bounds off the necklace in one O(n^2) pass, and is the cell's one table
+of interval ranks: ``interval_rank`` is its reader, for the polytope's
+cuts, the cell dimension and ``--check`` alike.  ``positroid_from_necklace``
 builds that closure once, lists the bases from it, one search node per
 distinct set of bounds a fixed prefix leaves on the rest, and keeps it,
 and ``polytope`` reads its cuts, dimension and facets off it.  The bases
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import lt
 
-from .necklace import GrassmannNecklace, cyclic_interval_rank, necklace_from_decorated
+from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count, trusted
 
 # Suffix entries ``positroid_from_necklace`` may build before giving up.
@@ -94,6 +96,20 @@ def prefix_closure(nk: GrassmannNecklace) -> list[list[int]]:
         d.append(row)
     d.append([v - k for v in d[0]])
     return d
+
+
+def interval_rank(d: list[list[int]], a: int, b: int) -> int:
+    """The rank r[a, b] read off a ``prefix_closure`` d, for 1 <= a <= n and a <= b <= a + n.
+
+    r[a, b] is d[a-1][b] while b <= n and d[a-1][b-n] + k once [a..b]
+    wraps past n; a window of width n or more has rank k.  n and k come
+    from d itself: it has n + 1 rows, and d[0][n] = r[1, n] = k.
+    """
+    n = len(d) - 1
+    k = d[0][n]
+    if b - a + 1 >= n:
+        return k
+    return d[a - 1][b] if b <= n else d[a - 1][b - n] + k
 
 
 def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
@@ -204,7 +220,6 @@ def cell_dimension(dp: DecoratedPermutation) -> int:
 
 
 def interval_rank_summands(dp: DecoratedPermutation) -> tuple[int, ...]:
-    """The r[i, f(i)] values feeding the dimension formula, in order."""
-    nk = necklace_from_decorated(dp)
-    lift = affine_lift(dp)
-    return tuple(cyclic_interval_rank(nk, i, lift.f[i - 1]) for i in range(1, dp.n + 1))
+    """The r[i, f(i)] values feeding the dimension formula, in order, read off the necklace's closure."""
+    d = prefix_closure(necklace_from_decorated(dp))
+    return tuple(interval_rank(d, i, f_i) for i, f_i in enumerate(affine_lift(dp).f, start=1))

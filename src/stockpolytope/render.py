@@ -129,7 +129,7 @@ def render_chords(dp: DecoratedPermutation, fmt: str = "svg") -> str:
 
 def _chords_ascii(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
     n = dp.n
-    gap = 4
+    gap = max(4, len(str(n)) + 1)  # a space between column numbers, however many digits
     cols = gap * (n - 1) + max(2, len(str(n)) + 1)
     rows: list[str] = []
     if dp.colors:
@@ -201,7 +201,7 @@ def render_hooks(
 
 
 def _hooks_ascii(n: int, rows: list[tuple[int, int, str]], footer: str) -> str:
-    width = 4
+    width = max(4, len(str(2 * n)) + 1)  # a space between column numbers, however many digits
     header = "".join(f"{c:>{width}}" for c in range(1, 2 * n + 1))
     lines = [header]
     for i, f_i, note in rows:

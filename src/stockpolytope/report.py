@@ -33,7 +33,7 @@ from .perms import (
     word_to_permutation,
 )
 from .polytope import CellChain, enumerate_facets, polytope_dimension, polytope_from_positroid
-from .positroid import Positroid, cell_dimension, connected_components, positroid_from_necklace
+from .positroid import Positroid, connected_components, interval_rank, positroid_from_necklace
 from .prices import CrossingEvent, PriceTable, crossing_stream, decorate
 from .render import one_line
 
@@ -118,9 +118,10 @@ def check_report(report: AnalysisReport) -> None:
     n, k = report.state.n, report.k
     if report.cell_dim != k * (n - k) - affine_length(report.lift):
         raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
-    if cell_dimension(report.state) != report.cell_dim:
-        raise ConsistencyError("cell dimension does not re-derive from the reported state")
-    if polytope_dimension(report.positroid.closure) != report.polytope_dim:
+    d, f = report.positroid.closure, report.lift.f  # the listed cell's rank table, and dim = sum r[i, f(i)] - k^2
+    if sum(interval_rank(d, i, f[i - 1]) for i in range(1, n + 1)) - k * k != report.cell_dim:
+        raise ConsistencyError("cell dimension differs from the sum of the closure's ranks r[i, f(i)], less k^2")
+    if polytope_dimension(d) != report.polytope_dim:
         raise ConsistencyError("polytope dimension from the closure's classes differs from "
                                "n minus the number of components")
     bases = report.positroid.bases  # term I_i is the Gale-least basis from i (Postnikov): listed, I_1 first

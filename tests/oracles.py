@@ -19,10 +19,13 @@ positroids from their definitions, on the bases as sets from
 ``basis_sets``, whatever form the package keeps them in; ``uniform``
 colors every fixed point alike; ``necklace_by_definition`` builds the
 necklace term by term from its definition, where the package runs
-Postnikov's recurrence; ``decorated_from_necklace`` inverts the necklace
-map for the round trip; ``dual`` and ``rotate`` give the cells the facet
-count must agree with, and ``restrict`` gives each connected component's
-own cell, over which the counts multiply or add.  The word helpers
+Postnikov's recurrence; ``cyclic_interval_rank`` is the definition-side
+route to r[a, b] = |I_a ∩ [a..b]|, one window of ``cyclic_interval``
+against one term, where the package reads every rank off the closure;
+``decorated_from_necklace`` inverts the necklace map for the round trip;
+``dual`` and ``rotate`` give the cells the facet count must agree with,
+and ``restrict`` gives each connected component's own cell, over which
+the counts multiply or add.  The word helpers
 (``inversions``, ``is_reduced``, ``remove_letter``) and
 ``face_of_removal`` at the end compare a word's cell with the cell of
 the word less one crossing by their bases; the package itself never
@@ -56,7 +59,6 @@ from stockpolytope import (
     WiringWord,
     anti_exceedance_count,
     cell_dimension,
-    cyclic_interval,
     necklace_from_decorated,
     positroid_from_necklace,
     word_to_permutation,
@@ -120,12 +122,12 @@ def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
     images = [0] * nk.n
     colors: dict[int, Color] = {}
     for i in range(1, nk.n + 1):
-        cur = nk.term(i)
+        cur = nk.terms[i - 1]
         if i not in cur:
             images[i - 1] = i
             colors[i] = Color.RIGHT
             continue
-        gained = nk.term(i + 1) - (cur - {i})
+        gained = nk.terms[i % nk.n] - (cur - {i})
         if len(gained) != 1:
             raise AssertionError(f"axiom gave {len(gained)} new elements at index {i}")
         (images[i - 1],) = gained
@@ -148,6 +150,17 @@ def necklace_by_definition(dp: DecoratedPermutation) -> GrassmannNecklace:
         members.update(j for j in range(1, n + 1) if inv(j) != j and (inv(j) - i) % n > (j - i) % n)
         terms.append(frozenset(members))
     return GrassmannNecklace(n, anti_exceedance_count(dp), tuple(terms))
+
+
+def cyclic_interval(a: int, b: int, n: int) -> tuple[int, ...]:
+    """Elements a, a+1, ..., b around the n-cycle, at most one full lap."""
+    width = min(b - a + 1, n)
+    return tuple((a - 1 + t) % n + 1 for t in range(width))
+
+
+def cyclic_interval_rank(nk: GrassmannNecklace, a: int, b: int) -> int:
+    """r[a, b] by its definition |I_a ∩ [a..b]|, for 1 <= a <= n and a <= b <= a + n; b wraps."""
+    return len(nk.terms[a - 1].intersection(cyclic_interval(a, b, nk.n)))
 
 
 def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
@@ -209,7 +222,7 @@ def subset_filter_bases(nk: GrassmannNecklace) -> frozenset[frozenset[int]]:
     componentwise against each term, in that term's own order.
     """
     n, k = nk.n, nk.k
-    targets = [sorted((x - i) % n for x in nk.term(i)) for i in range(1, n + 1)]
+    targets = [sorted((x - i) % n for x in term) for i, term in enumerate(nk.terms, start=1)]
     bases = []
     for combo in itertools.combinations(range(1, n + 1), k):
         if all(

@@ -28,8 +28,6 @@ from stockpolytope import (
     cell_dimension,
     connected_components,
     crossing_stream,
-    cyclic_interval,
-    cyclic_interval_rank,
     decorate,
     enumerate_facets,
     necklace_from_decorated,
@@ -40,9 +38,12 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope.cli import main
+from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import eq1, load_sample_table, reduced_affine_chains
 from oracles import (
     all_decorated_permutations,
+    cyclic_interval,
+    cyclic_interval_rank,
     decorated_from_necklace,
     matroid_rank,
     necklace_of_positroid,
@@ -146,13 +147,13 @@ def test_criterion_5_rank_oracle_equivalence():
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
             nk = necklace_from_decorated(state)
-            m = positroid_from_necklace(nk)
+            m, d = positroid_from_necklace(nk), prefix_closure(nk)
             for a in range(1, n + 1):
                 for b in range(a, a + n + 1):
-                    assert cyclic_interval_rank(nk, a, b) == matroid_rank(
+                    assert interval_rank(d, a, b) == cyclic_interval_rank(nk, a, b) == matroid_rank(
                         m, cyclic_interval(a, b, n)
-                    )
-    announce(5, "necklace interval ranks equal brute-force matroid ranks (n <= 5)")
+                    ), (state, a, b)
+    announce(5, "closure interval ranks equal the necklace definition and brute-force matroid ranks (n <= 5)")
 
 
 def test_criterion_6a_dimension_bounds():

@@ -183,7 +183,7 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
 
 
 @pytest.mark.parametrize("command, calls", [
-    (["render", "hooks"], {necklace.necklace_from_decorated: 1}),
+    (["render", "hooks"], {necklace.necklace_from_decorated: 1, positroid.prefix_closure: 1}),
     (["analyze"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--check"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--facets", "--check"],
@@ -596,6 +596,16 @@ def test_check_catches_corrupted_cell_dimension():
     report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
     report.cell_dim += 1
     with pytest.raises(ConsistencyError, match=r"k\(n-k\) - l\(f\)"):
+        check_report(report)
+
+
+def test_check_reads_the_cell_dimension_off_the_listed_closure():
+    # The sample's lift is (2, 4, 5, 7), so the rank sum reads r[3, 5] off
+    # the wrapped entry d[2][1].  Raising it keeps every class of the
+    # closure and the listed bases, so only the rank sum sees it.
+    report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
+    report.positroid.closure[2][1] += 1
+    with pytest.raises(ConsistencyError, match=r"sum of the closure's ranks r\[i, f\(i\)\], less k\^2$"):
         check_report(report)
 
 

@@ -7,11 +7,20 @@ from stockpolytope import (
     GrassmannNecklace,
     Permutation,
     anti_exceedance_count,
-    cyclic_interval_rank,
     necklace_from_decorated,
+    positroid_from_necklace,
 )
+from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import decorated_permutations, eq1
-from oracles import all_decorated_permutations, decorated_from_necklace, necklace_by_definition, uniform
+from oracles import (
+    all_decorated_permutations,
+    cyclic_interval,
+    cyclic_interval_rank,
+    decorated_from_necklace,
+    matroid_rank,
+    necklace_by_definition,
+    uniform,
+)
 
 
 def dp(images, colors=None):
@@ -95,17 +104,16 @@ def test_recurrence_matches_the_definition_n7():
 
 
 def test_interval_rank_examples():
-    assert cyclic_interval_rank(eq1(), 1, 2) == 1
-    assert cyclic_interval_rank(eq1(), 2, 4) == 2
+    nk = eq1()
+    d = prefix_closure(nk)
+    assert interval_rank(d, 1, 2) == 1
+    assert interval_rank(d, 2, 4) == 2
     for a in range(1, 5):
-        assert cyclic_interval_rank(eq1(), a, a + 3) == 2  # full window
-        assert cyclic_interval_rank(eq1(), a, a + 4) == 2  # full lap with wrap
-
-
-def test_interval_rank_bounds():
-    with pytest.raises(ValueError):
-        cyclic_interval_rank(eq1(), 0, 2)
-    with pytest.raises(ValueError):
-        cyclic_interval_rank(eq1(), 2, 1)
-    with pytest.raises(ValueError):
-        cyclic_interval_rank(eq1(), 2, 7)
+        assert interval_rank(d, a, a + 3) == 2  # full window
+        assert interval_rank(d, a, a + 4) == 2  # full lap with wrap
+    # Every window the reader covers: the closure's rank, the definition's and the bases'.
+    m = positroid_from_necklace(nk)
+    for a in range(1, 5):
+        for b in range(a, a + 5):
+            assert interval_rank(d, a, b) == cyclic_interval_rank(nk, a, b) == matroid_rank(
+                m, cyclic_interval(a, b, 4)), (a, b)

@@ -40,7 +40,7 @@ def test_decoration_must_cover_fixed_points_exactly():
     with pytest.raises(ValueError):
         DecoratedPermutation(p, {1: Color.RIGHT, 2: Color.LEFT, 4: Color.LEFT})
     dp = DecoratedPermutation(p, {1: Color.RIGHT, 4: Color.LEFT})
-    assert dp.color_of(1) is Color.RIGHT
+    assert dict(dp.colors)[1] is Color.RIGHT
     assert dp.left_fixed_points() == frozenset({4})
 
 

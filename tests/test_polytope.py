@@ -236,7 +236,7 @@ def polytope_from_cuts(state):
     # one listed basis is I_1: the facets read the closure, never the
     # bases, which at n = 90 could not be listed.
     nk = necklace_from_decorated(state)
-    return polytope_from_positroid(Positroid(nk.n, nk.k, (tuple(sorted(nk.term(1))),), prefix_closure(nk)))
+    return polytope_from_positroid(Positroid(nk.n, nk.k, (tuple(sorted(nk.terms[0])),), prefix_closure(nk)))
 
 
 def test_facets_of_a_90_stock_cell_take_bounded_work():

@@ -11,8 +11,6 @@ from stockpolytope import (
     Positroid,
     cell_dimension,
     connected_components,
-    cyclic_interval,
-    cyclic_interval_rank,
     interval_rank_summands,
     necklace_from_decorated,
     polytope_dimension,
@@ -20,7 +18,7 @@ from stockpolytope import (
     positroid_from_necklace,
 )
 from stockpolytope import positroid
-from stockpolytope.positroid import prefix_closure
+from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import brute_circuits, components_from_circuits, decorated_permutations, eq1, nested_sums
 from oracles import (
     GaleOrder,
@@ -30,6 +28,8 @@ from oracles import (
     basis_sets,
     circuits,
     contains,
+    cyclic_interval,
+    cyclic_interval_rank,
     decorated_from_necklace,
     exchange_components,
     floyd_warshall_closure,
@@ -189,11 +189,11 @@ def test_rank_consistency_small():
     for n in range(1, 5):
         for state in all_decorated_permutations(n):
             nk = necklace_from_decorated(state)
-            m = positroid_from_necklace(nk)
+            m, d = positroid_from_necklace(nk), prefix_closure(nk)
             for a in range(1, n + 1):
                 for b in range(a, a + n + 1):
                     expected = matroid_rank(m, cyclic_interval(a, b, n))
-                    assert cyclic_interval_rank(nk, a, b) == expected
+                    assert interval_rank(d, a, b) == cyclic_interval_rank(nk, a, b) == expected, (state, a, b)
 
 
 def test_bases_components_cuts_and_dimension_match_oracles(monkeypatch):

@@ -111,6 +111,22 @@ def test_hooks_footers():
     assert "8 - 4 = 4" in doc
 
 
+@pytest.mark.parametrize("n", [500, 1000])
+def test_ascii_column_numbers_stay_apart(n):
+    # From four digits on the step widens: the hooks header and the chords
+    # base line still split back into their column numbers, and each hook
+    # still starts and ends under the numbers of its columns.
+    cycle = DecoratedPermutation(Permutation((*range(2, n + 1), 1)), {})
+    lift = affine_lift(cycle)
+    header, *rows = render_hooks(lift, interval_rank_summands(cycle), fmt="ascii").splitlines()
+    assert header.split() == [str(c) for c in range(1, 2 * n + 1)]
+    for i, (f_i, row) in enumerate(zip(lift.f, rows), start=1):
+        for column, at in ((i, row.index("+")), (f_i, row.index(">"))):
+            assert header[at - len(str(column)) + 1:at + 1] == str(column), (i, column)
+    base = render_chords(cycle, fmt="ascii").splitlines()[-1]
+    assert base.split() == [str(i) for i in range(1, n + 1)]
+
+
 def test_hooks_annotations_and_svg():
     market = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
     lift = affine_lift(market)
