@@ -13,9 +13,10 @@ from datetime import date
 from .perms import WiringWord, affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceCsvError, PriceTable, crossing_stream, decorate, iso_date, read_price_csv
+from .prices import PriceTable, crossing_stream, decorate, iso_date, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
-from .report import ConsistencyError, build_report, chain_to_json, check_report, report_to_json, report_to_text
+from .report import (ConsistencyError, build_report, chain_to_json, chain_to_text, check_report,
+                     report_to_json, report_to_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,24 +69,11 @@ def _cmd_analyze(args) -> str:
     return report_to_json(report) if args.format == "json" else report_to_text(report)
 
 
-def _chain_steps(table: PriceTable, ref: date, end: date):
-    events = crossing_stream(table, ref, end)
-    word = WiringWord(table.n_stocks, tuple(e.position for e in events))
-    labels = [ref.isoformat()] + [e.date.isoformat() for e in events]
-    return events, decomposition_chain(word, labels=labels)
-
-
 def _cmd_chain(args) -> str:
     table, ref, end = _load(args)
-    events, chain = _chain_steps(table, ref, end)
-    if args.format == "json":
-        return chain_to_json(events, chain)
-    lines = []
-    for t, step in enumerate(chain.steps):
-        crossing = "-" if t == 0 else f"s{events[t - 1].position}"
-        perm = "{" + ",".join(str(v) for v in step.images) + "}"
-        lines.append(f"step {t:<3} {step.label}  {crossing:<4} {perm:<20} dim {step.dimension}")
-    return "\n".join(lines) + "\n"
+    events = crossing_stream(table, ref, end)
+    chain = decomposition_chain(WiringWord(table.n_stocks, tuple(e.position for e in events)))
+    return chain_to_json(ref, events, chain) if args.format == "json" else chain_to_text(ref, events, chain)
 
 
 def _cmd_render(args) -> str:
@@ -110,7 +98,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency breach: {exc}", file=sys.stderr)
         return 3
-    except (PriceCsvError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -22,7 +22,8 @@ between class representatives that no third class attains
 (Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Both are read
 in integer arithmetic, with no row reduction and no search.  A facet is
 a bare inequality; which vertices it holds tight is left to whoever
-lists them.
+lists them.  ``decomposition_chain`` follows a crossing word and gives
+each prefix's product and cell dimension, with no dates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .perms import Color, DecoratedPermutation, Permutation, WiringWord, affine_length_near
+from .perms import WiringWord, affine_length_near
 from .positroid import Positroid, interval_rank
 
 # ---------------------------------------------------------------------------
@@ -151,38 +152,28 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
 
 @dataclass(frozen=True)
 class CellStep:
-    """The cell after one prefix of a word: its label, product and dimension.
+    """The cell after a prefix of a word: its product's ``images`` and dimension k(n - k) - l(f).
 
-    ``images`` is the prefix's product in one-line notation; the dimension
-    is k(n - k) - l(f) for its affine lift f (Knutson-Lam-Speyer,
-    arXiv:0903.3694).  Every fixed point is RIGHT.  ``state`` builds the
-    validated decorated permutation, in O(n), on each read.
+    f is the product's affine lift (Knutson-Lam-Speyer, arXiv:0903.3694).
     """
 
-    label: str
     images: tuple[int, ...]
     dimension: int
-
-    @property
-    def state(self) -> DecoratedPermutation:
-        perm = Permutation(self.images)
-        return DecoratedPermutation(perm, {i: Color.RIGHT for i in perm.fixed_points()})
 
 
 @dataclass(frozen=True)
 class CellChain:
-    """Cells of the word prefixes, in time order.
+    """The cells of a word's prefixes in time order: ``steps[t]`` follows t letters.
 
     Appending a crossing to a reduced word raises the dimension by one;
     a re-crossing can drop it again, and such steps are reported as they
-    come, never suppressed.  Each step after the first costs O(n): a swap
-    in the running arrangement and lift, and a copy of the arrangement.
+    come, never suppressed.
     """
 
     steps: tuple[CellStep, ...]
 
 
-def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -> CellChain:
+def decomposition_chain(word: WiringWord) -> CellChain:
     """Cell data for every prefix of the word, from empty to full.
 
     Forward traversal is the gluing direction (one crossing added per
@@ -198,15 +189,11 @@ def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -
     moves by n and l(f) is re-counted near it.  So a step costs O(n) and
     builds no validated object.
     """
-    m, n = len(word.letters), word.n
-    if labels is None:
-        labels = [str(t) for t in range(m + 1)]
-    if len(labels) != m + 1:
-        raise ValueError(f"expected {m + 1} labels, got {len(labels)}")
+    n = word.n
     line, f = list(range(1, n + 1)), list(range(1, n + 1))
     k, length = 0, 0  # the identity lift has no inversions
-    steps = [CellStep(str(labels[0]), tuple(line), k * (n - k) - length)]
-    for t, p in enumerate(word.letters, start=1):
+    steps = [CellStep(tuple(line), k * (n - k) - length)]
+    for p in word.letters:
         # swapping f(p) and f(p + 1) adds one when f(p) < f(p + 1), else takes one
         length += 1 if f[p - 1] < f[p] else -1
         line[p - 1], line[p] = line[p], line[p - 1]
@@ -219,5 +206,5 @@ def decomposition_chain(word: WiringWord, labels: Sequence[str] | None = None) -
                 k += (lifted > n) - (f[i] > n)
                 f[i] = lifted
                 length += affine_length_near(f, n, (i + 1,))
-        steps.append(CellStep(str(labels[t]), tuple(line), k * (n - k) - length))
+        steps.append(CellStep(tuple(line), k * (n - k) - length))
     return CellChain(tuple(steps))

@@ -4,8 +4,10 @@ JSON output is canonical: keys sorted, two-space indent, only strings,
 integers and null, trailing newline.  Identical inputs therefore produce
 byte identical documents.  The schemas carry ``schema_version`` 1.
 
-The writers (``report_to_json``, ``report_to_text``, ``chain_to_json``)
-read the report's fields and only format them.  The JSON ones lay the
+The writers (``report_to_json``, ``report_to_text``, ``chain_to_json``,
+``chain_to_text``) only format what they are given.  The chain ones date
+step t by its last crossing, events[t - 1], which also gives its
+position, and step 0 by the reference date.  The JSON ones lay the
 documents out with fixed templates, keys in sorted order, since the
 standard encoder runs pure Python under ``indent``; strings go through
 its C escaper.  ``report_to_dict`` is the JSON document read back.  The
@@ -184,15 +186,25 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return json.loads(report_to_json(report))
 
 
-def chain_to_json(events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
+def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain --format json`` document: one step per prefix of the crossings."""
     steps = [
-        f'{{{_P3}"date": {_str(step.label)},{_P3}"dimension": {step.dimension},{_P3}"index": {t},'
+        f'{{{_P3}"date": "{events[t - 1].date if t else ref}",{_P3}"dimension": {step.dimension},{_P3}"index": {t},'
         f'{_P3}"permutation": {_array(step.images, _P3)},'
         f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
         for t, step in enumerate(chain.steps)
     ]
     return f'{{\n  "schema_version": 1,\n  "steps": {_array(steps, _P1)}\n}}\n'
+
+
+def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
+    """The ``chain`` text: one line per prefix of the crossings."""
+    lines = []
+    for t, step in enumerate(chain.steps):
+        when, crossing = (events[t - 1].date, f"s{events[t - 1].position}") if t else (ref, "-")
+        perm = "{" + ",".join(map(str, step.images)) + "}"
+        lines.append(f"step {t:<3} {when}  {crossing:<4} {perm:<20} dim {step.dimension}")
+    return "\n".join(lines) + "\n"
 
 
 def report_to_text(report: AnalysisReport) -> str:

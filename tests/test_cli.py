@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -527,6 +528,37 @@ def test_chain_no_crossings(capsys):
     lines = out.splitlines()
     assert len(lines) == 1
     assert lines[0].endswith("dim 0")
+
+
+def chain_corpus(capsys, tmp_path):
+    """(exit code, stdout, stderr) of ``chain`` as text and as JSON over a fixed set of windows."""
+    sample_dates = [line[:10] for line in SAMPLE.read_text().splitlines()[1:]]
+    windows = [[str(SAMPLE), "--ref-date", a, "--end-date", b]
+               for i, a in enumerate(sample_dates) for b in sample_dates[i:]]
+    for seed, dates in zip(range(1, 7), (63, 63, 126, 126, 252, 252)):
+        whole = write_random_walk_csv(tmp_path, seed, dates)
+        walk_dates = [line[:10] for line in Path(whole[0]).read_text().splitlines()[1:]]
+        windows += [whole, [whole[0], "--ref-date", walk_dates[dates // 4], "--end-date", walk_dates[dates // 2]]]
+    windows += [
+        [str(write_tie_csv(tmp_path)), "--ref-date", "2020-01-01", "--end-date", "2020-01-06"],
+        [str(SAMPLE), "--ref-date", "2013-06-05", "--end-date", "2013-05-15"],
+        [str(SAMPLE), "--ref-date", "2013-05-18", "--end-date", "2013-06-05"],
+    ]
+    for window in windows:
+        for fmt in ([], ["--format", "json"]):
+            yield run_cli(capsys, "chain", *window, *fmt)
+
+
+def test_chain_corpus_digest_is_unchanged(capsys, tmp_path):
+    # Written from the CLI before the chain's steps lost their date labels
+    # and both chain writers moved to report.py: every byte must match it.
+    digest = hashlib.sha256()
+    count = 0
+    for doc in chain_corpus(capsys, tmp_path):
+        digest.update(repr(doc).encode() + b"\n")
+        count += 1
+    assert count == 2 * (120 + 12 + 3)
+    assert digest.hexdigest() == "89968bdcc8e03a4632f7d3a61b84a3bd396b130c6833b3fb678a0b8c22ab58ca"
 
 
 def test_json_outputs_do_not_use_the_standard_encoder(capsys, monkeypatch):

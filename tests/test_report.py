@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockpolytope import PriceTable, build_report, report_to_dict, report_to_json
-from stockpolytope.cli import _chain_steps
+from stockpolytope import (
+    Permutation,
+    PriceTable,
+    WiringWord,
+    build_report,
+    crossing_stream,
+    decomposition_chain,
+    report_to_dict,
+    report_to_json,
+)
 from stockpolytope.report import chain_to_json
 from conftest import random_table
 
@@ -57,16 +65,19 @@ def report_dict(report) -> dict:
     }
 
 
-def chain_dict(events, chain) -> dict:
-    """The mapping ``chain --format json`` was encoded from before it had a writer."""
+def chain_dict(ref, events, chain) -> dict:
+    """The mapping ``chain --format json`` was encoded from before it had a writer.
+
+    Step t is dated by its last crossing, events[t - 1], and step 0 by ``ref``.
+    """
     return {
         "schema_version": 1,
         "steps": [
             {
                 "index": t,
-                "date": step.label,
+                "date": (ref if t == 0 else events[t - 1].date).isoformat(),
                 "position": None if t == 0 else events[t - 1].position,
-                "permutation": list(step.state.perm.images),
+                "permutation": list(Permutation(step.images).images),
                 "dimension": step.dimension,
             }
             for t, step in enumerate(chain.steps)
@@ -78,8 +89,9 @@ def assert_both_writers_match(table, ref, end, with_facets):
     report = build_report(table, ref, end, with_facets=with_facets)
     assert report_to_json(report) == dumps(report_dict(report))
     assert report_to_dict(report) == report_dict(report)
-    events, chain = _chain_steps(table, ref, end)
-    assert chain_to_json(events, chain) == dumps(chain_dict(events, chain))
+    events = crossing_stream(table, ref, end)
+    chain = decomposition_chain(WiringWord(table.n_stocks, tuple(e.position for e in events)))
+    assert chain_to_json(ref, events, chain) == dumps(chain_dict(ref, events, chain))
     return report
 
 
