@@ -26,7 +26,6 @@ from .polytope import (
     CellChain,
     CellStep,
     Facet,
-    PositroidPolytope,
     decomposition_chain,
     enumerate_facets,
     polytope_dimension,
@@ -76,7 +75,6 @@ __all__ = [
     "GrassmannNecklace",
     "Permutation",
     "Positroid",
-    "PositroidPolytope",
     "PriceCsvError",
     "PriceTable",
     "WiringWord",

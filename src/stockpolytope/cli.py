@@ -10,10 +10,10 @@ import argparse
 import sys
 from datetime import date
 
-from .perms import WiringWord, affine_lift
+from .perms import affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceTable, crossing_stream, decorate, iso_date, read_price_csv
+from .prices import PriceTable, crossing_stream, crossing_word, decorate, iso_date, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import (ConsistencyError, build_report, chain_to_json, chain_to_text, check_report,
                      report_to_json, report_to_text)
@@ -72,7 +72,7 @@ def _cmd_analyze(args) -> str:
 def _cmd_chain(args) -> str:
     table, ref, end = _load(args)
     events = crossing_stream(table, ref, end)
-    chain = decomposition_chain(WiringWord(table.n_stocks, tuple(e.position for e in events)))
+    chain = decomposition_chain(crossing_word(table.n_stocks, events))
     return chain_to_json(ref, events, chain) if args.format == "json" else chain_to_text(ref, events, chain)
 
 
@@ -80,7 +80,7 @@ def _cmd_render(args) -> str:
     table, ref, end = _load(args)
     if args.mode == "wiring":
         events = crossing_stream(table, ref, end)
-        word = WiringWord(table.n_stocks, tuple(e.position for e in events))
+        word = crossing_word(table.n_stocks, events)
         ranked = table.chain[table.date_index(ref)]  # the stock at each reference rank, not CSV order
         return render_wiring(word, [table.tickers[s] for s in ranked], fmt=args.format)
     state = decorate(table, ref, end)
@@ -95,16 +95,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(output)
     except ConsistencyError as exc:
         print(f"internal consistency breach: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(output)
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return 0
 

@@ -12,10 +12,10 @@ Each of these inequalities bounds a difference of prefix sums
 x_1 + ... + x_j, so the polytope is alcoved (Lam-Postnikov,
 math/0501246), and the tightest bound on each difference is a rank.
 ``positroid_from_necklace`` reads that closure off the necklace once
-with ``prefix_closure`` and lists the bases from it; the polytope is a
-view of that positroid and reads the closure, and the cuts it holds,
-through it.  Its vertex tuples are built only when read, which no stage
-of the pipeline does.  Its dimension is the number of classes of nodes
+with ``prefix_closure``, lists the bases from it and keeps it: the
+positroid is the polytope, and ``polytope_from_positroid`` hands it
+back.  Its vertex tuples are built only when read, which no stage of
+the pipeline does.  Its dimension is the number of classes of nodes
 whose prefix sums differ by a fixed amount, less one.  An alcoved
 polytope is a polytrope, so its facets are the closure entries d[u][v]
 between class representatives that no third class attains
@@ -29,63 +29,21 @@ each prefix's product and cell dimension, with no dates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .perms import WiringWord, affine_length_near
-from .positroid import Positroid, interval_rank
+from .positroid import Positroid
 
 # ---------------------------------------------------------------------------
 # The polytope itself.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositroidPolytope:
-    """The hull of a positroid's bases, read through the positroid.
-
-    ``n``, ``k`` and ``closure`` are the positroid's; the closure is the
-    necklace's ``prefix_closure``, which the dimension and the facets
-    read.  ``interval_cuts`` reads the cuts ((a, b), bound) back off it:
-    the coordinates in the cyclic interval [a..b] sum to at most
-    ``bound``, for the windows of width 1 to n-1, a-major.  The level
-    equation (the coordinates sum to k) and the boxes 0 <= x_i <= 1 are
-    implicit.  A positroid built from its bases alone carries no
-    closure, and the constructor refuses it: build it with
-    ``positroid_from_necklace``.
-    """
-
-    positroid: Positroid
-
-    def __post_init__(self) -> None:
-        if self.positroid.closure is None:
-            raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
-
-    n = property(lambda self: self.positroid.n)
-    k = property(lambda self: self.positroid.k)
-    closure = property(lambda self: self.positroid.closure)
-
-    @property
-    def interval_cuts(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """Each cut's bound r[a, b], read off the closure by ``interval_rank``."""
-        n, d = self.n, self.closure
-        return tuple(((a, b), interval_rank(d, a, b)) for a in range(1, n + 1) for b in range(a, a + n - 1))
-
-    @cached_property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """The bases' indicator vectors, ascending: the lexicographic listing read backwards."""
-        verts = []
-        for b in reversed(self.positroid.bases):
-            v = [0] * self.n
-            for i in b:
-                v[i - 1] = 1
-            verts.append(tuple(v))
-        return tuple(verts)
-
-
-def polytope_from_positroid(m: Positroid) -> PositroidPolytope:
-    """The polytope of a positroid that ``positroid_from_necklace`` built."""
-    return PositroidPolytope(m)
+def polytope_from_positroid(m: Positroid) -> Positroid:
+    """The polytope of a positroid: the positroid itself, its closure the H-description; ValueError without one."""
+    if m.closure is None:
+        raise ValueError("the positroid carries no cuts; build it with positroid_from_necklace")
+    return m
 
 
 def _representatives(d: Sequence[Sequence[int]]) -> list[int]:
@@ -117,8 +75,8 @@ class Facet:
     offset: int
 
 
-def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
-    """Facets by the polytrope rule, read off the closure.
+def enumerate_facets(m: Positroid) -> tuple[Facet, ...]:
+    """The facets of the positroid's polytope by the polytrope rule, read off its closure.
 
     The polytope is alcoved, so it is a polytrope: with one representative
     node per class of fixed differences, it is full-dimensional in their
@@ -130,11 +88,10 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
-    >>> market = polytope_from_positroid(positroid_from_necklace(eq1))
-    >>> [(f.normal, f.offset) for f in enumerate_facets(market)]
+    >>> [(f.normal, f.offset) for f in enumerate_facets(positroid_from_necklace(eq1))]
     [((1, 1, 0, 0), 1), ((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, 1, 0), 1), ((-1, -1, -1, 0), -1)]
     """
-    d = p.closure
+    d = m.closure
     reps = _representatives(d)
     facets = []
     for u in reps:
@@ -142,7 +99,7 @@ def enumerate_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
         for v in reps:
             if u != v and all(du[v] < du[w] + d[w][v] for w in reps if w != u and w != v):
                 sign, lo, hi = (1, u, v) if u < v else (-1, v, u)
-                facets.append(Facet(tuple(sign if lo < i <= hi else 0 for i in range(1, p.n + 1)), du[v]))
+                facets.append(Facet(tuple(sign if lo < i <= hi else 0 for i in range(1, m.n + 1)), du[v]))
     return tuple(facets)
 
 

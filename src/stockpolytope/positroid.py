@@ -13,9 +13,9 @@ bounds off the necklace in one O(n^2) pass, and is the cell's one table
 of interval ranks: ``interval_rank`` is its reader, for the polytope's
 cuts, the cell dimension and ``--check`` alike.  ``positroid_from_necklace``
 builds that closure once, lists the bases from it, one search node per
-distinct set of bounds a fixed prefix leaves on the rest, and keeps it,
-and ``polytope`` reads its cuts, dimension and facets off it.  The bases
-stay as the listing builds them, increasing tuples in lexicographic
+distinct set of bounds a fixed prefix leaves on the rest, and keeps it:
+the positroid is its own polytope, and ``polytope`` reads the dimension
+and facets off it.  The bases stay as the listing builds them, increasing tuples in lexicographic
 order; the listing makes that form, so it builds its ``Positroid``
 unchecked, and no later stage wraps, sorts or checks them again.
 Components and dimensions come from the decorated permutation without
@@ -25,6 +25,7 @@ the bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import lt
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
@@ -47,7 +48,9 @@ class Positroid:
     ``positroid_from_necklace`` also keeps the necklace's
     ``prefix_closure``, which holds every cut r[a, b] and so is the
     bases' H-description; one built from bases alone has none.  It takes
-    no part in equality or the repr.
+    no part in equality or the repr.  The positroid is its own polytope,
+    and only the benchmark's traced run (for its counts) and the tests'
+    oracles read its ``interval_cuts`` and ``vertices``.
     """
 
     n: int
@@ -64,6 +67,23 @@ class Positroid:
         for b in bases:
             if not (isinstance(b, tuple) and len(b) == k and all(map(lt, (0, *b), (*b, n + 1)))):
                 raise ValueError(f"basis {b!r} is not an increasing {k}-tuple of elements of 1..{n}")
+
+    @property
+    def interval_cuts(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The cuts ((a, b), r[a, b]) read by ``interval_rank``, widths 1 to n-1, a-major: sum x_[a..b] <= r."""
+        n, d = self.n, self.closure
+        return tuple(((a, b), interval_rank(d, a, b)) for a in range(1, n + 1) for b in range(a, a + n - 1))
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The bases' indicator vectors, ascending: the lexicographic listing read backwards."""
+        verts = []
+        for b in reversed(self.bases):
+            v = [0] * self.n
+            for i in b:
+                v[i - 1] = 1
+            verts.append(tuple(v))
+        return tuple(verts)
 
 
 def prefix_closure(nk: GrassmannNecklace) -> list[list[int]]:
@@ -128,6 +148,13 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
     budget the search gives up with ValueError.  The positroid keeps d
     for its polytope.
 
+    Two of a child's four bounds need no clamp by d.  Every node keeps
+    hi[t] <= d[e][j] and lo[t] >= -d[j][e]: the root starts there, and
+    each child clamps the other two.  The closure obeys the triangle
+    inequality, so on the one branch, which needs hi[0] > 0 and so d[e][e+1] = 1,
+    hi[t] - 1 <= d[e][j] - d[e][e+1] <= d[e+1][j]; on the zero branch, which
+    needs lo[0] < 1 and so d[e+1][e] = 0, lo[t] >= -d[j][e] >= -d[j][e+1].
+
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
     >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
@@ -155,8 +182,8 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
         elif node not in memo:
             row, floor = d[e + 1][e + 2:], floors[e + 1][e + 2:]
             one = (e + 1, tuple(map(max, [v - 1 for v in lo[1:]], floor)),
-                   tuple(map(min, [v - 1 for v in hi[1:]], row))) if hi[0] > 0 else None
-            zero = (e + 1, tuple(map(max, lo[1:], floor)), tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
+                   tuple(v - 1 for v in hi[1:])) if hi[0] > 0 else None
+            zero = (e + 1, lo[1:], tuple(map(min, hi[1:], row))) if lo[0] < 1 else None
             stack.append((node, (one, zero)))
             stack.extend((child, None) for child in (zero, one) if child not in memo)
     return trusted(Positroid, n, k, tuple(memo[root]), d)

@@ -54,7 +54,7 @@ from itertools import repeat
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .perms import Color, DecoratedPermutation, Permutation, trusted
+from .perms import Color, DecoratedPermutation, Permutation, WiringWord, trusted
 
 
 class PriceCsvError(ValueError):
@@ -387,6 +387,11 @@ def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[
                     arrangement[p - 1], arrangement[p] = upper, lower
                     seq += 1
     return tuple(map(tuple.__new__, repeat(CrossingEvent), events))  # each record made in C
+
+
+def crossing_word(n: int, events: tuple[CrossingEvent, ...]) -> WiringWord:
+    """The wiring word on n wires whose letters are the events' positions, in stream order."""
+    return WiringWord(n, tuple(e.position for e in events))
 
 
 def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:

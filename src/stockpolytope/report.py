@@ -28,7 +28,6 @@ from .perms import (
     BoundedAffinePermutation,
     DecoratedPermutation,
     Permutation,
-    WiringWord,
     affine_length,
     affine_lift,
     anti_exceedance_count,
@@ -36,7 +35,7 @@ from .perms import (
 )
 from .polytope import CellChain, enumerate_facets, polytope_dimension, polytope_from_positroid
 from .positroid import Positroid, connected_components, interval_rank, positroid_from_necklace
-from .prices import CrossingEvent, PriceTable, crossing_stream, decorate
+from .prices import CrossingEvent, PriceTable, crossing_stream, crossing_word, decorate
 from .render import one_line
 
 SCHEMA_VERSION = 1
@@ -131,8 +130,7 @@ def check_report(report: AnalysisReport) -> None:
         at = bisect_left(bases, basis := tuple(sorted(term)))
         if bases[at:at + 1] != (basis,) or i == 1 and at:
             raise ConsistencyError(f"necklace term I_{i} is not {'the first' if i == 1 else 'a'} listed basis")
-    word = WiringWord(n, tuple(e.position for e in report.crossings))
-    if word_to_permutation(word) != report.permutation:
+    if word_to_permutation(crossing_word(n, report.crossings)) != report.permutation:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")
 
 

@@ -53,7 +53,6 @@ from stockpolytope import (
     GrassmannNecklace,
     Permutation,
     Positroid,
-    PositroidPolytope,
     PriceCsvError,
     PriceTable,
     WiringWord,
@@ -414,7 +413,7 @@ def cut_coefficients(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple(1 if i in members else 0 for i in range(1, n + 1))
 
 
-def contains(p: PositroidPolytope, point: Sequence[Number]) -> bool:
+def contains(p: Positroid, point: Sequence[Number]) -> bool:
     """Membership in the inequality description (not just the hull)."""
     if len(point) != p.n:
         return False
@@ -428,7 +427,7 @@ def contains(p: PositroidPolytope, point: Sequence[Number]) -> bool:
     return True
 
 
-def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ...], ...]:
+def vertices_from_inequalities(p: Positroid) -> tuple[tuple[Fraction, ...], ...]:
     """Enumerate the vertices of the inequality system by brute force.
 
     Works directly from the H-description: every basic feasible point is
@@ -496,12 +495,12 @@ def vertices_from_inequalities(p: PositroidPolytope) -> tuple[tuple[Fraction, ..
     return tuple(sorted(set(found)))
 
 
-def tight_vertices(p: PositroidPolytope, facet: Facet) -> tuple[tuple[int, ...], ...]:
+def tight_vertices(p: Positroid, facet: Facet) -> tuple[tuple[int, ...], ...]:
     """The vertices of ``p`` on which ``facet`` holds with equality, in vertex order."""
     return tuple(v for v in p.vertices if _dot(facet.normal, v) == facet.offset)
 
 
-def subset_search_facets(p: PositroidPolytope) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def subset_search_facets(p: Positroid) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The facets' incidence sets, sorted, by brute force over vertex subsets.
 
     Searches all d-subsets of vertices for supporting hyperplanes inside
@@ -543,7 +542,7 @@ def _class_count(d: Sequence[Sequence[int]]) -> int:
     return sum(1 for i, row in enumerate(d) if all(row[j] + d[j][i] for j in range(i)))
 
 
-def face_search_facets(p: PositroidPolytope) -> tuple[Facet, ...]:
+def face_search_facets(p: Positroid) -> tuple[Facet, ...]:
     """Facets among the defining inequalities, by closing the face each one holds tight.
 
     Every facet of a polytope is cut out by one inequality of any system

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -530,8 +531,8 @@ def test_chain_no_crossings(capsys):
     assert lines[0].endswith("dim 0")
 
 
-def chain_corpus(capsys, tmp_path):
-    """(exit code, stdout, stderr) of ``chain`` as text and as JSON over a fixed set of windows."""
+def corpus_windows(tmp_path):
+    """A fixed set of windows: every range of the sample, six walks whole and in part, and three edge cases."""
     sample_dates = [line[:10] for line in SAMPLE.read_text().splitlines()[1:]]
     windows = [[str(SAMPLE), "--ref-date", a, "--end-date", b]
                for i, a in enumerate(sample_dates) for b in sample_dates[i:]]
@@ -544,7 +545,12 @@ def chain_corpus(capsys, tmp_path):
         [str(SAMPLE), "--ref-date", "2013-06-05", "--end-date", "2013-05-15"],
         [str(SAMPLE), "--ref-date", "2013-05-18", "--end-date", "2013-06-05"],
     ]
-    for window in windows:
+    return windows
+
+
+def chain_corpus(capsys, tmp_path):
+    """(exit code, stdout, stderr) of ``chain`` as text and as JSON over ``corpus_windows``."""
+    for window in corpus_windows(tmp_path):
         for fmt in ([], ["--format", "json"]):
             yield run_cli(capsys, "chain", *window, *fmt)
 
@@ -559,6 +565,57 @@ def test_chain_corpus_digest_is_unchanged(capsys, tmp_path):
         count += 1
     assert count == 2 * (120 + 12 + 3)
     assert digest.hexdigest() == "89968bdcc8e03a4632f7d3a61b84a3bd396b130c6833b3fb678a0b8c22ab58ca"
+
+
+def write_decorated_csv(tmp_path, images, left):
+    # Two dates: the stock of reference rank q closes at 10q, then rank q
+    # holds the stock of reference rank images[q - 1] at 10q, less 5 for a
+    # fixed point in ``left`` (it fell) and plus 5 for any other fixed
+    # point (it rose).
+    n = len(images)
+    end = [10 * q + (0 if images[q - 1] != q else -5 if q in left else 5) for q in range(1, n + 1)]
+    price = [0] * n
+    for q, r in enumerate(images):
+        price[r - 1] = end[q]
+    rows = ["date," + ",".join(f"T{r}" for r in range(1, n + 1)),
+            "2020-01-01," + ",".join(f"{10 * r}.00" for r in range(1, n + 1)),
+            "2020-01-02," + ",".join(f"{p}.00" for p in price)]
+    path = tmp_path / ("cell-" + "".join(map(str, images)) + "-" + "".join(map(str, sorted(left))) + ".csv")
+    path.write_text("\n".join(rows) + "\n")
+    return [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
+
+
+def analyze_corpus(capsys, tmp_path):
+    """(exit code, stdout, stderr) of ``analyze --facets --check``, as JSON and as text, over a fixed corpus.
+
+    The corpus is ``corpus_windows``, the 30-stock top cell (past the
+    listing's budget) and every decorated permutation with n <= 5.
+    """
+    top = write_top_cell_csv(tmp_path, 30, 15)
+    windows = corpus_windows(tmp_path) + [[str(top), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]]
+    for n in range(1, 6):
+        for images in itertools.permutations(range(1, n + 1)):
+            fixed = [i for i in images if images[i - 1] == i]
+            for m in range(len(fixed) + 1):
+                for left in itertools.combinations(fixed, m):
+                    windows.append(write_decorated_csv(tmp_path, images, set(left)))
+    for window in windows:
+        for fmt in ([], ["--format", "text"]):
+            yield run_cli(capsys, "analyze", *window, "--facets", "--check", *fmt)
+
+
+def test_analyze_corpus_digest_is_unchanged(capsys, tmp_path):
+    # Written from the CLI while the polytope was still a view of its
+    # positroid and the listing still clamped all four of its bounds:
+    # every byte must match it.
+    digest = hashlib.sha256()
+    codes = collections.Counter()
+    for doc in analyze_corpus(capsys, tmp_path):
+        digest.update(repr(doc).encode() + b"\n")
+        codes[doc[0]] += 1
+    # Exit 2: the reversed and the missing-date windows, the seed-5 walk and the top cell, past the budget.
+    assert codes == {0: 2 * (120 + 12 + 3 + 1 + 414 - 4), 2: 2 * 4}
+    assert digest.hexdigest() == "9355c3410d0014a00d58f222e33f9dfbbf4afea0727c128bd7f6031aea0bc2b7"
 
 
 def test_json_outputs_do_not_use_the_standard_encoder(capsys, monkeypatch):
@@ -603,6 +660,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["permutation"] == [2, 4, 1, 3]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["chain"], ["render", "wiring"]],
+                         ids=["analyze", "chain", "render"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_out_to_an_unwritable_path_exits_2_with_one_line(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *command, str(SAMPLE), *RANGE, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs():

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from stockpolytope import (
     Permutation,
     PriceTable,
-    WiringWord,
     build_report,
     crossing_stream,
     decomposition_chain,
     report_to_dict,
     report_to_json,
 )
+from stockpolytope.prices import crossing_word
 from stockpolytope.report import chain_to_json
 from conftest import random_table
 
@@ -90,7 +90,7 @@ def assert_both_writers_match(table, ref, end, with_facets):
     assert report_to_json(report) == dumps(report_dict(report))
     assert report_to_dict(report) == report_dict(report)
     events = crossing_stream(table, ref, end)
-    chain = decomposition_chain(WiringWord(table.n_stocks, tuple(e.position for e in events)))
+    chain = decomposition_chain(crossing_word(table.n_stocks, events))
     assert chain_to_json(ref, events, chain) == dumps(chain_dict(ref, events, chain))
     return report
 
