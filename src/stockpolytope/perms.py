@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from operator import index
+from typing import Mapping, Sequence
 
 
 def trusted(cls, *values):
@@ -46,7 +47,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(x) for x in self.images)
+        images = tuple(map(index, self.images))
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(
@@ -88,11 +89,8 @@ class DecoratedPermutation:
     colors: tuple[tuple[int, Color], ...]
 
     def __post_init__(self) -> None:
-        raw = self.colors
-        if isinstance(raw, Mapping):
-            pairs = tuple(sorted((int(i), c) for i, c in raw.items()))
-        else:
-            pairs = tuple(sorted((int(i), c) for i, c in raw))
+        raw = self.colors.items() if isinstance(self.colors, Mapping) else self.colors
+        pairs = tuple(sorted(((index(i), c) for i, c in raw), key=lambda pair: pair[0]))
         object.__setattr__(self, "colors", pairs)
         fixed = set(self.perm.fixed_points())
         seen: dict[int, Color] = {}
@@ -124,7 +122,7 @@ class WiringWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(int(p) for p in self.letters))
+        object.__setattr__(self, "letters", tuple(map(index, self.letters)))
         if self.n < 1:
             raise ValueError("wiring words need at least one wire")
         for p in self.letters:
@@ -153,7 +151,7 @@ class BoundedAffinePermutation:
     f: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f", tuple(int(v) for v in self.f))
+        object.__setattr__(self, "f", tuple(map(index, self.f)))
         if len(self.f) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.f)}")
         for i, v in enumerate(self.f, start=1):
@@ -237,23 +235,16 @@ def affine_length(lift: BoundedAffinePermutation) -> int:
     return sum(abs((f[b] - f[a]) // n) for b in range(n) for a in range(b))
 
 
-def affine_length_near(f: Sequence[int], n: int, positions: Iterable[int]) -> int:
-    """The part of ``affine_length`` carried by position pairs that meet ``positions``.
+def affine_length_near(f: Sequence[int], n: int, p: int) -> int:
+    """The part of ``affine_length`` carried by the position pairs that contain position ``p``.
 
     ``f`` holds the values f(1), ..., f(n), with distinct residues mod n,
-    and positions are 1-based.  When two such value lists differ only at
-    ``positions``, their lengths differ by the difference of these parts,
-    which costs O(n) work per position instead of O(n^2).
+    and ``p`` is 1-based.  When two such value lists differ only at
+    ``p``, their lengths differ by the difference of these parts, which
+    costs O(n) work instead of O(n^2).
 
-    >>> affine_length_near((4, 2, 3, 5), 4, (1,)), affine_length_near((4, 2, 3, 5), 4, (3, 4))
+    >>> affine_length_near((4, 2, 3, 5), 4, 1), affine_length_near((4, 2, 3, 5), 4, 3)
     (2, 1)
     """
-    near = sorted({p - 1 for p in positions})
-    total = 0
-    for i, b in enumerate(near):
-        fb = f[b]
-        total += sum([abs((fb - x) // n) for x in f[:b]]) + sum([abs((x - fb) // n) for x in f[b + 1:]])
-        # a pair with both ends near is counted from each end
-        total -= sum([abs((fb - f[a]) // n) for a in near[:i]])
-    return total
-
+    fp = f[p - 1]
+    return sum([abs((fp - x) // n) for x in f[:p - 1]]) + sum([abs((x - fp) // n) for x in f[p:]])

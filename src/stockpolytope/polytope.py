@@ -143,8 +143,9 @@ def decomposition_chain(word: WiringWord) -> CellChain:
     and p + 1, which changes only the pair's own term of l(f), by one.
     The lift at i depends only on the entry v there and i: v when v >= i,
     else v + n.  Where the swap makes or breaks a fixed point, that value
-    moves by n and l(f) is re-counted near it.  So a step costs O(n) and
-    builds no validated object.
+    moves by n, and the pairs that contain its one position are re-counted
+    with ``affine_length_near``.  So a step costs O(n) and builds no
+    validated object.
     """
     n = word.n
     line, f = list(range(1, n + 1)), list(range(1, n + 1))
@@ -159,9 +160,9 @@ def decomposition_chain(word: WiringWord) -> CellChain:
             v = line[i]
             lifted = v if v > i else v + n
             if lifted != f[i]:  # a fixed point made or lost here moves by n
-                length -= affine_length_near(f, n, (i + 1,))
+                length -= affine_length_near(f, n, i + 1)
                 k += (lifted > n) - (f[i] > n)
                 f[i] = lifted
-                length += affine_length_near(f, n, (i + 1,))
+                length += affine_length_near(f, n, i + 1)
         steps.append(CellStep(tuple(line), k * (n - k) - length))
     return CellChain(tuple(steps))

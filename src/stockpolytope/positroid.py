@@ -62,11 +62,11 @@ class Positroid:
         n, k, bases = self.n, self.k, self.bases
         if n < 1:
             raise ValueError("ground set must be nonempty")
-        if not (isinstance(bases, tuple) and bases and all(map(lt, bases, bases[1:]))):
-            raise ValueError("the bases must be a nonempty tuple in strictly increasing lexicographic order")
-        for b in bases:
+        for b in bases if isinstance(bases, tuple) else ():  # each form first: a list and a tuple do not compare
             if not (isinstance(b, tuple) and len(b) == k and all(map(lt, (0, *b), (*b, n + 1)))):
                 raise ValueError(f"basis {b!r} is not an increasing {k}-tuple of elements of 1..{n}")
+        if not (isinstance(bases, tuple) and bases and all(map(lt, bases, bases[1:]))):
+            raise ValueError("the bases must be a nonempty tuple in strictly increasing lexicographic order")
 
     @property
     def interval_cuts(self) -> tuple[tuple[tuple[int, int], int], ...]:

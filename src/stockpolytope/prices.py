@@ -109,14 +109,10 @@ class PriceTable:
     def n_stocks(self) -> int:
         return len(self.tickers)
 
-    @cached_property
-    def _index(self) -> dict[date, int]:
-        return {d: i for i, d in enumerate(self.dates)}
-
     def date_index(self, d: date) -> int:
         try:
-            return self._index[d]
-        except KeyError:
+            return self.dates.index(d)
+        except ValueError:
             raise ValueError(f"unknown date {d.isoformat()}") from None
 
     @cached_property

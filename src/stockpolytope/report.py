@@ -27,7 +27,6 @@ from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import (
     BoundedAffinePermutation,
     DecoratedPermutation,
-    Permutation,
     affine_length,
     affine_lift,
     anti_exceedance_count,
@@ -59,14 +58,6 @@ class AnalysisReport:
     facet_count: int | None
     components: tuple[tuple[int, ...], ...]
     polytope_dim: int
-
-    @property
-    def permutation(self) -> Permutation:
-        return self.state.perm
-
-    @property
-    def k(self) -> int:
-        return self.necklace.k
 
 
 def build_report(
@@ -116,7 +107,7 @@ def check_report(report: AnalysisReport) -> None:
         raise ConsistencyError("necklace does not re-derive from the reported state")
     if affine_lift(report.state) != report.lift:
         raise ConsistencyError("affine lift does not re-derive from the reported state")
-    n, k = report.state.n, report.k
+    n, k = report.state.n, report.necklace.k
     if report.cell_dim != k * (n - k) - affine_length(report.lift):
         raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
     d, f = report.positroid.closure, report.lift.f  # the listed cell's rank table, and dim = sum r[i, f(i)] - k^2
@@ -130,7 +121,7 @@ def check_report(report: AnalysisReport) -> None:
         at = bisect_left(bases, basis := tuple(sorted(term)))
         if bases[at:at + 1] != (basis,) or i == 1 and at:
             raise ConsistencyError(f"necklace term I_{i} is not {'the first' if i == 1 else 'a'} listed basis")
-    if word_to_permutation(crossing_word(n, report.crossings)) != report.permutation:
+    if word_to_permutation(crossing_word(n, report.crossings)) != report.state.perm:
         raise ConsistencyError("crossing stream does not multiply to the reported permutation")
 
 
@@ -166,10 +157,10 @@ def report_to_json(report: AnalysisReport) -> str:
         f'{_P1}"cell_dimension": {report.cell_dim},'
         f'{_P1}"crossings": {_array(crossings, _P1)},'
         f'{_P1}"decorations": {_array(decorations, _P1)},'
-        f'{_P1}"k": {report.k},'
+        f'{_P1}"k": {report.necklace.k},'
         f'{_P1}"necklace": {sets(sorted(t) for t in report.necklace.terms)},'
         f'{_P1}"noncrossing_partition": {sets(report.components)},'
-        f'{_P1}"permutation": {_array(report.permutation.images, _P1)},'
+        f'{_P1}"permutation": {_array(report.state.perm.images, _P1)},'
         f'{_P1}"polytope": {{{_P2}"affine_dimension": {report.polytope_dim},'
         f'{_P2}"facet_count": {_null(report.facet_count)},{_P2}"vertex_count": {len(report.positroid.bases)}{_P1}}},'
         f'{_P1}"ref_date": "{report.ref_date}",'
@@ -214,9 +205,9 @@ def report_to_text(report: AnalysisReport) -> str:
         f"reference date : {report.ref_date}",
         f"target date    : {report.target_date}",
         f"tickers        : {' '.join(map(one_line, tickers))}",
-        f"permutation    : {{{', '.join(map(str, report.permutation.images))}}}",
+        f"permutation    : {{{', '.join(map(str, report.state.perm.images))}}}",
         f"decorations    : {decorations or '(no fixed points)'}",
-        f"k              : {report.k}",
+        f"k              : {report.necklace.k}",
         "crossings      :" if report.crossings else "crossings      : (none)",
         *(f"  {e.date}  seq {e.seq}  position {e.position}  {tickers[e.stocks[0]]} x {tickers[e.stocks[1]]}"
           for e in report.crossings),

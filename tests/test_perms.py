@@ -113,10 +113,39 @@ def test_affine_length_matches_inversion_oracle():
             lift = affine_lift(dp)
             length = affine_inversions(lift)
             assert affine_length(lift) == length, dp
-            assert affine_length_near(lift.f, lift.n, range(1, n + 1)) == length, dp
-            assert affine_length_near(lift.f, lift.n, ()) == 0
+            assert sum(affine_length_near(lift.f, lift.n, p) for p in range(1, n + 1)) == 2 * length, dp
             assert cell_dimension(dp) == lift.k * (n - lift.k) - length, dp
 
+
+
+def test_affine_length_near_gives_the_length_change_of_a_color_flip():
+    # The chain's contract: moving one fixed point's value between p and
+    # p + n changes the length by the change of the part near p.
+    for n in range(1, 7):
+        for dp in all_decorated_permutations(n):
+            lift = affine_lift(dp)
+            f = lift.f
+            for p, _ in dp.colors:
+                g = f[:p - 1] + (2 * p + n - f[p - 1],) + f[p:]
+                change = affine_inversions(BoundedAffinePermutation(n, g)) - affine_inversions(lift)
+                assert change == affine_length_near(g, n, p) - affine_length_near(f, n, p), (dp, p)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2"], ids=["float", "str"])
+def test_value_types_refuse_non_integers(bad):
+    with pytest.raises(TypeError):
+        Permutation((bad, 1))
+    with pytest.raises(TypeError):
+        DecoratedPermutation(Permutation((1, 2)), [(bad, Color.RIGHT), (1, Color.RIGHT)])
+    with pytest.raises(TypeError):
+        WiringWord(3, (bad,))
+    with pytest.raises(TypeError):
+        BoundedAffinePermutation(2, (bad, 2))
+
+
+def test_a_fixed_point_colored_twice_with_two_colors_is_a_value_error():
+    with pytest.raises(ValueError, match="^fixed point 1 colored twice$"):
+        DecoratedPermutation(Permutation((1, 2)), [(1, Color.RIGHT), (1, Color.LEFT), (2, Color.RIGHT)])
 
 def test_k_invariant_under_cyclic_shift():
     # Conjugating by the n-cycle shifts positions and colors together.

@@ -102,8 +102,9 @@ def test_exchange_axiom_counterexample():
     ((1, 2), (1, 2)),
     {frozenset({1, 2}), frozenset({1, 3})},
     (frozenset({1, 2}),),
+    ([1, 2], (1, 3)),
 ], ids=["empty", "wrong size", "above n", "below 1", "not increasing", "out of order", "repeated", "set",
-        "set basis"])
+        "set basis", "list basis"])
 def test_positroid_takes_only_the_listed_form(bases):
     # Rank 2 on 1..4.  The rank-0 form ((),) passes, as the exchange test above builds it.
     with pytest.raises(ValueError):

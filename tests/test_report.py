@@ -40,7 +40,7 @@ def report_dict(report) -> dict:
         "ref_date": report.ref_date.isoformat(),
         "target_date": report.target_date.isoformat(),
         "tickers": list(report.tickers),
-        "permutation": list(report.permutation.images),
+        "permutation": list(report.state.perm.images),
         "decorations": [{"point": i, "color": c.value} for i, c in report.state.colors],
         "crossings": [
             {
@@ -51,7 +51,7 @@ def report_dict(report) -> dict:
             }
             for e in report.crossings
         ],
-        "k": report.k,
+        "k": report.necklace.k,
         "necklace": [sorted(t) for t in report.necklace.terms],
         "affine_lift": list(report.lift.f),
         "bases": [list(b) for b in report.positroid.bases],
