@@ -24,8 +24,6 @@ from .perms import (
 )
 from .polytope import (
     CellChain,
-    CellStep,
-    Facet,
     decomposition_chain,
     enumerate_facets,
     polytope_dimension,
@@ -66,12 +64,10 @@ __all__ = [
     "AnalysisReport",
     "BoundedAffinePermutation",
     "CellChain",
-    "CellStep",
     "Color",
     "ConsistencyError",
     "CrossingEvent",
     "DecoratedPermutation",
-    "Facet",
     "GrassmannNecklace",
     "Permutation",
     "Positroid",

@@ -15,6 +15,7 @@ interval ranks r[a, b] = |I_a ∩ [a..b]| are read off the necklace's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .perms import DecoratedPermutation
 
@@ -28,10 +29,10 @@ class GrassmannNecklace:
     terms: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(frozenset(t) for t in self.terms))
-        if self.n < 1:
+        object.__setattr__(self, "terms", tuple(frozenset(map(index, t)) for t in self.terms))
+        if index(self.n) < 1:
             raise ValueError("ground set must be nonempty")
-        if not 0 <= self.k <= self.n:
+        if not 0 <= index(self.k) <= self.n:
             raise ValueError(f"k = {self.k} outside 0..{self.n}")
         if len(self.terms) != self.n:
             raise ValueError(f"expected {self.n} terms, got {len(self.terms)}")

@@ -123,7 +123,7 @@ class WiringWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(map(index, self.letters)))
-        if self.n < 1:
+        if index(self.n) < 1:
             raise ValueError("wiring words need at least one wire")
         for p in self.letters:
             if not 1 <= p <= self.n - 1:

@@ -21,9 +21,9 @@ polytope is a polytrope, so its facets are the closure entries d[u][v]
 between class representatives that no third class attains
 (Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Both are read
 in integer arithmetic, with no row reduction and no search.  A facet is
-a bare inequality; which vertices it holds tight is left to whoever
-lists them.  ``decomposition_chain`` follows a crossing word and gives
-each prefix's product and cell dimension, with no dates.
+the node pair (u, v) of P_v - P_u <= d[u][v], with no normal vector.
+``decomposition_chain`` follows a crossing word and gives each prefix's
+product and cell dimension, with no dates.
 """
 
 from __future__ import annotations
@@ -62,20 +62,7 @@ def polytope_dimension(closure: Sequence[Sequence[int]]) -> int:
     return len(_representatives(closure)) - 1
 
 
-@dataclass(frozen=True)
-class Facet:
-    """A facet as its supporting inequality normal . x <= offset.
-
-    It is P_v - P_u <= d[u][v] for two class representatives u, v of the
-    closure: the normal is +1 on x_{u+1..v} when u < v and -1 on
-    x_{v+1..u} when u > v, not a normal projected into the affine hull.
-    """
-
-    normal: tuple[int, ...]
-    offset: int
-
-
-def enumerate_facets(m: Positroid) -> tuple[Facet, ...]:
+def enumerate_facets(m: Positroid) -> tuple[tuple[int, int], ...]:
     """The facets of the positroid's polytope by the polytrope rule, read off its closure.
 
     The polytope is alcoved, so it is a polytrope: with one representative
@@ -83,13 +70,13 @@ def enumerate_facets(m: Positroid) -> tuple[Facet, ...]:
     prefix sums, and its facets are the entries d[u][v] of the closure
     that no third representative w attains, d[u][v] < d[u][w] + d[w][v]
     (Joswig-Kulas, arXiv:0801.4835; Tran, arXiv:1310.2012).  Each such
-    ordered pair gives the facet P_v - P_u <= d[u][v], in (u, v) order.
+    pair (u, v) is the facet P_v - P_u <= d[u][v], listed in (u, v) order.
     The vertices are never read, and the cost is O(c^3) for c classes.
 
     >>> from stockpolytope import GrassmannNecklace, positroid_from_necklace
     >>> eq1 = GrassmannNecklace(4, 2, ({1, 3}, {2, 3}, {3, 4}, {1, 4}))
-    >>> [(f.normal, f.offset) for f in enumerate_facets(positroid_from_necklace(eq1))]
-    [((1, 1, 0, 0), 1), ((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, 1, 0), 1), ((-1, -1, -1, 0), -1)]
+    >>> enumerate_facets(positroid_from_necklace(eq1))
+    ((0, 2), (1, 0), (2, 1), (2, 3), (3, 0))
     """
     d = m.closure
     reps = _representatives(d)
@@ -98,8 +85,7 @@ def enumerate_facets(m: Positroid) -> tuple[Facet, ...]:
         du = d[u]
         for v in reps:
             if u != v and all(du[v] < du[w] + d[w][v] for w in reps if w != u and w != v):
-                sign, lo, hi = (1, u, v) if u < v else (-1, v, u)
-                facets.append(Facet(tuple(sign if lo < i <= hi else 0 for i in range(1, m.n + 1)), du[v]))
+                facets.append((u, v))
     return tuple(facets)
 
 
@@ -108,26 +94,17 @@ def enumerate_facets(m: Positroid) -> tuple[Facet, ...]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CellStep:
-    """The cell after a prefix of a word: its product's ``images`` and dimension k(n - k) - l(f).
-
-    f is the product's affine lift (Knutson-Lam-Speyer, arXiv:0903.3694).
-    """
-
-    images: tuple[int, ...]
-    dimension: int
-
-
-@dataclass(frozen=True)
 class CellChain:
     """The cells of a word's prefixes in time order: ``steps[t]`` follows t letters.
 
-    Appending a crossing to a reduced word raises the dimension by one;
-    a re-crossing can drop it again, and such steps are reported as they
-    come, never suppressed.
+    A step is (images, dimension): the prefix product in one-line notation
+    and its cell's dimension k(n - k) - l(f), f the product's affine lift
+    (Knutson-Lam-Speyer, arXiv:0903.3694).  Appending a crossing to a
+    reduced word raises the dimension by one; a re-crossing can drop it
+    again, and such steps are reported as they come, never suppressed.
     """
 
-    steps: tuple[CellStep, ...]
+    steps: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def decomposition_chain(word: WiringWord) -> CellChain:
@@ -150,7 +127,7 @@ def decomposition_chain(word: WiringWord) -> CellChain:
     n = word.n
     line, f = list(range(1, n + 1)), list(range(1, n + 1))
     k, length = 0, 0  # the identity lift has no inversions
-    steps = [CellStep(tuple(line), k * (n - k) - length)]
+    steps = [(tuple(line), k * (n - k) - length)]
     for p in word.letters:
         # swapping f(p) and f(p + 1) adds one when f(p) < f(p + 1), else takes one
         length += 1 if f[p - 1] < f[p] else -1
@@ -164,5 +141,5 @@ def decomposition_chain(word: WiringWord) -> CellChain:
                 k += (lifted > n) - (f[i] > n)
                 f[i] = lifted
                 length += affine_length_near(f, n, i + 1)
-        steps.append(CellStep(tuple(line), k * (n - k) - length))
+        steps.append((tuple(line), k * (n - k) - length))
     return CellChain(tuple(steps))

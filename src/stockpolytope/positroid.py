@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import lt
+from operator import index, lt
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count, trusted
@@ -42,15 +42,15 @@ class Positroid:
     Each basis is a strictly increasing tuple of elements of 1..n, and
     the bases come in strictly increasing lexicographic order, as
     ``positroid_from_necklace`` lists them; rank 0 has the one basis ().
-    The constructor checks that form, not the basis exchange axiom, and
-    raises ValueError on anything else, sets included; the listing,
-    which makes that form, skips the check.
-    ``positroid_from_necklace`` also keeps the necklace's
-    ``prefix_closure``, which holds every cut r[a, b] and so is the
-    bases' H-description; one built from bases alone has none.  It takes
-    no part in equality or the repr.  The positroid is its own polytope,
-    and only the benchmark's traced run (for its counts) and the tests'
-    oracles read its ``interval_cuts`` and ``vertices``.
+    The constructor checks that form, not the basis exchange axiom: it
+    raises TypeError on an n, k or element that is not an integer and
+    ValueError on anything else, sets included.  The listing, which makes
+    that form, skips the check, and keeps the necklace's ``prefix_closure``,
+    which holds every cut r[a, b] and so is the bases' H-description; one
+    built from bases alone has none.  It takes no part in equality or the
+    repr.  The positroid is its own polytope, and only the benchmark's
+    traced run (for its counts) and the tests' oracles read its
+    ``interval_cuts`` and ``vertices``.
     """
 
     n: int
@@ -59,11 +59,11 @@ class Positroid:
     closure: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, k, bases = self.n, self.k, self.bases
+        n, k, bases = index(self.n), index(self.k), self.bases
         if n < 1:
             raise ValueError("ground set must be nonempty")
         for b in bases if isinstance(bases, tuple) else ():  # each form first: a list and a tuple do not compare
-            if not (isinstance(b, tuple) and len(b) == k and all(map(lt, (0, *b), (*b, n + 1)))):
+            if not (isinstance(b, tuple) and len(b) == k and all(map(lt, (0, *map(index, b)), (*b, n + 1)))):
                 raise ValueError(f"basis {b!r} is not an increasing {k}-tuple of elements of 1..{n}")
         if not (isinstance(bases, tuple) and bases and all(map(lt, bases, bases[1:]))):
             raise ValueError("the bases must be a nonempty tuple in strictly increasing lexicographic order")

@@ -178,10 +178,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
 def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain --format json`` document: one step per prefix of the crossings."""
     steps = [
-        f'{{{_P3}"date": "{events[t - 1].date if t else ref}",{_P3}"dimension": {step.dimension},{_P3}"index": {t},'
-        f'{_P3}"permutation": {_array(step.images, _P3)},'
+        f'{{{_P3}"date": "{events[t - 1].date if t else ref}",{_P3}"dimension": {dimension},{_P3}"index": {t},'
+        f'{_P3}"permutation": {_array(images, _P3)},'
         f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
-        for t, step in enumerate(chain.steps)
+        for t, (images, dimension) in enumerate(chain.steps)
     ]
     return f'{{\n  "schema_version": 1,\n  "steps": {_array(steps, _P1)}\n}}\n'
 
@@ -189,10 +189,10 @@ def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain
 def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain`` text: one line per prefix of the crossings."""
     lines = []
-    for t, step in enumerate(chain.steps):
+    for t, (images, dimension) in enumerate(chain.steps):
         when, crossing = (events[t - 1].date, f"s{events[t - 1].position}") if t else (ref, "-")
-        perm = "{" + ",".join(map(str, step.images)) + "}"
-        lines.append(f"step {t:<3} {when}  {crossing:<4} {perm:<20} dim {step.dimension}")
+        perm = "{" + ",".join(map(str, images)) + "}"
+        lines.append(f"step {t:<3} {when}  {crossing:<4} {perm:<20} dim {dimension}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,9 @@ from, and ``floyd_warshall_closure`` closes the cuts by search, where the
 package reads each tightest bound off the ranks.  ``subset_search_facets``
 finds the facets' incidence sets from the vertices,
 ``face_search_facets`` finds the facets among the defining inequalities
-by closing the face each one holds tight, and ``tight_vertices`` gives
-a facet's incidence set to compare with them.
+by closing the face each one holds tight, ``facets_of`` turns the
+package's facets, node pairs of the closure, into inequalities over x,
+and ``tight_vertices`` gives a facet's incidence set to compare with them.
 The price oracles are the earlier parser, which checks cell by cell,
 and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
@@ -49,7 +50,6 @@ from stockpolytope import (
     BoundedAffinePermutation,
     Color,
     DecoratedPermutation,
-    Facet,
     GrassmannNecklace,
     Permutation,
     Positroid,
@@ -58,6 +58,7 @@ from stockpolytope import (
     WiringWord,
     anti_exceedance_count,
     cell_dimension,
+    enumerate_facets,
     necklace_from_decorated,
     positroid_from_necklace,
     word_to_permutation,
@@ -493,6 +494,27 @@ def vertices_from_inequalities(p: Positroid) -> tuple[tuple[Fraction, ...], ...]
         if len(_independent_rows(tight)) == n:
             found.append(point)
     return tuple(sorted(set(found)))
+
+
+@dataclass(frozen=True)
+class Facet:
+    """A facet as its supporting inequality normal . x <= offset, not projected into the affine hull."""
+
+    normal: tuple[int, ...]
+    offset: int
+
+
+def facets_of(p: Positroid) -> tuple[Facet, ...]:
+    """The package's facets of ``p``, each node pair (u, v) read as an inequality over x.
+
+    The pair is P_v - P_u <= d[u][v]: the normal is +1 on x_{u+1..v} when
+    u < v and -1 on x_{v+1..u} when u > v, and the offset is d[u][v].
+    """
+    facets = []
+    for u, v in enumerate_facets(p):
+        sign, lo, hi = (1, u, v) if u < v else (-1, v, u)
+        facets.append(Facet(tuple(sign if lo < i <= hi else 0 for i in range(1, p.n + 1)), p.closure[u][v]))
+    return tuple(facets)
 
 
 def tight_vertices(p: Positroid, facet: Facet) -> tuple[tuple[int, ...], ...]:

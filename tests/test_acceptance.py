@@ -45,6 +45,7 @@ from oracles import (
     cyclic_interval,
     cyclic_interval_rank,
     decorated_from_necklace,
+    facets_of,
     matroid_rank,
     necklace_of_positroid,
     positroid_from_decorated,
@@ -228,7 +229,7 @@ def test_criterion_7_polytope_suite():
     market = polytope_from_positroid(positroid_from_necklace(eq1()))
     assert len(market.vertices) == 5
     assert polytope_dimension(market.closure) == 3
-    market_facets = enumerate_facets(market)
+    market_facets = facets_of(market)
     assert len(market_facets) == 5
     assert sorted(len(tight_vertices(market, f)) for f in market_facets) == [3, 3, 3, 3, 4]
 

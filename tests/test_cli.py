@@ -729,6 +729,33 @@ def test_check_finds_each_necklace_term_among_the_bases(bases, message):
         check_report(wrong)
 
 
+# Two cells on 1..4 to plant in the sample's report (k = 2): the top cell, also k = 2, and the identity, k = 0.
+TOP_CELL = perms.DecoratedPermutation(perms.Permutation((3, 4, 1, 2)), {})
+IDENTITY = perms.DecoratedPermutation(perms.Permutation((1, 2, 3, 4)), dict.fromkeys(range(1, 5), perms.Color.RIGHT))
+
+
+@pytest.mark.parametrize("field, fault, message", [
+    ("lift", lambda lift: perms.affine_lift(IDENTITY), "affine lift k disagrees with the necklace"),
+    ("state", lambda state: IDENTITY, "anti-exceedance count disagrees with k"),
+    ("necklace", lambda nk: necklace.necklace_from_decorated(TOP_CELL),
+     "necklace does not re-derive from the reported state"),
+    ("lift", lambda lift: perms.affine_lift(TOP_CELL), "affine lift does not re-derive from the reported state"),
+    ("crossings", lambda events: events[:-1], "crossing stream does not multiply to the reported permutation"),
+], ids=["lift k", "state k", "necklace", "lift", "crossings"])
+def test_each_check_route_fires_and_main_exits_3(capsys, monkeypatch, field, fault, message):
+    # One planted fault per route; every route checked before it still passes.
+    def faulty(*args, **kwargs):
+        built = build_report(*args, **kwargs)
+        return dataclasses.replace(built, **{field: fault(getattr(built, field))})
+
+    with pytest.raises(ConsistencyError) as err:
+        check_report(faulty(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3)))
+    assert str(err.value) == message
+    monkeypatch.setattr(cli, "build_report", faulty)
+    assert run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--check") == (
+        3, "", f"internal consistency breach: {message}\n")
+
+
 def test_sample_csv_text_matches_packaged_file():
     assert sample_csv_text() == SAMPLE.read_text()
 

@@ -27,6 +27,20 @@ def dp(images, colors=None):
     return DecoratedPermutation(Permutation(images), colors or {})
 
 
+@pytest.mark.parametrize("n, k, terms, message", [
+    (0, 0, (), "ground set must be nonempty"),
+    (2, 3, ({1, 2}, {1, 2}), "k = 3 outside 0..2"),
+    (2, -1, ((), ()), "k = -1 outside 0..2"),
+    (2, 1, ({1},), "expected 2 terms, got 1"),
+    (2, 1, ({1, 2}, {2}), "term 1 has size 2, expected 1"),
+    (2, 1, ({1}, {3}), "term 2 is not a subset of 1..2"),
+], ids=["no ground set", "k above n", "k below 0", "term count", "term size", "not a subset"])
+def test_the_necklace_refuses_a_malformed_shape(n, k, terms, message):
+    with pytest.raises(ValueError) as err:
+        GrassmannNecklace(n, k, terms)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_necklace_of_market_permutation():
     assert necklace_from_decorated(dp((2, 4, 1, 3))) == eq1()
 

@@ -6,7 +6,9 @@ from stockpolytope import (
     BoundedAffinePermutation,
     Color,
     DecoratedPermutation,
+    GrassmannNecklace,
     Permutation,
+    Positroid,
     WiringWord,
     affine_length,
     affine_length_near,
@@ -131,7 +133,7 @@ def test_affine_length_near_gives_the_length_change_of_a_color_flip():
                 assert change == affine_length_near(g, n, p) - affine_length_near(f, n, p), (dp, p)
 
 
-@pytest.mark.parametrize("bad", [1.5, "2"], ids=["float", "str"])
+@pytest.mark.parametrize("bad", [1.5, "2", 2.0], ids=["float", "str", "integral float"])
 def test_value_types_refuse_non_integers(bad):
     with pytest.raises(TypeError):
         Permutation((bad, 1))
@@ -141,6 +143,37 @@ def test_value_types_refuse_non_integers(bad):
         WiringWord(3, (bad,))
     with pytest.raises(TypeError):
         BoundedAffinePermutation(2, (bad, 2))
+    with pytest.raises(TypeError):
+        WiringWord(bad, (1,))
+    with pytest.raises(TypeError):
+        Positroid(4, 2, ((bad, 3),))
+    with pytest.raises(TypeError):
+        Positroid(bad, 2, ((1, 2),))
+    with pytest.raises(TypeError):
+        Positroid(4, bad, ((1, 2),))
+    with pytest.raises(TypeError):
+        GrassmannNecklace(2, 1, ({bad}, {2}))
+    with pytest.raises(TypeError):
+        GrassmannNecklace(bad, 1, ({1}, {1}))
+    with pytest.raises(TypeError):
+        GrassmannNecklace(2, bad, ({1}, {1}))
+
+
+@pytest.mark.parametrize("build, kind, message", [
+    (lambda: Permutation((2, 1))(3), ValueError, "index 3 outside 1..2"),
+    (lambda: Permutation((2, 1))(0), ValueError, "index 0 outside 1..2"),
+    (lambda: DecoratedPermutation(Permutation((1, 2)), {1: "right", 2: Color.RIGHT}), TypeError,
+     "color of 1 must be a Color, got 'right'"),
+    (lambda: WiringWord(0, ()), ValueError, "wiring words need at least one wire"),
+    (lambda: WiringWord(3, (1,)).prefix(2), IndexError, "prefix length 2 outside 0..1"),
+    (lambda: WiringWord(3, (1,)).prefix(-1), IndexError, "prefix length -1 outside 0..1"),
+    (lambda: BoundedAffinePermutation(2, (1,)), ValueError, "expected 2 values, got 1"),
+], ids=["call above n", "call below 1", "color not a Color", "no wire", "prefix too long", "prefix negative",
+        "lift length"])
+def test_the_value_types_refuse_what_they_cannot_hold(build, kind, message):
+    with pytest.raises(kind) as err:
+        build()
+    assert type(err.value) is kind and str(err.value) == message
 
 
 def test_a_fixed_point_colored_twice_with_two_colors_is_a_value_error():

@@ -29,6 +29,7 @@ from oracles import (
     exchange_components,
     face_of_removal,
     face_search_facets,
+    facets_of,
     necklace_of_positroid,
     positroid_from_decorated,
     restrict,
@@ -84,7 +85,7 @@ def test_polytope_dimensions():
 
 def test_market_facets_form_square_pyramid():
     poly = market_polytope()
-    facets = enumerate_facets(poly)
+    facets = facets_of(poly)
     assert len(facets) == 5
     sizes = sorted(len(tight_vertices(poly, f)) for f in facets)
     assert sizes == [3, 3, 3, 3, 4]
@@ -95,7 +96,7 @@ def test_market_facets_form_square_pyramid():
 
 def test_hypersimplex_is_octahedron():
     poly = top_polytope()
-    facets = enumerate_facets(poly)
+    facets = facets_of(poly)
     assert len(facets) == 8
     assert all(len(tight_vertices(poly, f)) == 3 for f in facets)
 
@@ -111,7 +112,7 @@ def test_hypersimplex_facets_at_scale(n, k):
 
 def test_facet_inequalities_hold_with_equality_pattern():
     for poly in (market_polytope(), top_polytope()):
-        for facet in enumerate_facets(poly):
+        for facet in facets_of(poly):
             tight = tight_vertices(poly, facet)
             for v in poly.vertices:
                 value = sum(c * x for c, x in zip(facet.normal, v))
@@ -129,7 +130,7 @@ def test_facets_match_subset_search_oracle_n5():
     for n in range(1, 6):
         for state in all_decorated_permutations(n):
             poly = polytope_from_positroid(positroid_from_decorated(state))
-            facets = enumerate_facets(poly)
+            facets = facets_of(poly)
             tight = [tight_vertices(poly, f) for f in facets]
             assert sorted(tight) == list(subset_search_facets(poly)), state
             for facet, incident in zip(facets, tight):
@@ -150,7 +151,7 @@ def test_facets_of_the_9_element_simplex():
 
     simplex = Positroid(9, 1, tuple((i,) for i in range(1, 10)))
     poly = polytope_from_positroid(positroid_from_necklace(necklace_of_positroid(simplex)))
-    facets = enumerate_facets(poly)
+    facets = facets_of(poly)
     assert polytope_dimension(poly.closure) == 8
     assert len(facets) == 9
     assert sorted(tight_vertices(poly, f) for f in facets) == list(subset_search_facets(poly))
@@ -181,7 +182,7 @@ def test_facets_match_the_face_search_n6():
     for n in range(1, 7):
         for state in all_decorated_permutations(n):
             poly = polytope_from_positroid(positroid_from_decorated(state))
-            rule, search = enumerate_facets(poly), face_search_facets(poly)
+            rule, search = facets_of(poly), face_search_facets(poly)
             assert len(rule) == len(search), state
             assert (sorted(tight_vertices(poly, f) for f in rule)
                     == sorted(tight_vertices(poly, f) for f in search)), state
@@ -278,31 +279,31 @@ def test_hull_facets_valid_on_h_system_vertices_n4():
     for state in all_decorated_permutations(4):
         poly = polytope_from_positroid(positroid_from_decorated(state))
         hverts = vertices_from_inequalities(poly)
-        for facet in enumerate_facets(poly):
+        for facet in facets_of(poly):
             for v in hverts:
                 assert sum(c * x for c, x in zip(facet.normal, v)) <= facet.offset
 
 
 def test_chain_of_market_word():
     chain = decomposition_chain(WiringWord(4, (1, 3, 2)))
-    assert [s.dimension for s in chain.steps] == [0, 1, 2, 3]
-    assert uniform(Permutation(chain.steps[-1].images), Color.RIGHT).perm.images == (2, 4, 1, 3)
+    assert [s[1] for s in chain.steps] == [0, 1, 2, 3]
+    assert uniform(Permutation(chain.steps[-1][0]), Color.RIGHT).perm.images == (2, 4, 1, 3)
 
 
 def test_chain_empty_word():
     chain = decomposition_chain(WiringWord(4, ()))
-    assert [s.dimension for s in chain.steps] == [0]
-    assert uniform(Permutation(chain.steps[0].images), Color.RIGHT).perm == Permutation.identity(4)
+    assert [s[1] for s in chain.steps] == [0]
+    assert uniform(Permutation(chain.steps[0][0]), Color.RIGHT).perm == Permutation.identity(4)
 
 
 def test_chain_reports_recrossing():
     chain = decomposition_chain(WiringWord(4, (1, 1)))
-    assert [s.dimension for s in chain.steps] == [0, 1, 0]
+    assert [s[1] for s in chain.steps] == [0, 1, 0]
 
 
 def test_chain_labels_and_right_fixed_points():
     chain = decomposition_chain(WiringWord(3, (1,)))
-    states = [uniform(Permutation(s.images), Color.RIGHT) for s in chain.steps]
+    states = [uniform(Permutation(s[0]), Color.RIGHT) for s in chain.steps]
     assert states[0] == uniform(Permutation.identity(3), Color.RIGHT)
     assert states[1] == uniform(Permutation((2, 1, 3)), Color.RIGHT)
 
@@ -321,10 +322,10 @@ def assert_chain_matches_oracles(word):
     chain = decomposition_chain(word)
     assert len(chain.steps) == len(word) + 1
     for t, step in enumerate(chain.steps):
-        perm, state = word_to_permutation(word.prefix(t)), uniform(Permutation(step.images), Color.RIGHT)
+        perm, state = word_to_permutation(word.prefix(t)), uniform(Permutation(step[0]), Color.RIGHT)
         assert state == uniform(perm, Color.RIGHT), (word, t)
-        assert step.images == perm.images, (word, t)
-        assert step.dimension == cell_dimension(state), (word, t)
+        assert step[0] == perm.images, (word, t)
+        assert step[1] == cell_dimension(state), (word, t)
 
 
 def test_chain_matches_prefix_products_and_necklace_dimensions():
@@ -348,7 +349,7 @@ def test_chain_is_linear_in_the_word_length():
     started = time.perf_counter()
     chain = decomposition_chain(word)
     assert time.perf_counter() - started < 1.0
-    assert uniform(Permutation(chain.steps[-1].images), Color.RIGHT).perm == word_to_permutation(word)
+    assert uniform(Permutation(chain.steps[-1][0]), Color.RIGHT).perm == word_to_permutation(word)
 
 
 def test_face_of_removal_examples():
@@ -394,7 +395,7 @@ def test_monotone_chain_backstep_containment():
 
 def test_known_nonmonotone_word():
     chain = decomposition_chain(WiringWord(3, (1, 2, 1)))
-    assert [s.dimension for s in chain.steps] == [0, 1, 2, 1]
+    assert [s[1] for s in chain.steps] == [0, 1, 2, 1]
 
 
 def test_vertices_from_inequalities_returns_fractions():

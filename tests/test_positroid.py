@@ -111,6 +111,13 @@ def test_positroid_takes_only_the_listed_form(bases):
         Positroid(4, 2, bases)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_positroid_needs_a_ground_set(n):
+    with pytest.raises(ValueError) as err:
+        Positroid(n, 0, ((),))
+    assert type(err.value) is ValueError and str(err.value) == "ground set must be nonempty"
+
+
 def test_the_listing_makes_the_form_the_constructor_checks():
     # The listing builds its Positroid unchecked; the checked constructor must take every result.
     for n in range(1, 6):

@@ -268,6 +268,28 @@ def test_price_table_rejects_bad_rows(row, shown):
         assert str(err.value) == f"prices must be positive decimals, got {shown}"
 
 
+D1, D2 = date(2020, 1, 1), date(2020, 1, 2)
+ROW = (Decimal(1), Decimal(2))
+
+
+@pytest.mark.parametrize("build, kind, message", [
+    (lambda: PriceTable((), (D1,), ((),)), ValueError, "a price table needs at least one ticker"),
+    (lambda: PriceTable(("A", "A"), (D1,), (ROW,)), ValueError, "duplicate ticker"),
+    (lambda: PriceTable(("A", "B"), (), ()), ValueError, "a price table needs at least one date"),
+    (lambda: PriceTable(("A", "B"), (D2, D1), (ROW, ROW)), ValueError, "dates must be strictly increasing"),
+    (lambda: PriceTable(("A", "B"), (D1, D1), (ROW, ROW)), ValueError, "dates must be strictly increasing"),
+    (lambda: PriceTable(("A", "B"), (D1, D2), (ROW,)), ValueError, "one price row per date required"),
+    # A plain file but for its header's bytes: the CSV reader's decoding names the row.
+    (lambda: parse_price_csv(b"date,A\xff,B\n2020-01-01,1.5,2.5\n2020-01-02,2.5,1.5\n"), PriceCsvError,
+     "row 1: undecodable byte 0xff, expected UTF-8"),
+], ids=["no ticker", "duplicate ticker", "no date", "dates decrease", "date repeats", "row count",
+        "plain file, header not UTF-8"])
+def test_the_table_refuses_a_malformed_shape(build, kind, message):
+    with pytest.raises(kind) as err:
+        build()
+    assert type(err.value) is kind and str(err.value) == message
+
+
 @pytest.mark.parametrize("cell, newline, plain", [
     ("{}.0", "\n", True), ("{}", "\n", False), ("{}.0", "\r\n", False),
 ], ids=["plain", "csv-integers", "csv-crlf"])

@@ -77,8 +77,8 @@ def chain_dict(ref, events, chain) -> dict:
                 "index": t,
                 "date": (ref if t == 0 else events[t - 1].date).isoformat(),
                 "position": None if t == 0 else events[t - 1].position,
-                "permutation": list(Permutation(step.images).images),
-                "dimension": step.dimension,
+                "permutation": list(Permutation(step[0]).images),
+                "dimension": step[1],
             }
             for t, step in enumerate(chain.steps)
         ],
