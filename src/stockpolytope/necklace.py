@@ -29,17 +29,18 @@ class GrassmannNecklace:
     terms: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(frozenset(map(index, t)) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(frozenset(t) for t in self.terms))
         if index(self.n) < 1:
             raise ValueError("ground set must be nonempty")
         if not 0 <= index(self.k) <= self.n:
             raise ValueError(f"k = {self.k} outside 0..{self.n}")
         if len(self.terms) != self.n:
             raise ValueError(f"expected {self.n} terms, got {len(self.terms)}")
+        ground = frozenset(range(1, self.n + 1))
         for idx, term in enumerate(self.terms, start=1):
             if len(term) != self.k:
                 raise ValueError(f"term {idx} has size {len(term)}, expected {self.k}")
-            if not term <= frozenset(range(1, self.n + 1)):
+            if not (all(map(index, term)) and term <= ground):  # index refuses a non-integer; a 0 fails all()
                 raise ValueError(f"term {idx} is not a subset of 1..{self.n}")
         for i, (cur, nxt) in enumerate(zip(self.terms, self.terms[1:] + self.terms[:1]), start=1):
             if i in cur and not cur - nxt <= {i}:

@@ -2,9 +2,9 @@
 
 From the root of a checkout:
 
-    python tools/coverage.py [pytest arguments]
+    python tools/coverage.py
 
-This runs pytest in this process, by default as the tier-1 run
+This runs pytest in this process as the tier-1 run
 (``-q --continue-on-collection-errors``, which also runs the docstring
 examples in ``src/``), under a ``sys.settrace`` line tracer that watches
 only the package's files.  It then prints ``path:line: source`` for each
@@ -59,7 +59,7 @@ def never_run(spans: list[tuple[int, int]], ran: set[int]) -> list[int]:
     return [first for first, last in spans if ran.isdisjoint(range(first, last + 1))]
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.dont_write_bytecode = True
     sys.path[0] = str(SRC)  # in place of this script's directory, where ``import coverage`` would find this file
     # The tests that start the CLI in a child process find the package as tier-1 does, with no bytecode either.
@@ -82,7 +82,7 @@ def main(argv: list[str]) -> int:
 
         sys.settrace(calls)
         try:
-            code = pytest.main([*(argv or TIER_1), "-p", "no:cacheprovider"])
+            code = pytest.main([*TIER_1, "-p", "no:cacheprovider"])
         finally:
             sys.settrace(None)
     total = missed = 0
@@ -99,4 +99,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
