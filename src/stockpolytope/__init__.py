@@ -53,7 +53,6 @@ from .report import (
     ConsistencyError,
     build_report,
     check_report,
-    report_to_dict,
     report_to_json,
     report_to_text,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "render_chords",
     "render_hooks",
     "render_wiring",
-    "report_to_dict",
     "report_to_json",
     "report_to_text",
     "word_to_permutation",

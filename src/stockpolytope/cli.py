@@ -87,7 +87,7 @@ def _cmd_render(args) -> str:
     if args.mode == "chords":
         return render_chords(state, fmt=args.format)
     lift = affine_lift(state)
-    return render_hooks(lift, interval_rank_summands(state), fmt=args.format)
+    return render_hooks(lift, interval_rank_summands(state, lift), fmt=args.format)
 
 
 def main(argv=None) -> int:

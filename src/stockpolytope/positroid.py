@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import index, lt
 
 from .necklace import GrassmannNecklace, necklace_from_decorated
-from .perms import DecoratedPermutation, affine_lift, anti_exceedance_count, trusted
+from .perms import BoundedAffinePermutation, DecoratedPermutation, affine_lift, anti_exceedance_count, trusted
 
 # Suffix entries ``positroid_from_necklace`` may build before giving up.
 BASIS_SEARCH_STEPS = 200_000
@@ -243,10 +243,10 @@ def cell_dimension(dp: DecoratedPermutation) -> int:
     >>> cell_dimension(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
     3
     """
-    return sum(interval_rank_summands(dp)) - anti_exceedance_count(dp) ** 2
+    return sum(interval_rank_summands(dp, affine_lift(dp))) - anti_exceedance_count(dp) ** 2
 
 
-def interval_rank_summands(dp: DecoratedPermutation) -> tuple[int, ...]:
-    """The r[i, f(i)] values feeding the dimension formula, in order, read off the necklace's closure."""
+def interval_rank_summands(dp: DecoratedPermutation, lift: BoundedAffinePermutation) -> tuple[int, ...]:
+    """The r[i, f(i)] values feeding the dimension formula, read off the closure; ``lift`` is ``affine_lift(dp)``."""
     d = prefix_closure(necklace_from_decorated(dp))
-    return tuple(interval_rank(d, i, f_i) for i, f_i in enumerate(affine_lift(dp).f, start=1))
+    return tuple(interval_rank(d, i, f_i) for i, f_i in enumerate(lift.f, start=1))

@@ -76,7 +76,7 @@ class PriceCsvError(ValueError):
 class PriceTable:
     """Closing prices: ``prices[d][s]`` is stock s on date d.
 
-    Dates are strictly increasing; every price is a positive Decimal.
+    Tickers are strings, dates strictly increasing ``date``s, and every price a positive Decimal.
     ``chain`` is the table's ranking chain, ranked on first read.
     """
 
@@ -90,10 +90,16 @@ class PriceTable:
         object.__setattr__(self, "prices", tuple(tuple(row) for row in self.prices))
         if not self.tickers:
             raise ValueError("a price table needs at least one ticker")
+        for t in self.tickers:
+            if not isinstance(t, str):
+                raise TypeError(f"tickers must be strings, got {t!r}")
         if len(set(self.tickers)) != len(self.tickers):
             raise ValueError("duplicate ticker")
         if not self.dates:
             raise ValueError("a price table needs at least one date")
+        for d in self.dates:
+            if type(d) is not date:  # a datetime would print its time as the date
+                raise TypeError(f"dates must be datetime.date values, got {d!r}")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
         if len(self.prices) != len(self.dates):

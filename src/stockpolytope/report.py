@@ -10,14 +10,14 @@ step t by its last crossing, events[t - 1], which also gives its
 position, and step 0 by the reference date.  The JSON ones lay the
 documents out with fixed templates, keys in sorted order, since the
 standard encoder runs pure Python under ``indent``; strings go through
-its C escaper.  ``report_to_dict`` is the JSON document read back.  The
-test oracle is that encoder (``dumps`` with ``sort_keys=True, indent=2``,
-plus a newline) over a mapping built in the tests from the report's fields.
+its C escaper.  Nothing reads a document back: the test oracle is that
+encoder (``dumps`` with ``sort_keys=True, indent=2``, plus a newline)
+over a mapping built in the tests from the report's fields.  The report
+is frozen: ``build_report`` works out every field, then builds it in one call.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
@@ -44,7 +44,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check between report fields failed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
     ref_date: date
     target_date: date
@@ -69,6 +69,8 @@ def build_report(
     nk = necklace_from_decorated(state)
     lift = affine_lift(state)
     components = connected_components(state)
+    positroid = positroid_from_necklace(nk)
+    facet_count = len(enumerate_facets(polytope_from_positroid(positroid))) if with_facets else None
     report = AnalysisReport(
         ref_date,
         end_date,
@@ -77,14 +79,12 @@ def build_report(
         events,
         nk,
         lift,
-        positroid_from_necklace(nk),
+        positroid,
         lift.k * (state.n - lift.k) - affine_length(lift),
-        None,
+        facet_count,
         components,
         state.n - len(components),  # a matroid polytope's dimension (Feichtner-Sturmfels)
     )
-    if with_facets:
-        report.facet_count = len(enumerate_facets(polytope_from_positroid(report.positroid)))
     _assert_consistent(report)
     return report
 
@@ -170,11 +170,6 @@ def report_to_json(report: AnalysisReport) -> str:
     )
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    """The JSON document read back, so the mapping and the document cannot disagree."""
-    return json.loads(report_to_json(report))
-
-
 def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain --format json`` document: one step per prefix of the crossings."""
     steps = [
@@ -183,7 +178,7 @@ def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain
         f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
         for t, (images, dimension) in enumerate(chain.steps)
     ]
-    return f'{{\n  "schema_version": 1,\n  "steps": {_array(steps, _P1)}\n}}\n'
+    return f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "steps": {_array(steps, _P1)}\n}}\n'
 
 
 def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:

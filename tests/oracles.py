@@ -13,7 +13,8 @@ finds the facets' incidence sets from the vertices,
 by closing the face each one holds tight, ``facets_of`` turns the
 package's facets, node pairs of the closure, into inequalities over x,
 and ``tight_vertices`` gives a facet's incidence set to compare with them.
-The price oracles are the earlier parser, which checks cell by cell,
+``identity`` and ``inverse`` are the permutations the package never
+builds.  The price oracles are the earlier parser, which checks cell by cell,
 and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
 positroids from their definitions, on the bases as sets from
@@ -76,6 +77,19 @@ def affine_inversions(lift: BoundedAffinePermutation) -> int:
     f, n = lift.f, lift.n
     return sum(1 for i in range(1, n + 1) for j in range(i + 1, i + n)
                if f[i - 1] > f[(j - 1) % n] + (j - 1) // n * n)
+
+
+def identity(n: int) -> Permutation:
+    """The identity permutation of {1..n}."""
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def inverse(perm: Permutation) -> Permutation:
+    """pi^-1: the point each value comes from."""
+    inv = [0] * perm.n
+    for i, v in enumerate(perm.images, start=1):
+        inv[v - 1] = i
+    return Permutation(tuple(inv))
 
 
 def inversions(perm: Permutation) -> int:
@@ -143,7 +157,7 @@ def necklace_by_definition(dp: DecoratedPermutation) -> GrassmannNecklace:
     in the cyclic order starting at i.  LEFT fixed points always qualify,
     RIGHT fixed points never do.
     """
-    n, inv = dp.n, dp.perm.inverse()
+    n, inv = dp.n, inverse(dp.perm)
     terms = []
     for i in range(1, n + 1):
         members = set(dp.left_fixed_points())
@@ -170,7 +184,7 @@ def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
     arXiv:1308.2698; Postnikov, math/0609764).
     """
     swap = {Color.RIGHT: Color.LEFT, Color.LEFT: Color.RIGHT}
-    return DecoratedPermutation(dp.perm.inverse(), {i: swap[c] for i, c in dp.colors})
+    return DecoratedPermutation(inverse(dp.perm), {i: swap[c] for i, c in dp.colors})
 
 
 def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:

@@ -40,6 +40,7 @@ from stockpolytope import (
 from stockpolytope.cli import main
 from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import eq1, load_sample_table, reduced_affine_chains
+import oracles
 from oracles import (
     all_decorated_permutations,
     cyclic_interval,
@@ -170,9 +171,9 @@ def test_criterion_6b_top_cells():
     for n in range(1, 9):
         for k in range(0, n + 1):
             if k == 0:
-                state = uniform(Permutation.identity(n), Color.RIGHT)
+                state = uniform(oracles.identity(n), Color.RIGHT)
             elif k == n:
-                state = uniform(Permutation.identity(n), Color.LEFT)
+                state = uniform(oracles.identity(n), Color.LEFT)
             else:
                 images = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
                 state = DecoratedPermutation(Permutation(images), {})

@@ -25,13 +25,14 @@ from stockpolytope import (
     ConsistencyError,
     build_report,
     check_report,
-    report_to_dict,
+    report_to_json,
     report_to_text,
 )
-from stockpolytope import cli, necklace, perms, polytope, positroid, prices, report
+from stockpolytope import cli, necklace, perms, polytope, positroid, prices
 from stockpolytope.cli import main
 from conftest import PLAIN_DATES, load_sample_table, plain_price_csv_inputs, price_csv_inputs, sample_csv_text
 from test_report import report_dict
+import oracles
 
 SAMPLE = Path(__file__).resolve().parent.parent / "src" / "stockpolytope" / "data" / "djia4_sample.csv"
 RANGE = ["--ref-date", "2013-05-15", "--end-date", "2013-06-03"]
@@ -185,7 +186,7 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
 
 
 @pytest.mark.parametrize("command, calls", [
-    (["render", "hooks"], {necklace.necklace_from_decorated: 1, positroid.prefix_closure: 1}),
+    (["render", "hooks"], {necklace.necklace_from_decorated: 1, positroid.prefix_closure: 1, perms.affine_lift: 1}),
     (["analyze"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--check"], {polytope.polytope_from_positroid: 0, positroid.prefix_closure: 1}),
     (["analyze", "--facets", "--check"],
@@ -193,16 +194,13 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 0}),
     (["analyze"], {prices.permutation_at: 1}),
     (["render", "chords"], {prices.permutation_at: 1}),
-    (["analyze"], {report.report_to_dict: 0}),
-    (["analyze", "--format", "text"], {report.report_to_dict: 0}),
-], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation",
-        "json-no-mapping", "text-no-mapping"])
+], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
     # shares it only when --facets reads it.  The chain never counts its
     # length in full and lifts no validated state per step.  The decoration
     # works out the permutation it colors, and nothing else does.  The
-    # writers read the report, not the mapping read back from its JSON.
+    # hooks diagram lifts its state once, for the hooks and the ranks alike.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -585,6 +583,81 @@ def write_decorated_csv(tmp_path, images, left):
     return [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
 
 
+def reference_analysis(path) -> tuple[dict, list[str], list[str]]:
+    """The ``analyze --facets`` document of a two-date CSV, built from definitions alone.
+
+    The prices are read with the standard library, and every field comes
+    from the oracles and the value types, with no pipeline function.  The
+    crossings are left out: the order of a day's swaps is the program's
+    own choice, so they are replayed instead, from the tickers in price
+    order on the first date (returned second) to the order on the second
+    (returned third).
+    """
+    with open(path, newline="") as handle:
+        (_, *tickers), (ref, *first), (end, *second) = csv.reader(handle)
+    before, after = list(map(Decimal, first)), list(map(Decimal, second))
+    n = len(tickers)
+    order = sorted(range(n), key=before.__getitem__)  # rank 1 is the cheapest; no two prices tie
+    ranked = sorted(range(n), key=after.__getitem__)
+    ref_rank = {s: r for r, s in enumerate(order, start=1)}
+    # Rank q on the second date holds the stock of reference rank images[q - 1].
+    images = [ref_rank[s] for s in ranked]
+    colors = {q: perms.Color.LEFT if after[s] < before[s] else perms.Color.RIGHT
+              for q, s in enumerate(ranked, start=1) if images[q - 1] == q}
+    state = perms.DecoratedPermutation(perms.Permutation(images), colors)
+    # The lift: pi(i) when it exceeds i, pi(i) + n when it falls short or i is a fixed point that fell.
+    lift = [v + n if v < i or colors.get(i) is perms.Color.LEFT else v for i, v in enumerate(images, start=1)]
+    k = sum(v > n for v in lift)
+    nk = oracles.necklace_by_definition(state)
+    bases = tuple(sorted(tuple(sorted(b)) for b in oracles.subset_filter_bases(nk)))
+    m = positroid.Positroid(n, k, bases)
+    closed = positroid.Positroid(n, k, bases, oracles.floyd_warshall_closure(n, k, oracles.bases_side_cuts(m)))
+    vertices = [[int(i in b) for i in range(1, n + 1)] for b in bases]
+    document = {
+        "affine_lift": lift,
+        "bases": [list(b) for b in bases],
+        "cell_dimension": k * (n - k) - oracles.affine_inversions(perms.BoundedAffinePermutation(n, tuple(lift))),
+        "decorations": [{"color": c.value, "point": q} for q, c in sorted(colors.items())],
+        "k": k,
+        "necklace": [sorted(t) for t in nk.terms],
+        "noncrossing_partition": [list(block) for block in oracles.exchange_components(m)],
+        "permutation": images,
+        "polytope": {"affine_dimension": oracles.affine_dimension(vertices),
+                     "facet_count": len(oracles.face_search_facets(closed)), "vertex_count": len(bases)},
+        "ref_date": ref,
+        "schema_version": 1,
+        "target_date": end,
+        "tickers": tickers,
+    }
+    return document, [tickers[s] for s in order], [tickers[s] for s in ranked]
+
+
+def test_analyze_matches_a_reference_built_from_definitions(capsys, tmp_path):
+    # Every cell with n <= 4, written as a two-date market: each field of
+    # the --facets document against ``reference_analysis``, and the
+    # crossings replayed, one adjacent swap each, on the first date's order.
+    cells = 0
+    for n in range(1, 5):
+        for cell in oracles.all_decorated_permutations(n):
+            window = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
+            code, out, err = run_cli(capsys, "analyze", *window, "--facets")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            reference, line, final = reference_analysis(window[0])
+            assert reference["permutation"] == list(cell.perm.images)  # the file holds the cell written
+            assert sorted(doc) == sorted([*reference, "crossings"])
+            for field, value in reference.items():
+                assert doc[field] == value, (window[0], field)
+            assert len(doc["crossings"]) == oracles.inversions(cell.perm)
+            for seq, event in enumerate(doc["crossings"]):
+                p = event["position"]
+                assert event == {"date": "2020-01-02", "position": p, "seq": seq, "stocks": line[p - 1:p + 1]}
+                line[p - 1], line[p] = line[p], line[p - 1]
+            assert line == final, window[0]
+            cells += 1
+    assert cells == 88
+
+
 def analyze_corpus(capsys, tmp_path):
     """(exit code, stdout, stderr) of ``analyze --facets --check``, as JSON and as text, over a fixed corpus.
 
@@ -687,16 +760,16 @@ def test_report_roundtrip_and_check():
     table = load_sample_table()
     report = build_report(table, date(2013, 5, 15), date(2013, 6, 3), with_facets=True)
     check_report(report)
-    assert report_to_dict(report) == report_dict(report)
+    assert json.loads(report_to_json(report)) == report_dict(report)
     text = report_to_text(report)
     assert "5 vertices" in text and "5 facets" in text
 
 
 def test_check_catches_corrupted_cell_dimension():
     report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
-    report.cell_dim += 1
+    raised = dataclasses.replace(report, cell_dim=report.cell_dim + 1)
     with pytest.raises(ConsistencyError, match=r"k\(n-k\) - l\(f\)"):
-        check_report(report)
+        check_report(raised)
 
 
 def test_check_reads_the_cell_dimension_off_the_listed_closure():

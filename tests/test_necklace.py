@@ -12,6 +12,7 @@ from stockpolytope import (
 )
 from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import decorated_permutations, eq1
+import oracles
 from oracles import (
     all_decorated_permutations,
     cyclic_interval,
@@ -46,7 +47,7 @@ def test_necklace_of_market_permutation():
 
 
 def test_necklace_of_identity_all_right():
-    identity = uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(oracles.identity(4), Color.RIGHT)
     nk = necklace_from_decorated(identity)
     assert nk.k == 0
     assert nk.terms == (frozenset(), frozenset(), frozenset(), frozenset())
@@ -79,11 +80,11 @@ def test_decode_examples():
     assert state.colors == ()
 
     empty = decorated_from_necklace(GrassmannNecklace(4, 0, (set(),) * 4))
-    assert empty.perm == Permutation.identity(4)
+    assert empty.perm == oracles.identity(4)
     assert all(c is Color.RIGHT for _, c in empty.colors)
 
     full = decorated_from_necklace(GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4))
-    assert full.perm == Permutation.identity(4)
+    assert full.perm == oracles.identity(4)
     assert all(c is Color.LEFT for _, c in full.colors)
 
 

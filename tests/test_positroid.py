@@ -9,6 +9,7 @@ from stockpolytope import (
     GrassmannNecklace,
     Permutation,
     Positroid,
+    affine_lift,
     cell_dimension,
     connected_components,
     interval_rank_summands,
@@ -20,6 +21,7 @@ from stockpolytope import (
 from stockpolytope import positroid
 from stockpolytope.positroid import interval_rank, prefix_closure
 from conftest import brute_circuits, components_from_circuits, decorated_permutations, eq1, nested_sums
+import oracles
 from oracles import (
     GaleOrder,
     affine_dimension,
@@ -137,15 +139,16 @@ def test_matroid_rank_examples():
 
 def test_cell_dimension_examples():
     assert cell_dimension(dp((2, 4, 1, 3))) == 3
-    assert interval_rank_summands(dp((2, 4, 1, 3))) == (1, 2, 2, 2)
-    identity = uniform(Permutation.identity(4), Color.RIGHT)
+    market = dp((2, 4, 1, 3))
+    assert interval_rank_summands(market, affine_lift(market)) == (1, 2, 2, 2)
+    identity = uniform(oracles.identity(4), Color.RIGHT)
     assert cell_dimension(identity) == 0
     assert cell_dimension(dp((3, 4, 1, 2))) == 4
 
 
 def test_connected_components_examples():
     assert connected_components(decorated_from_necklace(eq1())) == ((1, 2, 3, 4),)
-    identity = uniform(Permutation.identity(4), Color.RIGHT)
+    identity = uniform(oracles.identity(4), Color.RIGHT)
     assert connected_components(identity) == ((1,), (2,), (3,), (4,))
     assert connected_components(dp((2, 1, 4, 3))) == ((1, 2), (3, 4))
 
@@ -272,7 +275,7 @@ def seeded_derangement(n, seed):
 @pytest.mark.parametrize("state", [
     uniform(Permutation(tuple((i + 14) % 30 + 1 for i in range(1, 31)))),
     uniform(Permutation(tuple(range(30, 0, -1)))),
-    DecoratedPermutation(Permutation.identity(30), {i: Color.LEFT if i % 3 else Color.RIGHT for i in range(1, 31)}),
+    DecoratedPermutation(oracles.identity(30), {i: Color.LEFT if i % 3 else Color.RIGHT for i in range(1, 31)}),
     seeded_derangement(90, 17),
 ], ids=["half-turn-30", "reversal-30", "mixed-identity-30", "derangement-90"])
 def test_closure_matches_floyd_warshall_on_named_cells(state):

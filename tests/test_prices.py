@@ -1,7 +1,7 @@
 import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from decimal import Decimal
 from unittest import mock
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from stockpolytope import (
     Color,
-    Permutation,
     PriceCsvError,
     PriceTable,
     WiringWord,
@@ -25,6 +24,7 @@ from stockpolytope import (
 )
 from stockpolytope import cli, prices
 from conftest import compose, plain_price_csv_inputs, price_csv_inputs, random_table, rank_at_date
+import oracles
 from oracles import first_date_rankings, inversions, per_cell_parse
 
 REF = date(2013, 5, 15)
@@ -115,7 +115,7 @@ def test_tie_at_first_date_breaks_by_ticker():
 
 
 def test_permutation_identity_when_dates_equal(sample_table):
-    assert permutation_at(sample_table, REF, REF) == Permutation.identity(4)
+    assert permutation_at(sample_table, REF, REF) == oracles.identity(4)
 
 
 def test_permutation_paper_values(sample_table):
@@ -195,7 +195,7 @@ def test_daily_transitions_compose_and_match_inversion_counts():
         table = random_table(seed)
         n = table.n_stocks
         ref = table.dates[0]
-        acc = Permutation.identity(n)
+        acc = oracles.identity(n)
         for prev, cur in zip(table.dates, table.dates[1:]):
             daily = permutation_at(table, prev, cur)
             events = crossing_stream(table, prev, cur)
@@ -279,11 +279,16 @@ ROW = (Decimal(1), Decimal(2))
     (lambda: PriceTable(("A", "B"), (D2, D1), (ROW, ROW)), ValueError, "dates must be strictly increasing"),
     (lambda: PriceTable(("A", "B"), (D1, D1), (ROW, ROW)), ValueError, "dates must be strictly increasing"),
     (lambda: PriceTable(("A", "B"), (D1, D2), (ROW,)), ValueError, "one price row per date required"),
+    # Nothing downstream formats a date that is not a date or a ticker that is not a string.
+    (lambda: PriceTable(("A", "B"), (1, 2), (ROW, ROW)), TypeError, "dates must be datetime.date values, got 1"),
+    (lambda: PriceTable(("A", "B"), (datetime(2020, 1, 1), D2), (ROW, ROW)), TypeError,
+     "dates must be datetime.date values, got datetime.datetime(2020, 1, 1, 0, 0)"),
+    (lambda: PriceTable((3, 4), (D1, D2), (ROW, ROW)), TypeError, "tickers must be strings, got 3"),
     # A plain file but for its header's bytes: the CSV reader's decoding names the row.
     (lambda: parse_price_csv(b"date,A\xff,B\n2020-01-01,1.5,2.5\n2020-01-02,2.5,1.5\n"), PriceCsvError,
      "row 1: undecodable byte 0xff, expected UTF-8"),
 ], ids=["no ticker", "duplicate ticker", "no date", "dates decrease", "date repeats", "row count",
-        "plain file, header not UTF-8"])
+        "dates not dates", "datetimes", "tickers not strings", "plain file, header not UTF-8"])
 def test_the_table_refuses_a_malformed_shape(build, kind, message):
     with pytest.raises(kind) as err:
         build()

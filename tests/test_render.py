@@ -17,10 +17,17 @@ from stockpolytope import (
     render_wiring,
 )
 from stockpolytope import render
+import oracles
 from oracles import all_decorated_permutations, uniform
 
 LABELS = ("AXP", "HD", "WMT", "PG")
 WORD = WiringWord(4, (1, 3, 2))
+
+
+def hooks_input(state):
+    """The lift and the interval ranks ``render_hooks`` draws, the lift built once as ``render hooks`` builds it."""
+    lift = affine_lift(state)
+    return lift, interval_rank_summands(state, lift)
 
 
 def grid_slice(word):
@@ -28,10 +35,10 @@ def grid_slice(word):
 
     Labels may contain the crossing glyph ("AXP" does), so marks are
     counted only inside the grid: ``width + 1`` characters in, with width
-    the longest label, and ``4 * len(word) + 3`` characters wide.
+    the longest label, and ``4 * len(word.letters) + 3`` characters wide.
     """
     start = max(len(label) for label in LABELS) + 1
-    return slice(start, start + 4 * len(word) + 3)
+    return slice(start, start + 4 * len(word.letters) + 3)
 
 
 def test_wiring_ascii_layout():
@@ -78,10 +85,10 @@ def test_chords_market_permutation():
 
 
 def test_chords_identity_loops():
-    right = uniform(Permutation.identity(4), Color.RIGHT)
+    right = uniform(oracles.identity(4), Color.RIGHT)
     doc = render_chords(right, fmt="ascii")
     assert doc.count("o>") == 4
-    left = uniform(Permutation.identity(4), Color.LEFT)
+    left = uniform(oracles.identity(4), Color.LEFT)
     assert render_chords(left, fmt="ascii").count("o<") == 4
 
 
@@ -99,15 +106,15 @@ def test_chords_decorated_example_topology():
 
 def test_hooks_footers():
     market = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
-    doc = render_hooks(affine_lift(market), interval_rank_summands(market), fmt="ascii")
+    doc = render_hooks(*hooks_input(market), fmt="ascii")
     assert "7 - 4 = 3" in doc
 
-    identity = uniform(Permutation.identity(4), Color.RIGHT)
-    doc = render_hooks(affine_lift(identity), interval_rank_summands(identity), fmt="ascii")
+    identity = uniform(oracles.identity(4), Color.RIGHT)
+    doc = render_hooks(*hooks_input(identity), fmt="ascii")
     assert "0 - 0 = 0" in doc
 
     top = DecoratedPermutation(Permutation((3, 4, 1, 2)), {})
-    doc = render_hooks(affine_lift(top), interval_rank_summands(top), fmt="ascii")
+    doc = render_hooks(*hooks_input(top), fmt="ascii")
     assert "8 - 4 = 4" in doc
 
 
@@ -118,7 +125,7 @@ def test_ascii_column_numbers_stay_apart(n):
     # still starts and ends under the numbers of its columns.
     cycle = DecoratedPermutation(Permutation((*range(2, n + 1), 1)), {})
     lift = affine_lift(cycle)
-    header, *rows = render_hooks(lift, interval_rank_summands(cycle), fmt="ascii").splitlines()
+    header, *rows = render_hooks(lift, interval_rank_summands(cycle, lift), fmt="ascii").splitlines()
     assert header.split() == [str(c) for c in range(1, 2 * n + 1)]
     for i, (f_i, row) in enumerate(zip(lift.f, rows), start=1):
         for column, at in ((i, row.index("+")), (f_i, row.index(">"))):
@@ -130,7 +137,7 @@ def test_ascii_column_numbers_stay_apart(n):
 def test_hooks_annotations_and_svg():
     market = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
     lift = affine_lift(market)
-    ranks = interval_rank_summands(market)
+    ranks = interval_rank_summands(market, lift)
     ascii_doc = render_hooks(lift, ranks, fmt="ascii")
     for i, (f_i, r) in enumerate(zip(lift.f, ranks), start=1):
         assert f"r[{i},{f_i}]={r}" in ascii_doc
@@ -146,7 +153,7 @@ def test_unknown_format_rejected():
     for draw, args in (
         (render_wiring, (WORD, LABELS)),
         (render_chords, (state,)),
-        (render_hooks, (affine_lift(state), interval_rank_summands(state))),
+        (render_hooks, hooks_input(state)),
     ):
         with pytest.raises(ValueError, match="unknown format 'png'"):
             draw(*args, fmt="png")
@@ -171,7 +178,7 @@ def test_every_svg_parses_with_hostile_tickers():
         states += all_decorated_permutations(n)
     for state in states:
         ET.fromstring(render_chords(state))
-        ET.fromstring(render_hooks(affine_lift(state), interval_rank_summands(state)))
+        ET.fromstring(render_hooks(*hooks_input(state)))
 
 
 def random_decorated(rng, n):
@@ -227,7 +234,7 @@ def render_corpus():
     """
     for n in range(1, 7):
         for state in all_decorated_permutations(n):
-            lift, ranks = affine_lift(state), interval_rank_summands(state)
+            lift, ranks = hooks_input(state)
             for fmt in ("svg", "ascii", "png"):
                 yield attempt(render_chords, state, fmt)
                 yield attempt(render_hooks, lift, ranks, fmt)

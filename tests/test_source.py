@@ -84,6 +84,47 @@ def test_an_unread_definition_is_found():
     assert unread_definitions(sources) == ["a.py: _left (line 2)", "a.py: _OLD (line 5)"]
 
 
+def unread_members(sources: dict[str, str], tracer: str) -> list[str]:
+    """Methods and properties of the package's classes that nothing reads as an attribute.
+
+    ``sources`` maps file names to the package's source texts, and
+    ``tracer`` is the benchmark's tracing source, which patches and reads
+    members the package itself may not.  A member counts as read where
+    any of them loads it as an attribute, or where ``tracer`` names it as
+    ``Class.member`` in a string.  Dunders are exempt: Python calls them.
+    """
+    read = {node.attr for text in (*sources.values(), tracer) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= {node.value.split(".")[1] for node in ast.walk(ast.parse(tracer))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"[A-Z]\w*\.\w+", node.value)}
+    found = []
+    for file, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{file}: {cls.name}.{node.name} (line {node.lineno})" for node in cls.body
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not node.name.startswith("__") and node.name not in read]
+    return found
+
+
+def test_every_class_member_is_read():
+    tracer = (ROOT / "perfbench" / "tracing.py").read_text("utf-8")
+    assert unread_members({p.name: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}, tracer) == []
+
+
+def test_an_unread_member_is_found():
+    sources = {
+        "a.py": "class P:\n    def __init__(self): self.k = 1\n    @property\n    def n(self): return 1\n"
+                "    def left(self): pass\n    @classmethod\n    def make(cls): pass\n    def traced(self): pass\n"
+                "    def counted(self): pass\n    def __len__(self): return 0\n    def stored(self): pass\n",
+        "b.py": "from .a import P\np = P()\np.stored = print(p.n)\n",
+    }
+    tracer = "LAYERS = (('a', 'P.traced', 'a.traced', None),)\ncount = lambda p: p.counted()\n"
+    assert unread_members(sources, tracer) == ["a.py: P.left (line 5)", "a.py: P.make (line 7)",
+                                               "a.py: P.stored (line 11)"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_module_parses_as_the_oldest_python_it_supports(path):
     # Syntax newer than requires-python in pyproject.toml fails at import there.
