@@ -8,12 +8,17 @@ The writers (``report_to_json``, ``report_to_text``, ``chain_to_json``,
 ``chain_to_text``) only format what they are given.  The chain ones date
 step t by its last crossing, events[t - 1], which also gives its
 position, and step 0 by the reference date.  The JSON ones lay the
-documents out with fixed templates, keys in sorted order, since the
-standard encoder runs pure Python under ``indent``; strings go through
-its C escaper.  Nothing reads a document back: the test oracle is that
-encoder (``dumps`` with ``sort_keys=True, indent=2``, plus a newline)
-over a mapping built in the tests from the report's fields.  The report
-is frozen: ``build_report`` works out every field, then builds it in one call.
+documents out themselves, keys in sorted order, since the standard
+encoder runs pure Python under ``indent``; strings go through its C
+escaper.  Each long array (chain steps and lines, a report's bases and
+crossings) is filled record by record from one ``%`` template, built per
+call from constants and n or k alone, so the formatting runs in C.
+Tickers, dates and numbers go in only as ``%`` arguments, never into a
+template's text, so a ticker holding ``%`` prints as itself.  Nothing
+reads a document back: the test oracle is that encoder (``dumps`` with
+``sort_keys=True, indent=2``, plus a newline) over a mapping built in
+the tests from the report's fields.  The report is frozen:
+``build_report`` works out every field, then builds it in one call.
 """
 
 from __future__ import annotations
@@ -144,16 +149,15 @@ def _null(value: int | None) -> str:
 def report_to_json(report: AnalysisReport) -> str:
     """The report as canonical JSON, laid out straight from its fields."""
     names = [_str(t) for t in report.tickers]
-    crossings = [
-        f'{{{_P3}"date": "{e.date}",{_P3}"position": {e.position},{_P3}"seq": {e.seq},'
-        f'{_P3}"stocks": [{_P4}{names[e.stocks[0]]},{_P4}{names[e.stocks[1]]}{_P3}]{_P2}}}'
-        for e in report.crossings
-    ]
+    crossing = (f'{{{_P3}"date": "%s",{_P3}"position": %d,{_P3}"seq": %d,'
+                f'{_P3}"stocks": [{_P4}%s,{_P4}%s{_P3}]{_P2}}}')
+    crossings = [crossing % (d, p, s, names[a], names[b]) for d, s, p, (a, b) in report.crossings]
     decorations = [f'{{{_P3}"color": "{c.value}",{_P3}"point": {i}{_P2}}}' for i, c in report.state.colors]
     sets = lambda groups: _array([_array(s, _P2) for s in groups], _P1)
+    bases = list(map(_array(["%d"] * report.positroid.k, _P2).__mod__, report.positroid.bases))
     return (
         f'{{{_P1}"affine_lift": {_array(report.lift.f, _P1)},'
-        f'{_P1}"bases": {sets(report.positroid.bases)},'
+        f'{_P1}"bases": {_array(bases, _P1)},'
         f'{_P1}"cell_dimension": {report.cell_dim},'
         f'{_P1}"crossings": {_array(crossings, _P1)},'
         f'{_P1}"decorations": {_array(decorations, _P1)},'
@@ -172,22 +176,21 @@ def report_to_json(report: AnalysisReport) -> str:
 
 def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain --format json`` document: one step per prefix of the crossings."""
-    steps = [
-        f'{{{_P3}"date": "{events[t - 1].date if t else ref}",{_P3}"dimension": {dimension},{_P3}"index": {t},'
-        f'{_P3}"permutation": {_array(images, _P3)},'
-        f'{_P3}"position": {_null(events[t - 1].position if t else None)}{_P2}}}'
-        for t, (images, dimension) in enumerate(chain.steps)
-    ]
+    step = (f'{{{_P3}"date": "%s",{_P3}"dimension": %d,{_P3}"index": %d,'
+            f'{_P3}"permutation": {_array(["%d"] * len(chain.steps[0][0]), _P3)},{_P3}"position": %s{_P2}}}')
+    dated = [(ref, "null"), *((e.date, e.position) for e in events)]
+    steps = [step % (when, dimension, t, *images, position)
+             for t, ((images, dimension), (when, position)) in enumerate(zip(chain.steps, dated))]
     return f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "steps": {_array(steps, _P1)}\n}}\n'
 
 
 def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain`` text: one line per prefix of the crossings."""
-    lines = []
-    for t, (images, dimension) in enumerate(chain.steps):
-        when, crossing = (events[t - 1].date, f"s{events[t - 1].position}") if t else (ref, "-")
-        perm = "{" + ",".join(map(str, images)) + "}"
-        lines.append(f"step {t:<3} {when}  {crossing:<4} {perm:<20} dim {dimension}")
+    line = "step %-3d %s  %-4s %-20s dim %d"
+    perm = "{" + ",".join(["%d"] * len(chain.steps[0][0])) + "}"
+    dated = [(ref, "-"), *((e.date, "s%d" % e.position) for e in events)]
+    lines = [line % (t, when, crossing, perm % images, dimension)
+             for t, ((images, dimension), (when, crossing)) in enumerate(zip(chain.steps, dated))]
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,8 @@ from stockpolytope.prices import crossing_word
 from stockpolytope.report import chain_to_json
 from conftest import random_table
 
-HOSTILE = ('"q"', "back\\slash", "AT&T", "é", "€", "😀", "tab\there", "\x01")
+# The last four would break a writer that put a ticker into a ``%`` template's text.
+HOSTILE = ('"q"', "back\\slash", "AT&T", "é", "€", "😀", "tab\there", "\x01", "%s", "100%", "%(x)d", "%%")
 
 
 def dumps(obj) -> str:
@@ -142,3 +143,19 @@ def test_writers_match_on_edge_cells(case, with_facets):
         assert data["k"] == n and {d["color"] for d in data["decorations"]} == {"left"}
     else:
         assert data["decorations"] == [] and len(data["crossings"]) == n - 1
+
+
+def test_chain_writer_matches_on_a_30_stock_walk():
+    table = random_table(0, 30, 64)  # the benchmark's 30 stocks, over its whole window
+    ref, end = table.dates[0], table.dates[-1]
+    events = crossing_stream(table, ref, end)
+    chain = decomposition_chain(crossing_word(table.n_stocks, events))
+    assert len(events) > 800
+    assert chain_to_json(ref, events, chain) == dumps(chain_dict(ref, events, chain))
+
+
+def test_writers_match_on_twelve_hostile_tickers():
+    table = random_table(3, len(HOSTILE), 40)
+    table = PriceTable(HOSTILE, table.dates, table.prices)
+    report = assert_both_writers_match(table, table.dates[0], table.dates[-1], False)
+    assert (len(report.crossings), report.necklace.k, len(report.positroid.bases)) == (119, 6, 166)
