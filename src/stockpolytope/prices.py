@@ -18,13 +18,15 @@ Conventions, fixed once here:
   repeated left-to-right passes, giving exactly inversion-count many
   events per day.
 
-A table ranks itself once: ``PriceTable.chain`` is ``rankings`` of the
-table, computed on first read: one stock order per date of
-``table.dates``, which ``permutation_at``, ``crossing_stream`` and
-``decorate`` index directly.  A date whose prices are pairwise
-distinct ranks the same whatever order came before it, so
+A date whose prices are pairwise distinct ranks the same whatever order
+came before it: its ranking is its prices sorted.  So
 ``parse_price_csv`` can start a command's table at the last such date at
-or before the reference date and keep the tie convention exactly.
+or before the reference date and keep the tie convention exactly, and
+``permutation_at`` and ``decorate`` read such a date's ranking from its
+own prices.  Only a date with a tie needs the table's chain:
+``PriceTable.chain`` is ``rankings`` of the table, computed on first
+read, one stock order per date of ``table.dates``.  ``crossing_stream``
+reads every date of its range, so it always reads the chain.
 
 Parsing pays for the whole file in bulk and per cell only for the
 window.  A plain file is checked in passes over all its bytes at once:
@@ -250,7 +252,7 @@ def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: d
     if ref_date in rows and end_date in rows and ref_date <= end_date:
         first, stop = dates.index(ref_date), dates.index(end_date) + 1
     kept = [prices_of(rows[d]) for d in dates[first:stop]]
-    while first and len(set(kept[0])) < len(tickers):
+    while first and not _tie_free(kept[0]):
         first -= 1
         kept.insert(0, prices_of(rows[dates[first]]))
     return trusted(PriceTable, tickers, tuple(dates[first:stop]), tuple(kept))
@@ -339,6 +341,24 @@ def rankings(table: PriceTable) -> RankingChain:
     return tuple(out)
 
 
+def _tie_free(row: tuple[Decimal, ...]) -> bool:
+    """Whether a date's prices are pairwise distinct, so that its ranking is its prices sorted."""
+    return len(set(row)) == len(row)
+
+
+def _ranking(table: PriceTable, i: int) -> tuple[int, ...]:
+    """``table.chain[i]``, read from date i's own prices when they are pairwise distinct.
+
+    With no tie, the first date's ticker tie-break and a later date's
+    stable re-sort both give the one ascending order of the prices, so
+    the chain is neither built nor read.
+    """
+    row = table.prices[i]
+    if _tie_free(row):
+        return tuple(sorted(range(len(row)), key=row.__getitem__))
+    return table.chain[i]
+
+
 def _span(table: PriceTable, ref_date: date, target_date: date) -> tuple[int, int]:
     """The indices of the reference and the target date, the reference first."""
     ri, ti = table.date_index(ref_date), table.date_index(target_date)
@@ -354,11 +374,13 @@ def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Perm
 
     Entry q is the reference-date rank of the stock holding rank q at the
     target date; the identity when the dates coincide.  Equals the left
-    to right product of ``crossing_stream`` over the same range.
+    to right product of ``crossing_stream`` over the same range.  Each
+    of the two dates is ranked once, by ``_ranking``: from its own prices
+    when they are pairwise distinct, else from the table's chain.
     """
     ri, ti = _span(table, ref_date, target_date)
-    ref_rank = {s: r for r, s in enumerate(table.chain[ri], start=1)}
-    return Permutation(tuple(ref_rank[s] for s in table.chain[ti]))
+    ref_rank = {s: r for r, s in enumerate(_ranking(table, ri), start=1)}
+    return Permutation(tuple(ref_rank[s] for s in _ranking(table, ti)))
 
 
 def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
@@ -400,11 +422,13 @@ def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedP
     """The permutation of the date range, its fixed points colored by the net price move.
 
     A fixed point's stock kept its rank; its cord points RIGHT when the
-    price rose or is unchanged, LEFT when it fell.
+    price rose or is unchanged, LEFT when it fell.  The stock at each
+    reference rank comes from ``_ranking``, as in ``permutation_at``, so
+    a range whose two dates have no tie never builds the table's chain.
     """
     perm = permutation_at(table, ref_date, target_date)
     ri, ti = _span(table, ref_date, target_date)
-    order, before, after = table.chain[ri], table.prices[ri], table.prices[ti]
+    order, before, after = _ranking(table, ri), table.prices[ri], table.prices[ti]
     colors = {}
     for i in perm.fixed_points():
         stock = order[i - 1]

@@ -194,6 +194,13 @@ def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain
     return "\n".join(lines) + "\n"
 
 
+def _word(ticker: str) -> str:
+    """A ticker for the text report, which parts tickers by spaces; refuses one holding a space."""
+    if " " in ticker:
+        raise ValueError(f"ticker {ticker!r} holds a space, which the text report puts between tickers")
+    return one_line(ticker)
+
+
 def report_to_text(report: AnalysisReport) -> str:
     tickers = report.tickers
     sets = lambda groups: " ".join("{" + ",".join(map(str, s)) + "}" for s in groups)
@@ -202,7 +209,7 @@ def report_to_text(report: AnalysisReport) -> str:
     lines = [
         f"reference date : {report.ref_date}",
         f"target date    : {report.target_date}",
-        f"tickers        : {' '.join(map(one_line, tickers))}",
+        f"tickers        : {' '.join(map(_word, tickers))}",
         f"permutation    : {{{', '.join(map(str, report.state.perm.images))}}}",
         f"decorations    : {decorations or '(no fixed points)'}",
         f"k              : {report.necklace.k}",

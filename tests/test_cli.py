@@ -127,9 +127,10 @@ def test_analyze_undecodable_csv(capsys, tmp_path):
     assert err.startswith("error: row 3: undecodable byte 0xa3")
 
 
-def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None, newline="\n"):
+def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None, newline="\n", tie_date=None):
     # 30 stocks with pairwise distinct prices that all rise by a cent a day;
     # every seventh date two neighbours trade places for that day only.
+    # On date ``tie_date`` (counted from 0) the two cheapest stocks tie.
     tickers = [f"T{s:02d}" for s in range(30)]
     rows = ["date," + ",".join(tickers)]
     for t in range(n_dates):
@@ -137,6 +138,8 @@ def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None, newline="\n"
         if t % 7 == 3:
             a = t % 29
             cents[a], cents[a + 1] = cents[a + 1], cents[a]
+        if t == tie_date:
+            cents[1] = cents[0]
         cells = [f"{c // 100}.{c % 100:02d}" for c in cents]
         if t + 2 == bad_cell_row:
             cells[5] = "1.2.3"
@@ -170,18 +173,29 @@ RANKING_RUNS = [
     (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
 ]
 RANKING_IDS = ["analyze", "chain", "wiring", "chords", "hooks"]
+RANKING_CASES = [
+    *((*run, nl, None, [] if run[0][-1] in ("chords", "hooks") else [252])
+      for nl in ("\n", "\r\n") for run in RANKING_RUNS),
+    *((*run, "\n", tie, [dates]) for tie, dates in ((447, 252), (196, 253)) for run in RANKING_RUNS[3:]),
+]
 
 
-@pytest.mark.parametrize("command, flags, newline", [(*run, nl) for nl in ("\n", "\r\n") for run in RANKING_RUNS],
-                         ids=RANKING_IDS + [f"{name}-crlf" for name in RANKING_IDS])
-def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags, newline):
-    # A CRLF file is not plain: the CSV reader reads it.
-    path = write_late_window_csv(tmp_path, newline=newline)
+@pytest.mark.parametrize("command, flags, newline, tie_date, dates_ranked", RANKING_CASES,
+                         ids=RANKING_IDS + [f"{name}-crlf" for name in RANKING_IDS]
+                         + [f"{name}-tie-on-{end}" for end in ("end", "ref") for name in RANKING_IDS[3:]])
+def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags, newline, tie_date,
+                                            dates_ranked):
+    # A CRLF file is not plain: the CSV reader reads it.  analyze, chain and
+    # wiring read every date's ranking, so they rank the whole window.
+    # chords and hooks read two dates, and a date with no tie ranks by its
+    # own prices: they rank no chain unless one of the two dates has a tie.
+    # A tie on the reference date moves the window's start back one date.
+    path = write_late_window_csv(tmp_path, newline=newline, tie_date=tie_date)
     chains = record_calls(monkeypatch, prices.rankings)
     csv_reads = record_calls(monkeypatch, prices._csv_table)
     code, _, err = run_cli(capsys, *command, str(path), *LATE_WINDOW, *flags)
     assert code == 0, err
-    assert [len(chain) for chain in chains] == [252]
+    assert [len(chain) for chain in chains] == dates_ranked
     assert len(csv_reads) == (newline == "\r\n")
 
 
@@ -517,6 +531,40 @@ def test_the_column_order_of_a_file_changes_no_chain_or_render_output(capsys, tm
         for t, order in enumerate(itertools.permutations(range(n))):
             moved = write_columns(tmp_path / f"columns-{t}.csv", source, order)
             assert run_cli(capsys, *argv, str(moved), *window) == first, order
+
+
+def reference_rank_order(path, ref):
+    """The tickers of a price CSV at each rank of date ``ref``, lowest first, from definitions.
+
+    The file's first date sorts by (price, ticker); every later date stably
+    re-sorts the previous order by its prices.
+    """
+    header, *rows = csv.reader(path.read_text().splitlines())
+    tickers, order = [t.strip() for t in header[1:]], None
+    for day, *cells in sorted(rows):
+        row = [Decimal(c) for c in cells]
+        order = sorted(order or sorted(range(len(tickers)), key=tickers.__getitem__), key=row.__getitem__)
+        if day == ref:
+            return [tickers[s] for s in order]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["columns", "columns-reversed"])
+def test_wiring_labels_its_left_edge_in_reference_rank_order(capsys, tmp_path, reverse):
+    # Read bottom to top, the left edge's labels are the stocks at reference
+    # ranks 1..n, whatever the order of the file's columns; on the tie
+    # file's 3rd and 4th the ranks come from the dates before them.
+    for source in (SAMPLE, write_tie_csv(tmp_path)):
+        n = len(source.read_text().split("\n", 1)[0].split(",")) - 1
+        if reverse:
+            source = write_columns(tmp_path / f"reversed-{source.name}", source, range(n)[::-1])
+        days = [line[:10] for line in source.read_text().splitlines()[1:]]
+        for ref in days:
+            code, out, err = run_cli(capsys, "render", "wiring", str(source), "--ref-date", ref, "--end-date", days[-1])
+            assert (code, err) == (0, "")
+            texts = list(ET.fromstring(out.encode("utf-8")).iter("{http://www.w3.org/2000/svg}text"))
+            edge = min(int(t.get("x")) for t in texts)
+            left = sorted((t for t in texts if int(t.get("x")) == edge), key=lambda t: -int(t.get("y")))
+            assert [t.text for t in left] == reference_rank_order(source, ref), (source.name, ref)
 
 
 def test_chain_no_crossings(capsys):
@@ -878,8 +926,9 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
     # The CSV reader hands back each ticker, which the parse strips.  analyze
     # carries every ticker in its JSON; the wiring SVG either carries them
     # as labels or refuses with exit 2.  The text formats refuse exactly the
-    # tickers holding a line break or whitespace other than a space, and
-    # otherwise print one line per row with every ticker whole.
+    # tickers holding a line break or whitespace other than a space, and the
+    # text report a ticker holding a space as well, since spaces part its
+    # tickers; otherwise they print one line per row with every ticker whole.
     header = io.StringIO()
     csv.writer(header).writerow(["date", *tickers])  # its CRLF row end makes it quote any CR or LF
     n = len(tickers)
@@ -900,9 +949,10 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
     else:
         assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
     blurred = any(c.isspace() for t in stripped for c in t.replace(" ", ""))
+    spaced = any(" " in t for t in stripped)
     for argv in (["analyze", *window, "--format", "text"], ["render", "wiring", *window, "--format", "ascii"]):
         code, out, err = run_main(argv)
-        if blurred:
+        if blurred or spaced and argv[0] == "analyze":
             assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
             continue
         assert code == 0 and err == "", err
@@ -919,6 +969,21 @@ def test_any_ticker_text_comes_out_whole_or_as_one_error(tmp_path_factory, ticke
             width = max(map(len, stripped))
             assert [line[:width].rstrip() for line in lines] == stripped[::-1]
             assert all(line.endswith(" " + t) for line, t in zip(lines, stripped))
+
+
+def test_the_text_report_refuses_a_ticker_holding_a_space(capsys, tmp_path):
+    # "A B C" could be two tickers or three.  The JSON report and the wiring
+    # SVG carry the ticker whole.
+    path = tmp_path / "space.csv"
+    path.write_text("date,A B,C\n2020-01-01,1.00,2.00\n2020-01-02,2.00,1.00\n")
+    window = [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
+    code, out, err = run_cli(capsys, "analyze", *window, "--format", "text")
+    assert (code, out, err) == (2, "", "error: ticker 'A B' holds a space, which the text report puts between tickers\n")
+    code, out, err = run_cli(capsys, "analyze", *window)
+    assert (code, err) == (0, "") and json.loads(out)["tickers"] == ["A B", "C"]
+    code, out, err = run_cli(capsys, "render", "wiring", *window)
+    labels = [t.text for t in ET.fromstring(out.encode("utf-8")).iter("{http://www.w3.org/2000/svg}text")]
+    assert (code, err) == (0, "") and labels[::2] == ["A B", "C"]
 
 
 def test_only_dashed_calendar_dates_are_read(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import collections
 import csv
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, datetime, timedelta
 from decimal import Decimal
@@ -486,3 +488,53 @@ def test_the_window_reads_as_the_whole_table(tmp_path_factory, text, data):
         with whole_table:
             want = run_main(argv)
         assert run_main(argv) == want, argv
+
+
+def forced_tie_market(seed):
+    """Shuffled tickers and daily closes in cents of n <= 8 stocks; about one date in three has a tie forced in."""
+    rng = random.Random(seed)
+    n, m = rng.randint(2, 8), rng.randint(2, 8)
+    tickers = rng.sample("ABCDEFGH", n)
+    cents, rows = [rng.randrange(1000, 1060) for _ in range(n)], []
+    for _ in range(m):
+        cents = [c + rng.randrange(-20, 21) for c in cents]
+        row = list(cents)
+        if rng.randrange(3) == 0:
+            a, b = rng.sample(range(n), 2)
+            row[a] = row[b]
+        rows.append(row)
+    return tickers, rows
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv-reader"])
+def test_each_date_ranks_as_the_chain_ranks_it(newline):
+    # A date with no tie ranks by its own prices, a date with one through
+    # the chain; either way ``_ranking`` reads what the chain holds, and
+    # every window's permutation and decoration match a reference built
+    # from the whole table's chain.  The tickers are shuffled, so a tie
+    # broken by column instead of by ticker or by history shows.
+    seen = collections.Counter()
+    for seed in range(60):
+        tickers, cents = forced_tie_market(seed)
+        dates = [date(2020, 1, 1) + timedelta(days=d) for d in range(len(cents))]
+        data = ("date," + ",".join(tickers) + newline + "".join(
+            d.isoformat() + "," + ",".join(f"{c // 100}.{c % 100:02d}" for c in row) + newline
+            for d, row in zip(dates, cents))).encode()
+        assert (prices._plain_table(data) is None) == (newline == "\r\n")
+        oracle = first_date_rankings(PriceTable(tickers, dates, [[Decimal(c) / 100 for c in row] for row in cents]))
+        for ri, ref in enumerate(dates):
+            for ti in range(ri, len(dates)):
+                table = parse_price_csv(data, ref, dates[ti])
+                perm, state = permutation_at(table, ref, dates[ti]), decorate(table, ref, dates[ti])
+                ref_order, end_order = oracle[ri], oracle[ti]
+                assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)
+                assert state.perm == perm
+                assert dict(state.colors) == {
+                    i: Color.RIGHT if cents[ti][s] >= cents[ri][s] else Color.LEFT
+                    for i, s in enumerate(ref_order, start=1) if perm.images[i - 1] == i
+                }
+                first = dates.index(table.dates[0])
+                assert [prices._ranking(table, i) for i in range(len(table.dates))] == list(table.chain)
+                assert table.chain == oracle[first:ti + 1]
+                seen.update(len(set(cents[i])) < len(tickers) for i in (ri, ti))
+    assert seen[True] > 300 and seen[False] > 300, seen
