@@ -107,7 +107,3 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.write(output)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

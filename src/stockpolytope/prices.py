@@ -22,11 +22,12 @@ A date whose prices are pairwise distinct ranks the same whatever order
 came before it: its ranking is its prices sorted.  So
 ``parse_price_csv`` can start a command's table at the last such date at
 or before the reference date and keep the tie convention exactly, and
-``permutation_at`` and ``decorate`` read such a date's ranking from its
-own prices.  Only a date with a tie needs the table's chain:
-``PriceTable.chain`` is ``rankings`` of the table, computed on first
-read, one stock order per date of ``table.dates``.  ``crossing_stream``
-reads every date of its range, so it always reads the chain.
+``decorate`` ranks each of its two dates once, a tie-free one from its
+own prices; ``permutation_at`` is its permutation.  Only a date with a
+tie needs the table's chain: ``PriceTable.chain`` is ``rankings`` of
+the table, computed on first read, one stock order per date of
+``table.dates``.  ``crossing_stream`` reads every date of its range, so
+it always reads the chain.
 
 Parsing pays for the whole file in bulk and per cell only for the
 window.  A plain file is checked in passes over all its bytes at once:
@@ -327,15 +328,13 @@ def read_price_csv(path, ref_date: date | None = None, end_date: date | None = N
 def rankings(table: PriceTable) -> RankingChain:
     """One stock order per table date, from the first: the ranking chain.
 
-    The first date sorts by (price, ticker); every later date stably
-    re-sorts the previous order by the day's prices, so equal prices keep
-    their standing instead of fabricating a crossing.  Each order is the
-    tuple ``sorted`` built, unchecked; ``table.chain`` keeps the result.
+    Each date stably re-sorts the previous order by its prices, from the
+    tickers' sorted order: the first date sorts by (price, ticker), and
+    equal prices later keep their standing instead of fabricating a
+    crossing.  Each order is ``sorted``'s, unchecked; ``table.chain`` keeps them.
     """
-    row = table.prices[0]
-    order = tuple(sorted(range(table.n_stocks), key=lambda s: (row[s], table.tickers[s])))
-    out = [order]
-    for row in table.prices[1:]:
+    order, out = sorted(range(table.n_stocks), key=table.tickers.__getitem__), []
+    for row in table.prices:
         order = tuple(sorted(order, key=row.__getitem__))
         out.append(order)
     return tuple(out)
@@ -370,17 +369,13 @@ def _span(table: PriceTable, ref_date: date, target_date: date) -> tuple[int, in
 
 
 def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Permutation:
-    """Permutation of reference ranks after the crossings up to the target.
+    """Permutation of reference ranks after the crossings up to the target: ``decorate``'s.
 
     Entry q is the reference-date rank of the stock holding rank q at the
     target date; the identity when the dates coincide.  Equals the left
-    to right product of ``crossing_stream`` over the same range.  Each
-    of the two dates is ranked once, by ``_ranking``: from its own prices
-    when they are pairwise distinct, else from the table's chain.
+    to right product of ``crossing_stream`` over the same range.
     """
-    ri, ti = _span(table, ref_date, target_date)
-    ref_rank = {s: r for r, s in enumerate(_ranking(table, ri), start=1)}
-    return Permutation(tuple(ref_rank[s] for s in _ranking(table, ti)))
+    return decorate(table, ref_date, target_date).perm
 
 
 def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
@@ -421,14 +416,15 @@ def crossing_word(n: int, events: tuple[CrossingEvent, ...]) -> WiringWord:
 def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:
     """The permutation of the date range, its fixed points colored by the net price move.
 
+    Each of the two dates is ranked once, by ``_ranking``: from its own
+    prices when they are pairwise distinct, else from the table's chain.
     A fixed point's stock kept its rank; its cord points RIGHT when the
-    price rose or is unchanged, LEFT when it fell.  The stock at each
-    reference rank comes from ``_ranking``, as in ``permutation_at``, so
-    a range whose two dates have no tie never builds the table's chain.
+    price rose or is unchanged, LEFT when it fell.
     """
-    perm = permutation_at(table, ref_date, target_date)
     ri, ti = _span(table, ref_date, target_date)
     order, before, after = _ranking(table, ri), table.prices[ri], table.prices[ti]
+    ref_rank = {s: r for r, s in enumerate(order, start=1)}
+    perm = Permutation(tuple(ref_rank[s] for s in _ranking(table, ti)))
     colors = {}
     for i in perm.fixed_points():
         stock = order[i - 1]

@@ -206,15 +206,15 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["analyze", "--facets", "--check"],
      {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
     (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 0}),
-    (["analyze"], {prices.permutation_at: 1}),
-    (["render", "chords"], {prices.permutation_at: 1}),
+    (["analyze"], {prices.decorate: 1, prices._ranking: 2}),
+    (["render", "chords"], {prices.decorate: 1, prices._ranking: 2}),
 ], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
     # shares it only when --facets reads it.  The chain never counts its
     # length in full and lifts no validated state per step.  The decoration
-    # works out the permutation it colors, and nothing else does.  The
-    # hooks diagram lifts its state once, for the hooks and the ranks alike.
+    # is built once, and it ranks each of its two dates once.  The hooks
+    # diagram lifts its state once, for the hooks and the ranks alike.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -445,6 +445,88 @@ def test_analyze_lists_few_bases_of_30_stocks(capsys, tmp_path, swap, bases):
     assert report["bases"] == bases
     assert report["polytope"]["vertex_count"] == len(bases)
     assert report["polytope"]["facet_count"] == 2 * (len(bases) - 1)
+
+
+def write_cents_csv(path, tickers, days, rows):
+    """A price CSV with one row of prices in cents per date; returns ``analyze --facets``'s arguments for all of it."""
+    lines = ["date," + ",".join(tickers)]
+    lines += [day + "," + ",".join(f"{c // 100}.{c % 100:02d}" for c in row) for day, row in zip(days, rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return [str(path), "--ref-date", days[0], "--end-date", days[-1], "--facets"]
+
+
+def seeded_markets(count):
+    """``count`` markets of 2 to 8 stocks over 2 to 6 dates: (tickers, days, prices in cents)."""
+    rng = random.Random(20140206)
+    for _ in range(count):
+        n, m = rng.randint(2, 8), rng.randint(2, 6)
+        rows = [rng.sample(range(100, 1000), n) for _ in range(m)]
+        while any(map(operator.eq, rows[0], rows[-1])):
+            rows[-1] = rng.sample(range(100, 1000), n)
+        yield [f"S{s}" for s in range(n)], [date(2020, 1, 1 + t).isoformat() for t in range(m)], rows
+
+
+def walk_market(tmp_path, seed):
+    """``write_random_walk_csv``'s 63-date walk, read back as (tickers, days, prices in cents)."""
+    lines = Path(write_random_walk_csv(tmp_path, seed, 63)[0]).read_text().splitlines()
+    rows = [[int(cell.replace(".", "")) for cell in line[11:].split(",")] for line in lines[1:]]
+    return lines[0].split(",")[1:], [line[:10] for line in lines[1:]], rows
+
+
+def test_time_reversal_and_the_mirror_give_the_dual_cell(tmp_path):
+    """Two maps on a market's prices, checked through every stage of ``analyze --facets``, with no oracle.
+
+    Time reversal keeps the dates and reverses the rows: the target
+    date's ranking becomes the reference, so the permutation becomes its
+    inverse, and every fixed point's price move, and so its colour,
+    flips.  That is the dual positroid (Ardila-Rincon-Williams,
+    arXiv:1308.2698; Postnikov, math/0609764): k becomes n - k and the
+    bases become their complements, in the same labels.  The mirror maps
+    each price p to M - p, with M above every price.  It reverses every
+    date's ranking, which also flips every colour and conjugates the
+    permutation by the reflection i -> n + 1 - i: the dual again, with
+    its labels reflected.  A matroid and its dual have the same
+    components, and x -> 1 - x maps one's polytope onto the other's, so
+    the cell dimension, the polytope's dimension and facet count and the
+    number of blocks stay the same.  Each transition's crossings are the
+    pairs of stocks whose order differs between its two dates, and
+    neither map changes which pairs those are; reversal runs the
+    transitions in the opposite order.
+
+    The relations need two preconditions, and every market here meets
+    them: the prices are pairwise distinct on every date, and no stock
+    ends at its reference price.  The tie rule (by ticker on the first
+    date, by the previous order later) and the colour of an unchanged
+    price (RIGHT) commute with neither map.
+    """
+    markets = [*seeded_markets(60), walk_market(tmp_path, 1), walk_market(tmp_path, 2)]
+    for case, (tickers, days, rows) in enumerate(markets):
+        assert all(len(set(row)) == len(row) for row in rows), case
+        assert not any(map(operator.eq, rows[0], rows[-1])), case
+        top = max(map(max, rows)) + 100
+        images = {"market": rows, "reversed": rows[::-1], "mirror": [[top - c for c in row] for row in rows]}
+        reports = {}
+        for name, image in images.items():
+            code, out, err = run_main(["analyze", *write_cents_csv(tmp_path / f"{name}.csv", tickers, days, image)])
+            assert code == 0 and err == "", (case, name, err)
+            reports[name] = json.loads(out)
+        market, reverse, mirror = reports.values()
+        n = len(tickers)
+        complements = [sorted(set(range(1, n + 1)).difference(basis)) for basis in market["bases"]]
+        assert reverse["k"] == mirror["k"] == n - market["k"], case
+        assert reverse["bases"] == sorted(complements), case
+        assert mirror["bases"] == sorted(sorted(n + 1 - i for i in basis) for basis in complements), case
+        shape = {name: (report["cell_dimension"], report["polytope"]["affine_dimension"],
+                        report["polytope"]["facet_count"], len(report["noncrossing_partition"]))
+                 for name, report in reports.items()}
+        assert shape["reversed"] == shape["mirror"] == shape["market"], case
+        pairs = {}
+        for name, report in reports.items():
+            crossed = collections.defaultdict(set)
+            for event in report["crossings"]:
+                crossed[event["date"]].add(frozenset(event["stocks"]))
+            pairs[name] = [crossed[day] for day in days[1:]]
+        assert pairs["reversed"] == pairs["market"][::-1] and pairs["mirror"] == pairs["market"], case
 
 
 @pytest.mark.parametrize("n, k", [(7, 3), (8, 4), (12, 4), (30, 2)])
