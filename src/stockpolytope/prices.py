@@ -34,7 +34,8 @@ window.  A plain file is checked in passes over all its bytes at once:
 its skeleton (one ``translate``), its zero prices (one regex search) and
 its dates (one read of every date, which also finds a repeat).  Any
 other file, or a plain one that fails a pass, goes to the CSV reader,
-which checks row by row and cell by cell and so names the first bad row.
+which checks each record as it yields it, from bytes decoded a line at a
+time, and so names the first fault in the file by the line it reached.
 Each price is checked once: by the skeleton, or by the CSV reader as it
 reads the cell.  Only the window's rows then become Decimals, each once,
 and the table is built without checking them again; ``PriceTable(...)``
@@ -46,6 +47,7 @@ can run concurrently without coordination.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -146,22 +148,6 @@ class CrossingEvent(NamedTuple):
     stocks: tuple[int, int]
 
 
-def _decode(data: str | bytes) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start]
-        before = exc.object[: exc.start]  # one row per \r\n, \r or \n, as the CSV reader reads them
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-        raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=line) from None
-
-
-def _blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 def _price(cell: str, line_no: int, ticker: str) -> Decimal:
     try:
         value = Decimal(cell)
@@ -174,19 +160,19 @@ def _price(cell: str, line_no: int, ticker: str) -> Decimal:
     return value
 
 
-def _tickers(header: list[str]) -> tuple[str, ...]:
+def _tickers(header: list[str], line_no: int) -> tuple[str, ...]:
     header = [cell.strip() for cell in header]
     if not header or header[0] != "date":
-        raise PriceCsvError("header must start with 'date'", row=1, column="1")
+        raise PriceCsvError("header must start with 'date'", row=line_no, column="1")
     tickers = tuple(header[1:])
     if not tickers:
-        raise PriceCsvError("header names no tickers", row=1)
+        raise PriceCsvError("header names no tickers", row=line_no)
     seen_tickers: set[str] = set()
     for pos, t in enumerate(tickers, start=2):
         if not t:
-            raise PriceCsvError("empty ticker name", row=1, column=str(pos))
+            raise PriceCsvError("empty ticker name", row=line_no, column=str(pos))
         if t in seen_tickers:
-            raise PriceCsvError(f"duplicate ticker {t!r}", row=1, column=str(pos))
+            raise PriceCsvError(f"duplicate ticker {t!r}", row=line_no, column=str(pos))
         seen_tickers.add(t)
     return tickers
 
@@ -206,29 +192,40 @@ def iso_date(text: str) -> date:
     raise ValueError(f"bad ISO-8601 date {text!r}")
 
 
-def _csv_table(text: str) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
-    """The tickers and rows of any price CSV, read by the CSV reader and checked row by row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
+def _csv_table(data: str | bytes) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
+    """The tickers and rows of any price CSV, each record checked as the CSV reader yields it.
+
+    Bytes reach the reader a line at a time, each decoded alone (no UTF-8
+    sequence holds a line end), and every error names the line the reader
+    has reached, so the first fault in the file is the one named.
+    """
+    if isinstance(data, str):
+        reader = csv.reader(io.StringIO(data, newline=""))
+    else:
+        reader = csv.reader(map(bytes.decode, data.removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)))
+    try:  # of the statements below, only the reader raises UnicodeDecodeError or csv.Error
+        header = next(reader, None)
+        if header is None:
+            raise PriceCsvError("empty input")
+        tickers, parsed = _tickers(header, reader.line_num), {}
+        for row in reader:
+            line_no = reader.line_num
+            if len(row) < 2 and not "".join(row).strip():  # an empty or all-space line
+                continue
+            if len(row) != len(tickers) + 1:
+                raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
+            try:
+                d = iso_date(row[0].strip())
+            except ValueError as exc:
+                raise PriceCsvError(str(exc), row=line_no, column="date") from None
+            if d in parsed:
+                raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
+            parsed[d] = tuple(_price(cell.strip(), line_no, t) for t, cell in zip(tickers, row[1:]))
+    except UnicodeDecodeError as exc:  # in the line after the last one the reader counted
+        raise PriceCsvError(f"undecodable byte {exc.object[exc.start]:#04x}, expected UTF-8",
+                            row=reader.line_num + 1) from None
     except csv.Error as exc:
         raise PriceCsvError(f"unreadable CSV: {exc}", row=reader.line_num) from None
-    if not rows:
-        raise PriceCsvError("empty input")
-    tickers = _tickers(rows[0])
-    parsed: dict[date, tuple[Decimal, ...]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if _blank(row):
-            continue
-        if len(row) != len(tickers) + 1:
-            raise PriceCsvError(f"expected {len(tickers) + 1} fields, got {len(row)}", row=line_no)
-        try:
-            d = iso_date(row[0].strip())
-        except ValueError as exc:
-            raise PriceCsvError(str(exc), row=line_no, column="date") from None
-        if d in parsed:
-            raise PriceCsvError(f"duplicate date {d.isoformat()}", row=line_no, column="date")
-        parsed[d] = tuple(_price(cell.strip(), line_no, t) for t, cell in zip(tickers, row[1:]))
     if not parsed:
         raise PriceCsvError("no data rows")
     return tickers, parsed
@@ -278,7 +275,7 @@ def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | Non
     if _ZERO_PRICE.search(data):
         return None
     try:
-        tickers = _tickers(head.decode("utf-8-sig").split(","))
+        tickers = _tickers(head.decode("utf-8-sig").split(","), 1)
     except UnicodeDecodeError:
         return None
     del lines[0]
@@ -298,7 +295,8 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     Rows may arrive in any date order and come out sorted.  Malformed
     numbers, non-positive prices, duplicate dates or tickers, row length
     mismatches, undecodable bytes and unreadable CSV raise PriceCsvError
-    with the offending location: the first problem in file order.
+    with the offending location: the first problem in file order, its row
+    the line the CSV reader has reached (a record's last, or a bad byte's).
 
     Every row is checked once, whatever dates a later analysis asks for:
     a plain file by the skeleton of its bytes and by its dates, any
@@ -315,7 +313,7 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     raw = data.encode("utf-8-sig", "surrogatepass") if isinstance(data, str) else data
     plain = _plain_table(raw)
     if plain is None:
-        return _windowed(*_csv_table(_decode(data)), tuple, ref_date, end_date)
+        return _windowed(*_csv_table(data), tuple, ref_date, end_date)
     return _windowed(*plain, lambda line: tuple(map(Decimal, line[11:].decode().split(","))), ref_date, end_date)
 
 

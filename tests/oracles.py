@@ -38,7 +38,6 @@ None of them is fast; all of them follow the definitions directly.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -618,29 +617,58 @@ def face_search_facets(p: Positroid) -> tuple[Facet, ...]:
 def per_cell_parse(data: str | bytes) -> PriceTable:
     """Price CSV parsed and checked cell by cell, in file order.
 
-    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` and unreadable
-    CSV raises ``csv.Error`` here, as nothing wraps them.
+    The file is cut into physical lines, each ended by \\r\\n, \\r or \\n,
+    and fed to the CSV reader one at a time; a record's row is the number
+    of lines fed when it is complete.  Bytes are decoded line by line,
+    after one leading byte order mark, so a byte that is not UTF-8 stops
+    the parse on its own line, as unreadable CSV does on the line that
+    holds it.
     """
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
+    if isinstance(data, bytes) and data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    ends = r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z"
+    lines = re.findall(ends.encode() if isinstance(data, bytes) else ends, data)
+    fed = 0
+
+    def feed() -> Iterator[str]:
+        nonlocal fed
+        for line in lines:
+            fed += 1
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad = line[exc.start]
+                    raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=fed) from None
+            yield line
+
+    def records() -> Iterator[list[str]]:
+        try:
+            yield from csv.reader(feed())
+        except csv.Error as exc:
+            raise PriceCsvError(f"unreadable CSV: {exc}", row=fed) from None
+
+    rows = records()
+    header = next(rows, None)
+    if header is None:
         raise PriceCsvError("empty input")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if not header or header[0] != "date":
-        raise PriceCsvError("header must start with 'date'", row=1, column="1")
+        raise PriceCsvError("header must start with 'date'", row=fed, column="1")
     tickers = tuple(header[1:])
     if not tickers:
-        raise PriceCsvError("header names no tickers", row=1)
+        raise PriceCsvError("header names no tickers", row=fed)
     seen_tickers: set[str] = set()
     for pos, t in enumerate(tickers, start=2):
         if not t:
-            raise PriceCsvError("empty ticker name", row=1, column=str(pos))
+            raise PriceCsvError("empty ticker name", row=fed, column=str(pos))
         if t in seen_tickers:
-            raise PriceCsvError(f"duplicate ticker {t!r}", row=1, column=str(pos))
+            raise PriceCsvError(f"duplicate ticker {t!r}", row=fed, column=str(pos))
         seen_tickers.add(t)
 
     parsed: dict[date, tuple[Decimal, ...]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for row in rows:
+        line_no = fed
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         cells = [cell.strip() for cell in row]

@@ -127,6 +127,16 @@ def test_analyze_undecodable_csv(capsys, tmp_path):
     assert err.startswith("error: row 3: undecodable byte 0xa3")
 
 
+def test_analyze_names_the_first_fault_in_file_order(capsys, tmp_path):
+    # A bad number on line 2 comes before a byte that is not UTF-8 on line 3.
+    bad = tmp_path / "two-faults.csv"
+    bad.write_bytes(b"date,A,B\n2020-01-01,1.0,x\n2020-01-02,1.0,\xff\n")
+    code, out, err = run_cli(
+        capsys, "analyze", str(bad), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"
+    )
+    assert (code, out, err) == (2, "", "error: row 2, column B: malformed number 'x'\n")
+
+
 def write_late_window_csv(tmp_path, n_dates=600, bad_cell_row=None, newline="\n", tie_date=None):
     # 30 stocks with pairwise distinct prices that all rise by a cent a day;
     # every seventh date two neighbours trade places for that day only.
@@ -713,24 +723,23 @@ def write_decorated_csv(tmp_path, images, left):
     return [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
 
 
-def reference_analysis(path) -> tuple[dict, list[str], list[str]]:
-    """The ``analyze --facets`` document of a two-date CSV, built from definitions alone.
+def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list[str]]]:
+    """The ``analyze --facets`` document of a CSV's window ref..end, built from definitions alone.
 
-    The prices are read with the standard library, and every field comes
-    from the oracles and the value types, with no pipeline function.  The
-    crossings are left out: the order of a day's swaps is the program's
-    own choice, so they are replayed instead, from the tickers in price
-    order on the first date (returned second) to the order on the second
-    (returned third).
+    The file is read by ``oracles.per_cell_parse`` and ranked by
+    ``oracles.first_date_rankings`` from its first date, and every field
+    comes from the oracles and the value types, with no pipeline function.
+    The crossings are left out: the order of a day's swaps is the
+    program's own choice, so they are replayed instead, on the tickers in
+    rank order on each date of the window (returned second, by ISO date).
     """
-    with open(path, newline="") as handle:
-        (_, *tickers), (ref, *first), (end, *second) = csv.reader(handle)
-    before, after = list(map(Decimal, first)), list(map(Decimal, second))
-    n = len(tickers)
-    order = sorted(range(n), key=before.__getitem__)  # rank 1 is the cheapest; no two prices tie
-    ranked = sorted(range(n), key=after.__getitem__)
+    table = oracles.per_cell_parse(Path(path).read_bytes())
+    chain = oracles.first_date_rankings(table)
+    ri, ti = table.dates.index(ref), table.dates.index(end)
+    order, ranked, before, after = chain[ri], chain[ti], table.prices[ri], table.prices[ti]
+    n = table.n_stocks
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
-    # Rank q on the second date holds the stock of reference rank images[q - 1].
+    # Rank q on the end date holds the stock of reference rank images[q - 1].
     images = [ref_rank[s] for s in ranked]
     colors = {q: perms.Color.LEFT if after[s] < before[s] else perms.Color.RIGHT
               for q, s in enumerate(ranked, start=1) if images[q - 1] == q}
@@ -754,38 +763,112 @@ def reference_analysis(path) -> tuple[dict, list[str], list[str]]:
         "permutation": images,
         "polytope": {"affine_dimension": oracles.affine_dimension(vertices),
                      "facet_count": len(oracles.face_search_facets(closed)), "vertex_count": len(bases)},
-        "ref_date": ref,
+        "ref_date": ref.isoformat(),
         "schema_version": 1,
-        "target_date": end,
-        "tickers": tickers,
+        "target_date": end.isoformat(),
+        "tickers": list(table.tickers),
     }
-    return document, [tickers[s] for s in order], [tickers[s] for s in ranked]
+    return document, {table.dates[i].isoformat(): [table.tickers[s] for s in chain[i]] for i in range(ri, ti + 1)}
+
+
+def assert_analyze_matches_the_reference(capsys, path, ref: date, end: date) -> dict:
+    """Each field of ``analyze --facets`` on the window against ``reference_analysis``; the document back.
+
+    The crossings are replayed date by date, one adjacent swap each, from
+    the reference date's order: each date's swaps, numbered from 0, must
+    reach that date's order, and there must be as many as the pairs of
+    stocks whose order that date flips.
+    """
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", ref.isoformat(),
+                             "--end-date", end.isoformat(), "--facets")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    reference, orders = reference_analysis(path, ref, end)
+    assert sorted(doc) == sorted([*reference, "crossings"])
+    for field, value in reference.items():
+        assert doc[field] == value, (path, ref, end, field)
+    days = [event["date"] for event in doc["crossings"]]
+    assert days == sorted(days)
+    (_, line), *later = orders.items()
+    replayed = 0
+    for day, order in later:
+        todays = [event for event in doc["crossings"] if event["date"] == day]
+        at = {ticker: r for r, ticker in enumerate(order)}
+        assert len(todays) == sum(at[a] > at[b] for a, b in itertools.combinations(line, 2))
+        for seq, event in enumerate(todays):
+            p = event["position"]
+            assert event == {"date": day, "position": p, "seq": seq, "stocks": line[p - 1:p + 1]}
+            line[p - 1], line[p] = line[p], line[p - 1]
+        assert line == order, (path, day)
+        replayed += len(todays)
+    assert replayed == len(days)  # no swap dated outside the window's later dates
+    return doc
 
 
 def test_analyze_matches_a_reference_built_from_definitions(capsys, tmp_path):
-    # Every cell with n <= 4, written as a two-date market: each field of
-    # the --facets document against ``reference_analysis``, and the
-    # crossings replayed, one adjacent swap each, on the first date's order.
+    # Every cell with n <= 5, written as a two-date market.
     cells = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for cell in oracles.all_decorated_permutations(n):
-            window = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
-            code, out, err = run_cli(capsys, "analyze", *window, "--facets")
-            assert (code, err) == (0, "")
-            doc = json.loads(out)
-            reference, line, final = reference_analysis(window[0])
-            assert reference["permutation"] == list(cell.perm.images)  # the file holds the cell written
-            assert sorted(doc) == sorted([*reference, "crossings"])
-            for field, value in reference.items():
-                assert doc[field] == value, (window[0], field)
-            assert len(doc["crossings"]) == oracles.inversions(cell.perm)
-            for seq, event in enumerate(doc["crossings"]):
-                p = event["position"]
-                assert event == {"date": "2020-01-02", "position": p, "seq": seq, "stocks": line[p - 1:p + 1]}
-                line[p - 1], line[p] = line[p], line[p - 1]
-            assert line == final, window[0]
+            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
+            doc = assert_analyze_matches_the_reference(capsys, path, date.fromisoformat(ref), date.fromisoformat(end))
+            assert doc["permutation"] == list(cell.perm.images)  # the file holds the cell written
             cells += 1
-    assert cells == 88
+    assert cells == 414
+
+
+# Tickers the CSV writer must quote, that JSON must escape, or that hold a % or a brace.
+HOSTILE_TICKERS = ('"q"', "a,b", "A\nB", "back\\slash", "AT&T", "é", "😀", "tab\there", "\x01", "%s", "100%", "{x}")
+
+
+def random_markets(tmp_path):
+    """120 seeded markets of 2-7 stocks over 2-5 dates, two windows each: (path, ref, end, tickers hostile).
+
+    Prices are whole numbers, some from 1-3 so that ties are common, and
+    every other market gives two stocks one price on some date.  Every
+    third market takes its tickers from ``HOSTILE_TICKERS``.  Files
+    alternate between LF and CRLF line ends and between prices written
+    as ``7`` and as ``7.00``; only an LF file with ``.00`` prices and
+    plain tickers is plain.  The second window of every fourth market is
+    a single date.
+    """
+    rng = random.Random(1402)
+    for m in range(120):
+        n, days = rng.randint(2, 7), rng.randint(2, 5)
+        hostile = m % 3 == 0
+        tickers = rng.sample(HOSTILE_TICKERS, n) if hostile else [f"S{s}" for s in rng.sample(range(10), n)]
+        top = rng.choice((3, 9, 99))
+        rows = [[rng.randint(1, top) for _ in range(n)] for _ in range(days)]
+        if m % 2 == 0:
+            a, b = rng.sample(range(n), 2)
+            row = rows[rng.randrange(days)]
+            row[a] = row[b]
+        dates = [date(2020, 1, 1) + timedelta(days=d) for d in range(days)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n" if m % 4 >= 2 else "\n")
+        writer.writerow(["date", *tickers])
+        writer.writerows([d.isoformat(), *(f"{p}.00" if m % 2 else str(p) for p in row)] for d, row in zip(dates, rows))
+        path = tmp_path / f"market-{m}.csv"
+        path.write_bytes(out.getvalue().encode())
+        i = rng.randrange(days)
+        yield path, dates[0], dates[-1], hostile
+        yield path, dates[i], dates[i if m % 4 == 3 else rng.randrange(i, days)], hostile
+
+
+def test_analyze_matches_the_reference_on_random_markets(capsys, tmp_path):
+    # The reference ranks every date from the file's first, so a window
+    # that starts late or holds ties is checked against the whole chain.
+    seen = collections.Counter()
+    for path, ref, end, hostile in random_markets(tmp_path):
+        doc = assert_analyze_matches_the_reference(capsys, path, ref, end)
+        table = oracles.per_cell_parse(path.read_bytes())
+        rows = table.prices[table.dates.index(ref):table.dates.index(end) + 1]
+        colors = {d["color"] for d in doc["decorations"]}
+        seen.update(windows=1, hostile=hostile, single_date=ref == end, seven_stocks=table.n_stocks == 7,
+                    tie=any(len(set(row)) < len(row) for row in rows), left=("left" in colors),
+                    right=("right" in colors), both_colors=(colors == {"left", "right"}))
+    assert seen == {"windows": 240, "tie": 172, "right": 153, "single_date": 84, "hostile": 80,
+                    "left": 44, "seven_stocks": 26, "both_colors": 15}
 
 
 def analyze_corpus(capsys, tmp_path):
