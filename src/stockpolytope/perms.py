@@ -17,13 +17,13 @@ from operator import index
 from typing import Mapping, Sequence
 
 
-def trusted(cls, *values):
-    """The frozen dataclass ``cls`` holding ``values`` as its fields, without its ``__post_init__`` check.
+def trusted(cls, *values, **state):
+    """The frozen dataclass ``cls`` holding ``values`` as its fields and ``state``, unchecked by ``__post_init__``.
 
     For a producer in this package that makes, and so has checked, the form the constructor checks.
     """
     made = object.__new__(cls)
-    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    made.__dict__.update(zip(cls.__dataclass_fields__, values), **state)
     return made
 
 

@@ -37,12 +37,13 @@ other file, or a plain one that fails a pass, goes to the CSV reader,
 which checks each record as it yields it, from bytes decoded a line at a
 time, and so names the first fault in the file by the line it reached.
 Each price is checked once: by the skeleton, or by the CSV reader as it
-reads the cell.  Only the window's rows then become Decimals, each once,
-and the table is built without checking them again; ``PriceTable(...)``
-called directly checks every price.
-
-Tables are immutable and all functions are pure, so per-date analyses
-can run concurrently without coordination.
+reads the cell, and ``PriceTable(...)`` called directly checks every
+price.  Only the window's rows that a command reads become Decimals,
+each once, as it first reads them; the skeleton showed each plain cell
+to be digits, a point and digits, one not 0, so no late conversion can
+raise.  Tables are immutable (a row's first read stores the same
+Decimals whoever reads first) and all functions are pure, so per-date
+analyses can run concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class PriceTable:
     """Closing prices: ``prices[d][s]`` is stock s on date d.
 
     Tickers are strings, dates strictly increasing ``date``s, and every price a positive Decimal.
-    ``chain`` is the table's ranking chain, ranked on first read.
+    ``chain`` is the table's ranking chain, ranked on first read.  A parsed table keeps its rows in
+    ``_rows``, a plain row as its line until ``_row`` converts it; reading ``prices`` converts the rest.
     """
 
     tickers: tuple[str, ...]
@@ -115,6 +117,14 @@ class PriceTable:
             for p in row:
                 if not isinstance(p, Decimal) or not p.is_finite() or p <= 0:
                     raise ValueError(f"prices must be positive decimals, got {p!r}")
+
+    def __getattr__(self, name: str):
+        rows = self.__dict__.get("_rows") if name == "prices" else None
+        if rows is None:  # no such attribute, or another thread has just built prices
+            return object.__getattribute__(self, name)
+        self.__dict__["prices"] = tuple([_plain_row(row) if type(row) is bytes else row for row in rows])
+        self.__dict__.pop("_rows", None)
+        return self.__dict__["prices"]
 
     @property
     def n_stocks(self) -> int:
@@ -236,24 +246,36 @@ _ZERO_PRICE = re.compile(rb",0*\.0*[,\n]")  # a price with no digit but 0
 _DATE_CELL = itemgetter(slice(0, 11))  # YYYY-MM-DD and its comma
 
 
-def _windowed(tickers, rows: dict, prices_of, ref_date: date | None, end_date: date | None) -> PriceTable:
-    """The table of ``rows``, read by ``prices_of``, from the anchor through ``end_date``.
+def _windowed(tickers, rows: dict, ref_date: date | None, end_date: date | None) -> PriceTable:
+    """The table of ``rows`` from the anchor through ``end_date``, its rows left as they are.
 
     The anchor is the last date at or before ``ref_date`` whose prices are
     pairwise distinct, else the first date.  The whole table comes back
-    when either date is missing or ``end_date`` comes first.  Each kept
-    row is read once, and every producer of ``rows`` has checked its
-    prices, so the table is not checked again.
+    when either date is missing or ``end_date`` comes first.  Each date
+    the walk to the anchor tests is converted once, and every producer of
+    ``rows`` has checked its prices, so the table is not checked again.
     """
     dates = sorted(rows)
     first, stop = 0, len(dates)
     if ref_date in rows and end_date in rows and ref_date <= end_date:
         first, stop = dates.index(ref_date), dates.index(end_date) + 1
-    kept = [prices_of(rows[d]) for d in dates[first:stop]]
-    while first and not _tie_free(kept[0]):
+    kept = list(map(rows.get, dates))
+    table = trusted(PriceTable, tickers, tuple(dates), _rows=kept)
+    while first and not _tie_free(_row(table, first)):
         first -= 1
-        kept.insert(0, prices_of(rows[dates[first]]))
-    return trusted(PriceTable, tickers, tuple(dates[first:stop]), tuple(kept))
+    return trusted(PriceTable, tickers, tuple(dates[first:stop]), _rows=kept[first:stop])
+
+
+def _plain_row(line: bytes) -> tuple[Decimal, ...]:  # each cell digits, a point and digits, one not 0: no error
+    return tuple(map(Decimal, line[11:].decode().split(",")))
+
+
+def _row(table: PriceTable, i: int) -> tuple[Decimal, ...]:
+    """``table.prices[i]``, converting just that row, once, while the table's rows wait in ``_rows``."""
+    rows = table.__dict__.get("_rows") or table.prices
+    if type(rows[i]) is bytes:
+        rows[i] = _plain_row(rows[i])
+    return rows[i]
 
 
 def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | None:
@@ -303,18 +325,16 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     other by the CSV reader, row by row and cell by cell.  Given
     ``ref_date`` and ``end_date``, the table holds only the dates from
     the anchor (the last one at or before ``ref_date`` with pairwise
-    distinct prices, else the first) through ``end_date``, and only those
-    rows of a plain file become Decimals.  The table's ``chain`` then
+    distinct prices, else the first) through ``end_date``; its ``chain``
     ranks just those dates, as a chain from the file's first date would.
     If either date is missing or ``end_date`` comes first, all dates are
-    kept.
+    kept.  A plain file's rows become Decimals only as they are read,
+    each once, and text loses one byte order mark, as bytes do.
     """
+    data = data.removeprefix("\ufeff") if isinstance(data, str) else data  # one mark, as bytes lose theirs
     # Text as UTF-8: the header's decoding strips just the mark utf-8-sig adds, and a surrogate is not plain.
     raw = data.encode("utf-8-sig", "surrogatepass") if isinstance(data, str) else data
-    plain = _plain_table(raw)
-    if plain is None:
-        return _windowed(*_csv_table(data), tuple, ref_date, end_date)
-    return _windowed(*plain, lambda line: tuple(map(Decimal, line[11:].decode().split(","))), ref_date, end_date)
+    return _windowed(*(_plain_table(raw) or _csv_table(data)), ref_date, end_date)
 
 
 def read_price_csv(path, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
@@ -350,7 +370,7 @@ def _ranking(table: PriceTable, i: int) -> tuple[int, ...]:
     stable re-sort both give the one ascending order of the prices, so
     the chain is neither built nor read.
     """
-    row = table.prices[i]
+    row = _row(table, i)
     if _tie_free(row):
         return tuple(sorted(range(len(row)), key=row.__getitem__))
     return table.chain[i]
@@ -420,7 +440,7 @@ def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedP
     price rose or is unchanged, LEFT when it fell.
     """
     ri, ti = _span(table, ref_date, target_date)
-    order, before, after = _ranking(table, ri), table.prices[ri], table.prices[ti]
+    order, before, after = _ranking(table, ri), _row(table, ri), _row(table, ti)
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
     perm = Permutation(tuple(ref_rank[s] for s in _ranking(table, ti)))
     colors = {}

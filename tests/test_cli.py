@@ -231,6 +231,31 @@ def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, comman
     assert {fn: len(results[fn]) for fn in calls} == calls
 
 
+def converted_rows(capsys, monkeypatch, *argv):
+    """The rows ``argv`` turns into Decimals, in order, and the prices of the table it parses."""
+    rows = record_calls(monkeypatch, prices._plain_row)
+    tables = record_calls(monkeypatch, prices.read_price_csv)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    converted = list(rows)  # before reading the prices below converts the rest
+    return converted, tables[-1].prices
+
+
+@pytest.mark.parametrize("command", [["render", "chords"], ["render", "hooks"]], ids=["chords", "hooks"])
+def test_chords_and_hooks_convert_only_their_two_dates(capsys, monkeypatch, command):
+    # Of the sample range's 13 kept rows, they read the reference and the
+    # end date's prices, each once; the reference starts the window.
+    converted, kept = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    assert len(kept) == 13 and converted == [kept[0], kept[-1]]
+
+
+@pytest.mark.parametrize("command", [["render", "wiring"], ["chain"], ["analyze", "--check"]],
+                         ids=["wiring", "chain", "analyze"])
+def test_full_readers_convert_each_kept_row_once(capsys, monkeypatch, command):
+    converted, kept = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    assert len(kept) == 13 and sorted(converted) == sorted(kept)
+
+
 def test_facets_and_check_build_no_vertex_tuple(capsys, monkeypatch):
     # The facets and the dimension read the closure; the vertex tuples
     # are built only when something reads them, and nothing here does.
@@ -307,6 +332,24 @@ def test_a_bad_file_is_reported_before_a_bad_date(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: bad ISO-8601 date '2001-13-01'\n")
     code, out, err = run_cli(capsys, "analyze", str(tmp_path / "nope.csv"), *bad_date)
     assert code == 2 and out == "" and "No such file" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_the_walk_to_the_anchor_converts_each_row_once(capsys, monkeypatch, tmp_path, command):
+    # The walk tests the 4th, 3rd and 2nd; the tie on the 4th then ranks
+    # the chain, which reads the 5th as well.
+    converted, kept = converted_rows(capsys, monkeypatch, *command, str(write_tie_csv(tmp_path)),
+                                     "--ref-date", "2020-01-04", "--end-date", "2020-01-05")
+    assert len(kept) == 4 and sorted(converted) == sorted(kept)
+
+
+def test_a_bad_date_converts_no_row(capsys, monkeypatch, tmp_path):
+    # The whole file is parsed again only to report its faults first.
+    rows = record_calls(monkeypatch, prices._plain_row)
+    path = write_late_window_csv(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", "2001-13-01", "--end-date", "2002-03-24")
+    assert (code, out, err) == (2, "", "error: bad ISO-8601 date '2001-13-01'\n")
+    assert rows == []
 
 
 def test_the_cli_turns_only_the_window_into_decimals(capsys, monkeypatch, tmp_path):
@@ -993,6 +1036,17 @@ def test_check_reads_the_cell_dimension_off_the_listed_closure():
     report.positroid.closure[2][1] += 1
     with pytest.raises(ConsistencyError, match=r"sum of the closure's ranks r\[i, f\(i\)\], less k\^2$"):
         check_report(report)
+
+
+def test_check_catches_a_fault_in_affine_length(capsys, monkeypatch):
+    # build_report and the first check share k(n-k) - l(f), so only the
+    # closure-rank route sees a wrong length.
+    length = perms.affine_length
+    monkeypatch.setattr("stockpolytope.report.affine_length", lambda lift: length(lift) + 1)
+    code, out, err = run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--check")
+    assert (code, out) == (3, "")
+    assert err == ("internal consistency breach: cell dimension differs from the sum of the closure's ranks "
+                   "r[i, f(i)], less k^2\n")
 
 
 def test_check_catches_raised_polytope_dimension():

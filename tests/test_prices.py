@@ -1,6 +1,9 @@
 import collections
+import copy
 import csv
+import dataclasses
 import io
+import pickle
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, datetime, timedelta
@@ -25,7 +28,7 @@ from stockpolytope import (
     word_to_permutation,
 )
 from stockpolytope import cli, prices
-from conftest import compose, plain_price_csv_inputs, price_csv_inputs, random_table, rank_at_date
+from conftest import compose, plain_price_csv_inputs, price_csv_inputs, random_table, rank_at_date, sample_csv_text
 import oracles
 from oracles import first_date_rankings, inversions, per_cell_parse
 
@@ -272,6 +275,46 @@ def test_lf_crlf_and_cr_line_endings_read_alike(end):
     table = parse_price_csv(text)
     assert table == parse_price_csv(text.encode())
     assert table.prices == ((Decimal("1.5"), Decimal(2)), (Decimal("1.25"), Decimal(3)))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_byte_order_mark_reads_alike_in_text_and_bytes(end):
+    text = end.join(["date,A,B", "2020-01-01,1.5,2", "2020-01-02,1.25,3"]) + end
+    marked = "\ufeff" + text
+    tables = [parse_price_csv(data) for data in (marked, marked.encode(), text)]
+    assert tables[0] == tables[1] == tables[2] and tables[0].tickers == ("A", "B")
+    errors = []
+    for data in ("\ufeff" + marked, ("\ufeff" + marked).encode()):  # one mark is dropped, not two
+        with pytest.raises(PriceCsvError) as err:
+            parse_price_csv(data)
+        errors.append(str(err.value))
+    assert errors == ["row 1, column 1: header must start with 'date'"] * 2
+
+
+COPIES = {"pickle": lambda table: pickle.loads(pickle.dumps(table)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
+
+
+@pytest.mark.parametrize("read_one", [False, True], ids=["unread", "one-row-read"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["plain", "csv-reader"])
+def test_a_parsed_table_copies_and_compares_as_its_checked_twin(end, read_one):
+    # A parsed table keeps its rows unconverted until they are read; its
+    # copies, and the table itself, still equal, hash and print as the
+    # table built from its prices, from either side of ==.
+    text = sample_csv_text().replace("\n", end)
+    whole = parse_price_csv(text)
+    twin = PriceTable(whole.tickers, whole.dates, whole.prices)
+    for name, make in COPIES.items():
+        table = parse_price_csv(text)
+        if read_one:
+            assert prices._row(table, 3) == twin.prices[3]
+        assert "prices" not in vars(table)
+        made = make(table)
+        assert prices._row(made, 5) == twin.prices[5] and made.chain == twin.chain, name
+        for other in (made, table):
+            assert other == twin and twin == other, name
+            assert hash(other) == hash(twin) and repr(other) == repr(twin), name
+            assert type(other.prices) is tuple and "_rows" not in vars(other), name
 
 
 @pytest.mark.parametrize(
