@@ -13,7 +13,7 @@ from datetime import date
 from .perms import affine_lift
 from .polytope import decomposition_chain
 from .positroid import interval_rank_summands
-from .prices import PriceTable, crossing_stream, crossing_word, decorate, iso_date, read_price_csv
+from .prices import PriceTable, crossing_stream, crossing_word, decorate, iso_date, rankings, read_price_csv
 from .render import render_chords, render_hooks, render_wiring
 from .report import (ConsistencyError, build_report, chain_to_json, chain_to_text, check_report,
                      report_to_json, report_to_text)
@@ -53,12 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[PriceTable, date, date]:
-    try:
-        ref, end = iso_date(args.ref_date), iso_date(args.end_date)
-    except ValueError:
-        read_price_csv(args.csv)  # a bad file is reported before a bad date
-        raise
-    return read_price_csv(args.csv, ref, end), ref, end
+    table = read_price_csv(args.csv)  # a bad file is reported before a bad date
+    return table, iso_date(args.ref_date), iso_date(args.end_date)
 
 
 def _cmd_analyze(args) -> str:
@@ -81,7 +77,8 @@ def _cmd_render(args) -> str:
     if args.mode == "wiring":
         events = crossing_stream(table, ref, end)
         word = crossing_word(table.n_stocks, events)
-        ranked = table.chain[table.date_index(ref)]  # the stock at each reference rank, not CSV order
+        ri = table.date_index(ref)
+        ranked = rankings(table, ri, ri)[0]  # the stock at each reference rank, not CSV order
         return render_wiring(word, [table.tickers[s] for s in ranked], fmt=args.format)
     state = decorate(table, ref, end)
     if args.mode == "chords":
@@ -98,12 +95,12 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(output)
+        else:  # a console that cannot encode the text refuses it whole, before a byte is written
+            sys.stdout.write(output)
     except ConsistencyError as exc:
         print(f"internal consistency breach: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
-        sys.stdout.write(output)
     return 0

@@ -19,31 +19,28 @@ Conventions, fixed once here:
   events per day.
 
 A date whose prices are pairwise distinct ranks the same whatever order
-came before it: its ranking is its prices sorted.  So
-``parse_price_csv`` can start a command's table at the last such date at
-or before the reference date and keep the tie convention exactly, and
-``decorate`` ranks each of its two dates once, a tie-free one from its
-own prices; ``permutation_at`` is its permutation.  Only a date with a
-tie needs the table's chain: ``PriceTable.chain`` is ``rankings`` of
-the table, computed on first read, one stock order per date of
-``table.dates``.  ``crossing_stream`` reads every date of its range, so
-it always reads the chain.
+came before it: its ranking is its prices sorted.  So ``rankings`` ranks
+any range of dates from the last such date at or before the range's
+first (else the table's first date) and keeps the tie convention
+exactly, at the cost of the range and of that walk back.  ``decorate``
+ranks each of its two dates that way, ``crossing_stream`` its whole
+range, and ``permutation_at`` is ``decorate``'s permutation.
 
-Parsing pays for the whole file in bulk and per cell only for the
-window.  A plain file is checked in passes over all its bytes at once:
-its skeleton (one ``translate``), its zero prices (one regex search) and
-its dates (one read of every date, which also finds a repeat).  Any
-other file, or a plain one that fails a pass, goes to the CSV reader,
-which checks each record as it yields it, from bytes decoded a line at a
-time, and so names the first fault in the file by the line it reached.
-Each price is checked once: by the skeleton, or by the CSV reader as it
-reads the cell, and ``PriceTable(...)`` called directly checks every
-price.  Only the window's rows that a command reads become Decimals,
-each once, as it first reads them; the skeleton showed each plain cell
-to be digits, a point and digits, one not 0, so no late conversion can
-raise.  Tables are immutable (a row's first read stores the same
-Decimals whoever reads first) and all functions are pure, so per-date
-analyses can run concurrently without coordination.
+Parsing checks the whole file in bulk and converts no price.  A plain
+file is checked in passes over all its bytes at once: its skeleton (one
+``translate``), its zero prices (one regex search) and its dates (one
+read of every date, which also finds a repeat).  Any other file, or a
+plain one that fails a pass, goes to the CSV reader, which checks each
+record as it yields it, from bytes decoded a line at a time, and so
+names the first fault in the file by the line it reached.  Each price is
+checked once: by the skeleton, or by the CSV reader as it reads the
+cell, and ``PriceTable(...)`` called directly checks every price.  A
+plain row becomes Decimals only when a function reads it, once; the
+skeleton showed each plain cell to be digits, a point and digits, one
+not 0, so no late conversion can raise.  Tables are immutable (a row's
+first read stores the same Decimals whoever reads first) and all
+functions are pure, so per-date analyses can run concurrently without
+coordination.
 """
 
 from __future__ import annotations
@@ -52,10 +49,10 @@ import codecs
 import csv
 import io
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
-from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, ne
 from typing import NamedTuple
@@ -83,8 +80,8 @@ class PriceTable:
     """Closing prices: ``prices[d][s]`` is stock s on date d.
 
     Tickers are strings, dates strictly increasing ``date``s, and every price a positive Decimal.
-    ``chain`` is the table's ranking chain, ranked on first read.  A parsed table keeps its rows in
-    ``_rows``, a plain row as its line until ``_row`` converts it; reading ``prices`` converts the rest.
+    A parsed table keeps its rows in ``_rows``, a plain row as its line until ``_rows(table, ...)``
+    reads it; reading ``prices`` converts them all.
     """
 
     tickers: tuple[str, ...]
@@ -122,7 +119,7 @@ class PriceTable:
         rows = self.__dict__.get("_rows") if name == "prices" else None
         if rows is None:  # no such attribute, or another thread has just built prices
             return object.__getattribute__(self, name)
-        self.__dict__["prices"] = tuple([_plain_row(row) if type(row) is bytes else row for row in rows])
+        self.__dict__["prices"] = tuple(_rows(self, 0, len(rows) - 1))
         self.__dict__.pop("_rows", None)
         return self.__dict__["prices"]
 
@@ -131,17 +128,13 @@ class PriceTable:
         return len(self.tickers)
 
     def date_index(self, d: date) -> int:
-        try:
-            return self.dates.index(d)
-        except ValueError:
-            raise ValueError(f"unknown date {d.isoformat()}") from None
-
-    @cached_property
-    def chain(self) -> RankingChain:
-        return rankings(self)
+        i = bisect_left(self.dates, d) if type(d) is date else len(self.dates)  # a datetime is no table date
+        if i == len(self.dates) or self.dates[i] != d:
+            raise ValueError(f"unknown date {d.isoformat()}")
+        return i
 
 
-RankingChain = tuple[tuple[int, ...], ...]  # per table date, the stocks ascending by price
+RankingChain = tuple[tuple[int, ...], ...]  # per date of a range, the stocks ascending by price
 
 
 class CrossingEvent(NamedTuple):
@@ -246,36 +239,23 @@ _ZERO_PRICE = re.compile(rb",0*\.0*[,\n]")  # a price with no digit but 0
 _DATE_CELL = itemgetter(slice(0, 11))  # YYYY-MM-DD and its comma
 
 
-def _windowed(tickers, rows: dict, ref_date: date | None, end_date: date | None) -> PriceTable:
-    """The table of ``rows`` from the anchor through ``end_date``, its rows left as they are.
-
-    The anchor is the last date at or before ``ref_date`` whose prices are
-    pairwise distinct, else the first date.  The whole table comes back
-    when either date is missing or ``end_date`` comes first.  Each date
-    the walk to the anchor tests is converted once, and every producer of
-    ``rows`` has checked its prices, so the table is not checked again.
-    """
+def _table(tickers, rows: dict) -> PriceTable:
+    """The table of ``rows``, its dates sorted and its rows left as they are: every producer has checked them."""
     dates = sorted(rows)
-    first, stop = 0, len(dates)
-    if ref_date in rows and end_date in rows and ref_date <= end_date:
-        first, stop = dates.index(ref_date), dates.index(end_date) + 1
-    kept = list(map(rows.get, dates))
-    table = trusted(PriceTable, tickers, tuple(dates), _rows=kept)
-    while first and not _tie_free(_row(table, first)):
-        first -= 1
-    return trusted(PriceTable, tickers, tuple(dates[first:stop]), _rows=kept[first:stop])
+    return trusted(PriceTable, tickers, tuple(dates), _rows=list(map(rows.get, dates)))
 
 
 def _plain_row(line: bytes) -> tuple[Decimal, ...]:  # each cell digits, a point and digits, one not 0: no error
     return tuple(map(Decimal, line[11:].decode().split(",")))
 
 
-def _row(table: PriceTable, i: int) -> tuple[Decimal, ...]:
-    """``table.prices[i]``, converting just that row, once, while the table's rows wait in ``_rows``."""
-    rows = table.__dict__.get("_rows") or table.prices
-    if type(rows[i]) is bytes:
-        rows[i] = _plain_row(rows[i])
-    return rows[i]
+def _rows(table: PriceTable, first: int, last: int):
+    """``table.prices[first:last + 1]``, converting each row of the range that waits in ``_rows``, once."""
+    rows = table.__dict__.get("_rows")
+    if rows is None:
+        return table.prices[first:last + 1]
+    rows[first:last + 1] = part = [_plain_row(row) if type(row) is bytes else row for row in rows[first:last + 1]]
+    return part
 
 
 def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | None:
@@ -311,8 +291,8 @@ def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | Non
     return (tickers, rows) if len(rows) == m else None  # else a date repeats
 
 
-def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
-    """Parse ``date,<ticker>,...`` CSV text into a PriceTable.
+def parse_price_csv(data: str | bytes) -> PriceTable:
+    """Parse ``date,<ticker>,...`` CSV text into a PriceTable of all its dates.
 
     Rows may arrive in any date order and come out sorted.  Malformed
     numbers, non-positive prices, duplicate dates or tickers, row length
@@ -320,60 +300,47 @@ def parse_price_csv(data: str | bytes, ref_date: date | None = None, end_date: d
     with the offending location: the first problem in file order, its row
     the line the CSV reader has reached (a record's last, or a bad byte's).
 
-    Every row is checked once, whatever dates a later analysis asks for:
-    a plain file by the skeleton of its bytes and by its dates, any
-    other by the CSV reader, row by row and cell by cell.  Given
-    ``ref_date`` and ``end_date``, the table holds only the dates from
-    the anchor (the last one at or before ``ref_date`` with pairwise
-    distinct prices, else the first) through ``end_date``; its ``chain``
-    ranks just those dates, as a chain from the file's first date would.
-    If either date is missing or ``end_date`` comes first, all dates are
-    kept.  A plain file's rows become Decimals only as they are read,
-    each once, and text loses one byte order mark, as bytes do.
+    Every row is checked once, whatever dates a later analysis reads: a
+    plain file by the skeleton of its bytes and by its dates, any other
+    by the CSV reader, row by row and cell by cell.  A plain file's rows
+    become Decimals only as they are read, each once, so a caller parses
+    once and ranks any range of dates at that range's cost.  Text loses
+    one byte order mark, as bytes do.
     """
     data = data.removeprefix("\ufeff") if isinstance(data, str) else data  # one mark, as bytes lose theirs
     # Text as UTF-8: the header's decoding strips just the mark utf-8-sig adds, and a surrogate is not plain.
     raw = data.encode("utf-8-sig", "surrogatepass") if isinstance(data, str) else data
-    return _windowed(*(_plain_table(raw) or _csv_table(data)), ref_date, end_date)
+    return _table(*(_plain_table(raw) or _csv_table(data)))
 
 
-def read_price_csv(path, ref_date: date | None = None, end_date: date | None = None) -> PriceTable:
-    """``parse_price_csv`` of the file's bytes, with the same window."""
+def read_price_csv(path) -> PriceTable:
+    """``parse_price_csv`` of the file's bytes: the whole file, checked."""
     with open(path, "rb") as handle:
-        return parse_price_csv(handle.read(), ref_date, end_date)
+        return parse_price_csv(handle.read())
 
 
-def rankings(table: PriceTable) -> RankingChain:
-    """One stock order per table date, from the first: the ranking chain.
+def rankings(table: PriceTable, first: int = 0, last: int | None = None) -> RankingChain:
+    """One stock order per date of ``table.dates[first:last + 1]`` (``last`` the final date by default).
 
-    Each date stably re-sorts the previous order by its prices, from the
-    tickers' sorted order: the first date sorts by (price, ticker), and
-    equal prices later keep their standing instead of fabricating a
-    crossing.  Each order is ``sorted``'s, unchecked; ``table.chain`` keeps them.
+    The chain starts from the tickers' sorted order at the table's first
+    date, which sorts by (price, ticker); each later date stably re-sorts
+    the previous order by its prices, so equal prices keep their standing
+    instead of fabricating a crossing.  A date with pairwise distinct
+    prices ranks by its prices alone, so the chain starts at the last
+    such date at or before ``first``, else at date 0, and reads the rows
+    from there through ``last``.  Each order is ``sorted``'s, unchecked.
     """
+    last = len(table.dates) - 1 if last is None else last
+    if not 0 <= first <= last < len(table.dates):
+        raise ValueError(f"no date range {first}..{last} in a table of {len(table.dates)} dates")
+    start = first
+    while start and len(set(_rows(table, start, start)[0])) < table.n_stocks:  # a tie: walk back
+        start -= 1
     order, out = sorted(range(table.n_stocks), key=table.tickers.__getitem__), []
-    for row in table.prices:
-        order = tuple(sorted(order, key=row.__getitem__))
-        out.append(order)
-    return tuple(out)
-
-
-def _tie_free(row: tuple[Decimal, ...]) -> bool:
-    """Whether a date's prices are pairwise distinct, so that its ranking is its prices sorted."""
-    return len(set(row)) == len(row)
-
-
-def _ranking(table: PriceTable, i: int) -> tuple[int, ...]:
-    """``table.chain[i]``, read from date i's own prices when they are pairwise distinct.
-
-    With no tie, the first date's ticker tie-break and a later date's
-    stable re-sort both give the one ascending order of the prices, so
-    the chain is neither built nor read.
-    """
-    row = _row(table, i)
-    if _tie_free(row):
-        return tuple(sorted(range(len(row)), key=row.__getitem__))
-    return table.chain[i]
+    for row in _rows(table, start, last):
+        order = sorted(order, key=row.__getitem__)
+        out.append(tuple(order))
+    return tuple(out[first - start:])
 
 
 def _span(table: PriceTable, ref_date: date, target_date: date) -> tuple[int, int]:
@@ -408,9 +375,8 @@ def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[
     ranking sorts by them and keeps equal prices in their old order.
     """
     ri, ti = _span(table, ref_date, end_date)
-    chain, events = table.chain, []
-    for i in range(ri + 1, ti + 1):
-        prev, cur, row = chain[i - 1], chain[i], table.prices[i]
+    chain, events = rankings(table, ri, ti), []
+    for day, prev, cur, row in zip(table.dates[ri + 1:ti + 1], chain, chain[1:], _rows(table, ri + 1, ti)):
         if prev == cur:
             continue
         moved = list(map(ne, prev, cur))
@@ -420,7 +386,7 @@ def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[
             for p in range(1, len(arrangement)):
                 lower, upper = arrangement[p - 1], arrangement[p]
                 if row[lower] > row[upper]:
-                    events.append((table.dates[i], seq, lo + p, (lower, upper)))
+                    events.append((day, seq, lo + p, (lower, upper)))
                     arrangement[p - 1], arrangement[p] = upper, lower
                     seq += 1
     return tuple(map(tuple.__new__, repeat(CrossingEvent), events))  # each record made in C
@@ -434,15 +400,15 @@ def crossing_word(n: int, events: tuple[CrossingEvent, ...]) -> WiringWord:
 def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:
     """The permutation of the date range, its fixed points colored by the net price move.
 
-    Each of the two dates is ranked once, by ``_ranking``: from its own
-    prices when they are pairwise distinct, else from the table's chain.
-    A fixed point's stock kept its rank; its cord points RIGHT when the
-    price rose or is unchanged, LEFT when it fell.
+    Each of the two dates is ranked once, by ``rankings`` of that date
+    alone.  A fixed point's stock kept its rank; its cord points RIGHT
+    when the price rose or is unchanged, LEFT when it fell.
     """
     ri, ti = _span(table, ref_date, target_date)
-    order, before, after = _ranking(table, ri), _row(table, ri), _row(table, ti)
+    (order,), (before,) = rankings(table, ri, ri), _rows(table, ri, ri)
+    (ranked,), (after,) = rankings(table, ti, ti), _rows(table, ti, ti)
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
-    perm = Permutation(tuple(ref_rank[s] for s in _ranking(table, ti)))
+    perm = Permutation(tuple(ref_rank[s] for s in ranked))
     colors = {}
     for i in perm.fixed_points():
         stock = order[i - 1]

@@ -20,6 +20,7 @@ from stockpolytope import (
     PriceTable,
     cell_dimension,
     parse_price_csv,
+    rankings,
 )
 from oracles import matroid_rank, uniform
 
@@ -171,8 +172,9 @@ def cached_dim(images: tuple[int, ...]) -> int:
 
 
 def rank_at_date(table: PriceTable, d: date) -> tuple[int, ...]:
-    """The stock order of one date, read off the table's chain."""
-    return table.chain[table.date_index(d)]
+    """The stock order of one date, ranked by ``rankings`` of that date alone."""
+    i = table.date_index(d)
+    return rankings(table, i, i)[0]
 
 
 def random_table(seed: int, n_stocks: int = 5, n_dates: int = 12) -> PriceTable:

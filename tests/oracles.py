@@ -715,6 +715,11 @@ def first_date_rankings(table: PriceTable) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def rankings_from_the_first_date(table: PriceTable, first: int = 0, last: int | None = None):
+    """``prices.rankings``' range read off ``first_date_rankings``: the chain from the table's first date."""
+    return first_date_rankings(table)[first:None if last is None else last + 1]
+
+
 @dataclass(frozen=True)
 class GaleOrder:
     """The cyclic order shift < shift+1 < ... < shift-1 on {1..n}."""

@@ -183,29 +183,34 @@ RANKING_RUNS = [
     (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
 ]
 RANKING_IDS = ["analyze", "chain", "wiring", "chords", "hooks"]
+RANKED = {"analyze": [1, 1, 252], "chain": [252], "wiring": [252, 1], "chords": [1, 1], "hooks": [1, 1]}
 RANKING_CASES = [
-    *((*run, nl, None, [] if run[0][-1] in ("chords", "hooks") else [252])
-      for nl in ("\n", "\r\n") for run in RANKING_RUNS),
-    *((*run, "\n", tie, [dates]) for tie, dates in ((447, 252), (196, 253)) for run in RANKING_RUNS[3:]),
+    *((*run, nl, None, RANKED[name], 0 if nl == "\r\n" else 2 if name in ("chords", "hooks") else 252)
+      for nl in ("\n", "\r\n") for run, name in zip(RANKING_RUNS, RANKING_IDS)),
+    *((*run, "\n", tie, [1, 1], 3) for tie in (447, 196) for run in RANKING_RUNS[3:]),
 ]
 
 
-@pytest.mark.parametrize("command, flags, newline, tie_date, dates_ranked", RANKING_CASES,
+@pytest.mark.parametrize("command, flags, newline, tie_date, dates_ranked, rows_converted", RANKING_CASES,
                          ids=RANKING_IDS + [f"{name}-crlf" for name in RANKING_IDS]
                          + [f"{name}-tie-on-{end}" for end in ("end", "ref") for name in RANKING_IDS[3:]])
 def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags, newline, tie_date,
-                                            dates_ranked):
-    # A CRLF file is not plain: the CSV reader reads it.  analyze, chain and
-    # wiring read every date's ranking, so they rank the whole window.
-    # chords and hooks read two dates, and a date with no tie ranks by its
-    # own prices: they rank no chain unless one of the two dates has a tie.
-    # A tie on the reference date moves the window's start back one date.
+                                            dates_ranked, rows_converted):
+    # Each command ranks only the dates it reads: analyze, chain and wiring
+    # rank the window's 252 dates once, for the crossings; the decoration
+    # of analyze, chords and hooks ranks its two dates, and wiring ranks
+    # the reference date for its labels.  A date with no tie ranks by its
+    # own prices; a tie on the reference or the end date walks back one
+    # date, which converts one more row.  A CRLF file is not plain: the CSV
+    # reader reads it, and converts every row as it checks it.
     path = write_late_window_csv(tmp_path, newline=newline, tie_date=tie_date)
     chains = record_calls(monkeypatch, prices.rankings)
+    rows = record_calls(monkeypatch, prices._plain_row)
     csv_reads = record_calls(monkeypatch, prices._csv_table)
     code, _, err = run_cli(capsys, *command, str(path), *LATE_WINDOW, *flags)
     assert code == 0, err
     assert [len(chain) for chain in chains] == dates_ranked
+    assert len(rows) == rows_converted
     assert len(csv_reads) == (newline == "\r\n")
 
 
@@ -216,15 +221,16 @@ def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, comma
     (["analyze", "--facets", "--check"],
      {polytope.polytope_from_positroid: 1, positroid.prefix_closure: 1}),
     (["chain", "--format", "json"], {perms.affine_lift: 0, perms.affine_length: 0}),
-    (["analyze"], {prices.decorate: 1, prices._ranking: 2}),
-    (["render", "chords"], {prices.decorate: 1, prices._ranking: 2}),
+    (["analyze"], {prices.decorate: 1, prices.rankings: 3}),
+    (["render", "chords"], {prices.decorate: 1, prices.rankings: 2}),
 ], ids=["hooks", "analyze", "check", "facets-check", "chain", "analyze-permutation", "chords-permutation"])
 def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, command, calls):
     # One cell: one closure, built with the bases, and the polytope that
     # shares it only when --facets reads it.  The chain never counts its
     # length in full and lifts no validated state per step.  The decoration
-    # is built once, and it ranks each of its two dates once.  The hooks
-    # diagram lifts its state once, for the hooks and the ranks alike.
+    # is built once, and it ranks each of its two dates once; analyze ranks
+    # its range once more, for the crossings.  The hooks diagram lifts its
+    # state once, for the hooks and the ranks alike.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err
@@ -232,27 +238,36 @@ def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, comman
 
 
 def converted_rows(capsys, monkeypatch, *argv):
-    """The rows ``argv`` turns into Decimals, in order, and the prices of the table it parses."""
+    """The rows ``argv`` turns into Decimals, in order, and the table it parses."""
     rows = record_calls(monkeypatch, prices._plain_row)
     tables = record_calls(monkeypatch, prices.read_price_csv)
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
     converted = list(rows)  # before reading the prices below converts the rest
-    return converted, tables[-1].prices
+    return converted, tables[-1]
+
+
+def range_rows(table, argv):
+    """The prices of ``argv``'s dates from ``--ref-date`` through ``--end-date``."""
+    ri, ti = (table.date_index(date.fromisoformat(argv[argv.index(flag) + 1])) for flag in ("--ref-date", "--end-date"))
+    return table.prices[ri:ti + 1]
 
 
 @pytest.mark.parametrize("command", [["render", "chords"], ["render", "hooks"]], ids=["chords", "hooks"])
 def test_chords_and_hooks_convert_only_their_two_dates(capsys, monkeypatch, command):
-    # Of the sample range's 13 kept rows, they read the reference and the
-    # end date's prices, each once; the reference starts the window.
-    converted, kept = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    # Of the sample range's 13 rows, they read the reference and the end
+    # date's prices, each once, and no other row of the file's 15.
+    converted, table = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    kept = range_rows(table, RANGE)
     assert len(kept) == 13 and converted == [kept[0], kept[-1]]
 
 
 @pytest.mark.parametrize("command", [["render", "wiring"], ["chain"], ["analyze", "--check"]],
                          ids=["wiring", "chain", "analyze"])
 def test_full_readers_convert_each_kept_row_once(capsys, monkeypatch, command):
-    converted, kept = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    # Each row from the reference through the end date once, and no other.
+    converted, table = converted_rows(capsys, monkeypatch, *command, str(SAMPLE), *RANGE)
+    kept = range_rows(table, RANGE)
     assert len(kept) == 13 and sorted(converted) == sorted(kept)
 
 
@@ -298,16 +313,19 @@ def write_tie_csv(tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 def test_a_tie_on_the_reference_date_moves_the_window_back(capsys, monkeypatch, tmp_path, command):
+    # The output is the one ranked from the file's first date, and the rows
+    # read are those of the 2nd, where the walk back from the 4th stops,
+    # through the 5th.
     path = write_tie_csv(tmp_path)
     argv = [*command, str(path), "--ref-date", "2020-01-04", "--end-date", "2020-01-05"]
-    read = prices.read_price_csv
-    monkeypatch.setattr(cli, "read_price_csv", lambda path, *window: read(path))
+    for module in (prices, cli):
+        monkeypatch.setattr(module, "rankings", oracles.rankings_from_the_first_date)
     whole = run_cli(capsys, *argv)
     monkeypatch.undo()
-    tables = record_calls(monkeypatch, read)
+    rows = record_calls(monkeypatch, prices._plain_row)
     assert run_cli(capsys, *argv) == whole
     assert whole[0] == 0 and whole[2] == ""
-    assert [table.dates for table in tables] == [tuple(date(2020, 1, d) for d in range(2, 6))]
+    assert set(rows) == set(prices.read_price_csv(path).prices[1:5])
 
 
 @pytest.mark.parametrize("ref, end, message", [
@@ -336,15 +354,16 @@ def test_a_bad_file_is_reported_before_a_bad_date(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 def test_the_walk_to_the_anchor_converts_each_row_once(capsys, monkeypatch, tmp_path, command):
-    # The walk tests the 4th, 3rd and 2nd; the tie on the 4th then ranks
-    # the chain, which reads the 5th as well.
-    converted, kept = converted_rows(capsys, monkeypatch, *command, str(write_tie_csv(tmp_path)),
-                                     "--ref-date", "2020-01-04", "--end-date", "2020-01-05")
-    assert len(kept) == 4 and sorted(converted) == sorted(kept)
+    # The walk tests the 4th, 3rd and 2nd; the range from the 2nd through
+    # the 5th is then ranked, and each of its rows is converted once.
+    converted, table = converted_rows(capsys, monkeypatch, *command, str(write_tie_csv(tmp_path)),
+                                      "--ref-date", "2020-01-04", "--end-date", "2020-01-05")
+    assert sorted(converted) == sorted(table.prices[1:5])
 
 
 def test_a_bad_date_converts_no_row(capsys, monkeypatch, tmp_path):
-    # The whole file is parsed again only to report its faults first.
+    # The file is checked whole before the dates are read, and a check
+    # converts no row.
     rows = record_calls(monkeypatch, prices._plain_row)
     path = write_late_window_csv(tmp_path)
     code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", "2001-13-01", "--end-date", "2002-03-24")
@@ -367,8 +386,7 @@ def test_the_cli_turns_only_the_window_into_decimals(capsys, monkeypatch, tmp_pa
     monkeypatch.setattr(prices, "iso_date", lambda text: per_line.append(text) or read_date(text))
     code, _, err = run_cli(capsys, "analyze", str(path), *LATE_WINDOW)
     assert code == 0, err
-    window = tuple(date(2001, 1, 1) + timedelta(days=t) for t in range(196, 448))
-    assert [table.dates for table in tables] == [window]
+    assert [table.dates for table in tables] == [tuple(date(2001, 1, 1) + timedelta(days=t) for t in range(600))]
     # Of 600 rows of 30 prices, the window's 252, each price once; the
     # file's 600 dates are read in one pass, never line by line.
     assert len(made) == 252 * 30
@@ -914,6 +932,59 @@ def test_analyze_matches_the_reference_on_random_markets(capsys, tmp_path):
                     "left": 44, "seven_stocks": 26, "both_colors": 15}
 
 
+def reference_chain(path, ri: int, ti: int) -> dict:
+    """The ``chain --format json`` document of a CSV's dates ri..ti, built from definitions alone.
+
+    The file is read by ``oracles.per_cell_parse`` and ranked by
+    ``oracles.first_date_rankings`` from its first date.  Each later date's
+    swaps are left-to-right bubble passes over the whole previous order,
+    one wherever a stock's price that day exceeds its right neighbour's,
+    until the order is that date's.  A step's permutation holds, at each
+    rank, the reference rank of the stock there, and its dimension is
+    k(n - k) less the inversions of its affine lift, every fixed point RIGHT.
+    """
+    table = oracles.per_cell_parse(Path(path).read_bytes())
+    chain, n, steps = oracles.first_date_rankings(table), table.n_stocks, []
+    ref_rank = {s: r for r, s in enumerate(chain[ri], start=1)}
+    line = list(chain[ri])
+
+    def step(day, position):
+        images = [ref_rank[s] for s in line]
+        lift = [v if v >= i else v + n for i, v in enumerate(images, start=1)]
+        k = sum(v > n for v in lift)
+        dimension = k * (n - k) - oracles.affine_inversions(perms.BoundedAffinePermutation(n, tuple(lift)))
+        steps.append({"date": day.isoformat(), "dimension": dimension, "index": len(steps),
+                      "permutation": images, "position": position})
+
+    step(table.dates[ri], None)
+    for d in range(ri + 1, ti + 1):
+        row = table.prices[d]
+        while line != list(chain[d]):
+            for p in range(1, n):
+                if row[line[p - 1]] > row[line[p]]:
+                    line[p - 1], line[p] = line[p], line[p - 1]
+                    step(table.dates[d], p)
+    return {"schema_version": 1, "steps": steps}
+
+
+def test_chain_matches_a_reference_built_from_definitions(capsys, tmp_path):
+    # Every window of the random markets, many of them starting or ending
+    # on a tie, which the reference ranks from the file's first date.
+    seen = collections.Counter()
+    for path in dict.fromkeys(path for path, *_ in random_markets(tmp_path)):
+        table = oracles.per_cell_parse(path.read_bytes())
+        tied = [len(set(row)) < len(row) for row in table.prices]
+        for ri, ti in itertools.combinations_with_replacement(range(len(table.dates)), 2):
+            code, out, err = run_cli(capsys, "chain", str(path), "--ref-date", table.dates[ri].isoformat(),
+                                     "--end-date", table.dates[ti].isoformat(), "--format", "json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc == reference_chain(path, ri, ti), (path, ri, ti)
+            seen.update(windows=1, tie_at_ref=tied[ri], tie_at_end=tied[ti] and ti > ri,
+                        late_tie_at_ref=tied[ri] and ri > 0, crossings=len(doc["steps"]) - 1)
+    assert seen == {"windows": 1031, "crossings": 4333, "tie_at_ref": 587, "late_tie_at_ref": 340, "tie_at_end": 339}
+
+
 def analyze_corpus(capsys, tmp_path):
     """(exit code, stdout, stderr) of ``analyze --facets --check``, as JSON and as text, over a fixed corpus.
 
@@ -945,6 +1016,44 @@ def test_analyze_corpus_digest_is_unchanged(capsys, tmp_path):
     # Exit 2: the reversed and the missing-date windows, the seed-5 walk and the top cell, past the budget.
     assert codes == {0: 2 * (120 + 12 + 3 + 1 + 414 - 4), 2: 2 * 4}
     assert digest.hexdigest() == "9355c3410d0014a00d58f222e33f9dfbbf4afea0727c128bd7f6031aea0bc2b7"
+
+
+def test_one_parse_serves_every_sample_window():
+    # The rows a window converts stay converted for the next, and carry
+    # nothing else: each of the sample's 120 windows, in a shuffled order,
+    # reports from the one table as from a fresh parse of the file, and
+    # none reads the whole table's prices.
+    data = SAMPLE.read_bytes()
+    shared = prices.parse_price_csv(data)
+    windows = list(itertools.combinations_with_replacement(shared.dates, 2))
+    random.Random(7).shuffle(windows)
+    for ref, end in windows:
+        fresh = prices.parse_price_csv(data)
+        got, want = build_report(shared, ref, end, with_facets=True), build_report(fresh, ref, end, with_facets=True)
+        assert report_to_json(got) == report_to_json(want) and report_to_text(got) == report_to_text(want)
+    assert len(windows) == 120 and "prices" not in vars(shared)
+
+
+def test_a_console_that_cannot_encode_the_output_gets_one_error_and_no_byte(monkeypatch, tmp_path):
+    # The text is encoded whole before a byte of it is written, inside the
+    # command's error handling.  JSON escapes every non-ASCII character.
+    path = tmp_path / "accent.csv"
+    path.write_bytes("date,\u00c9T,B\n2020-01-01,1.00,2.00\n2020-01-02,2.00,1.00\n".encode())
+    window = [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
+    for command in (["render", "wiring"], ["render", "wiring", "--format", "ascii"],
+                    ["analyze", "--format", "text"], ["analyze"]):
+        raw, err = io.BytesIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii", newline=""))
+        with redirect_stderr(err):
+            code = main([*command, *window])
+        sys.stdout.flush()
+        if command == ["analyze"]:  # JSON
+            assert (code, err.getvalue()) == (0, "")
+            assert json.loads(raw.getvalue())["tickers"] == ["\u00c9T", "B"]
+            continue
+        assert (code, raw.getvalue()) == (2, b""), command
+        assert err.getvalue().startswith("error: 'ascii' codec can't encode character '\\xc9'")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_json_outputs_do_not_use_the_standard_encoder(capsys, monkeypatch):

@@ -24,7 +24,6 @@ from stockpolytope import (
     parse_price_csv,
     permutation_at,
     rankings,
-    read_price_csv,
     word_to_permutation,
 )
 from stockpolytope import cli, prices
@@ -307,10 +306,10 @@ def test_a_parsed_table_copies_and_compares_as_its_checked_twin(end, read_one):
     for name, make in COPIES.items():
         table = parse_price_csv(text)
         if read_one:
-            assert prices._row(table, 3) == twin.prices[3]
+            assert prices._rows(table, 3, 3)[0] == twin.prices[3]
         assert "prices" not in vars(table)
         made = make(table)
-        assert prices._row(made, 5) == twin.prices[5] and made.chain == twin.chain, name
+        assert prices._rows(made, 5, 5)[0] == twin.prices[5] and rankings(made) == rankings(twin), name
         for other in (made, table):
             assert other == twin and twin == other, name
             assert hash(other) == hash(twin) and repr(other) == repr(twin), name
@@ -373,15 +372,16 @@ def test_the_window_starts_at_the_last_distinct_date_at_or_before_the_reference(
     text = "".join(f"{d},{','.join(cell.format(v) for v in row)}{newline}" for d, *row in rows)
     text = "date,A,B,C" + newline + text
     with mock.patch.object(prices, "_csv_table", wraps=prices._csv_table) as csv_table:
-        full = parse_price_csv(text)
-        windows = [parse_price_csv(text, d, full.dates[-1]) for d in full.dates]
+        table = parse_price_csv(text)
     assert csv_table.called is not plain
-    starts = [window.dates[0] for window in windows]
-    assert starts == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 3), date(2020, 1, 3)]
-    oracle = first_date_rankings(full)
-    assert full.chain == rankings(full) == oracle
-    assert [window.chain for window in windows] == [oracle, oracle, oracle[2:], oracle[2:]]
-    assert [window.dates for window in windows] == [full.dates, full.dates, full.dates[2:], full.dates[2:]]
+    spans, chains = [], []
+    for first in range(4):  # the rows each ranking reads, from its walk's start through the last date
+        with mock.patch.object(prices, "_rows", wraps=prices._rows) as read:
+            chains.append(rankings(table, first))
+        spans.append((min(c.args[1] for c in read.call_args_list), max(c.args[2] for c in read.call_args_list)))
+    assert spans == [(0, 3), (0, 3), (2, 3), (2, 3)]
+    oracle = first_date_rankings(table)
+    assert chains == [oracle, oracle[1:], oracle[2:], oracle[3:]] and rankings(table) == oracle
 
 
 def _outcome(parse, data):
@@ -468,7 +468,7 @@ def tie_heavy_tables(draw):
 @given(tie_heavy_tables())
 def test_price_layers_match_first_date_chain(table):
     oracle = first_date_rankings(table)
-    assert table.chain == oracle
+    assert rankings(table) == oracle
     dates = table.dates
     for ri, ref in enumerate(dates):
         assert rank_at_date(table, ref) == oracle[ri]
@@ -514,6 +514,36 @@ def tie_heavy_csv(draw):
     return "date," + ",".join(tickers) + "\n" + "".join(lines[i] + "\n" for i in order)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_csv())
+def test_each_range_ranks_as_the_chain_from_the_first_date(text):
+    # Read by both parse paths: LF text is plain unless a cell is an
+    # integer, and CRLF text goes to the CSV reader, which converts every
+    # row as it checks it.  A fresh table for each range i..j shows the
+    # rows its ranking converts: from the walk's start (the last date at
+    # or before i with distinct prices, else date 0) through j, each once.
+    whole = per_cell_parse(text)
+    oracle, days = first_date_rankings(whole), [d.isoformat() for d in whole.dates]
+    for data in (text, text.replace("\n", "\r\n")):
+        plain = prices._plain_table(data.encode()) is not None
+        for i in range(len(days)):
+            start = max(k for k in range(i + 1) if k == 0 or len(set(whole.prices[k])) == whole.n_stocks)
+            for j in range(i, len(days)):
+                table = parse_price_csv(data)
+                with mock.patch.object(prices, "_plain_row", wraps=prices._plain_row) as convert:
+                    assert rankings(table, i, j) == oracle[i:j + 1]
+                converted = sorted(c.args[0][:10].decode() for c in convert.call_args_list)
+                assert converted == (days[start:j + 1] if plain else []), (data, i, j)
+
+
+@pytest.mark.parametrize("first, last", [(-1, 3), (0, 15), (4, 3), (15, None), (0, -1)],
+                         ids=["before-first", "after-last", "reversed", "past-the-end", "last-negative"])
+def test_rankings_refuse_a_range_outside_the_table_or_reversed(sample_table, first, last):
+    with pytest.raises(ValueError) as err:
+        rankings(sample_table, first, last)
+    assert str(err.value) == f"no date range {first}..{14 if last is None else last} in a table of 15 dates"
+
+
 WINDOW_COMMANDS = [
     (("analyze",), ("--facets", "--check")), (("chain",), ("--format", "json")), (("chain",), ()),
     (("render", "wiring"), ()), (("render", "chords"), ()), (("render", "hooks"), ()),
@@ -530,23 +560,17 @@ def run_main(argv):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(tie_heavy_csv(), st.data())
 def test_the_window_reads_as_the_whole_table(tmp_path_factory, text, data):
+    # Every command ranks its dates from the last distinct date before
+    # them; ranked from the file's first date instead, each output is the same.
     full = parse_price_csv(text)
     choices = full.dates + (date(2019, 12, 31),)
     ref, end = data.draw(st.sampled_from(choices)), data.draw(st.sampled_from(choices))
-    window = parse_price_csv(text, ref, end)
-    if ref in full.dates and end in full.dates and ref <= end:
-        ri, ti = full.dates.index(ref), full.dates.index(end)
-        anchor = max((i for i in range(1, ri + 1) if len(set(full.prices[i])) == full.n_stocks), default=0)
-        rows = slice(anchor, ti + 1)
-    else:
-        rows = slice(None)
-    assert window == PriceTable(full.tickers, full.dates[rows], full.prices[rows])
     path = tmp_path_factory.getbasetemp() / "tie-heavy.csv"
     path.write_text(text)
-    whole_table = mock.patch.object(cli, "read_price_csv", lambda path, *window: read_price_csv(path))
     for verb, options in WINDOW_COMMANDS:
         argv = [*verb, str(path), "--ref-date", ref.isoformat(), "--end-date", end.isoformat(), *options]
-        with whole_table:
+        with mock.patch.object(prices, "rankings", oracles.rankings_from_the_first_date), \
+                mock.patch.object(cli, "rankings", oracles.rankings_from_the_first_date):
             want = run_main(argv)
         assert run_main(argv) == want, argv
 
@@ -569,11 +593,12 @@ def forced_tie_market(seed):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv-reader"])
 def test_each_date_ranks_as_the_chain_ranks_it(newline):
-    # A date with no tie ranks by its own prices, a date with one through
-    # the chain; either way ``_ranking`` reads what the chain holds, and
-    # every window's permutation and decoration match a reference built
-    # from the whole table's chain.  The tickers are shuffled, so a tie
-    # broken by column instead of by ticker or by history shows.
+    # A date with no tie ranks by its own prices, a date with one from the
+    # last date before it with none; either way ``rankings`` reads what
+    # the chain from the first date holds, and every range's permutation
+    # and decoration match a reference built from that chain.  One parse
+    # serves every range.  The tickers are shuffled, so a tie broken by
+    # column instead of by ticker or by history shows.
     seen = collections.Counter()
     for seed in range(60):
         tickers, cents = forced_tie_market(seed)
@@ -583,9 +608,9 @@ def test_each_date_ranks_as_the_chain_ranks_it(newline):
             for d, row in zip(dates, cents))).encode()
         assert (prices._plain_table(data) is None) == (newline == "\r\n")
         oracle = first_date_rankings(PriceTable(tickers, dates, [[Decimal(c) / 100 for c in row] for row in cents]))
+        table = parse_price_csv(data)
         for ri, ref in enumerate(dates):
             for ti in range(ri, len(dates)):
-                table = parse_price_csv(data, ref, dates[ti])
                 perm, state = permutation_at(table, ref, dates[ti]), decorate(table, ref, dates[ti])
                 ref_order, end_order = oracle[ri], oracle[ti]
                 assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)
@@ -594,8 +619,7 @@ def test_each_date_ranks_as_the_chain_ranks_it(newline):
                     i: Color.RIGHT if cents[ti][s] >= cents[ri][s] else Color.LEFT
                     for i, s in enumerate(ref_order, start=1) if perm.images[i - 1] == i
                 }
-                first = dates.index(table.dates[0])
-                assert [prices._ranking(table, i) for i in range(len(table.dates))] == list(table.chain)
-                assert table.chain == oracle[first:ti + 1]
+                assert rankings(table, ri, ti) == oracle[ri:ti + 1]
                 seen.update(len(set(cents[i])) < len(tickers) for i in (ri, ti))
+        assert [rankings(table, i, i)[0] for i in range(len(dates))] == list(oracle)
     assert seen[True] > 300 and seen[False] > 300, seen
