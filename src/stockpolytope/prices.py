@@ -26,28 +26,27 @@ exactly, at the cost of the range and of that walk back.  ``decorate``
 ranks each of its two dates that way, ``crossing_stream`` its whole
 range, and ``permutation_at`` is ``decorate``'s permutation.
 
-Parsing checks the whole file in bulk and converts no price.  A plain
-file is checked in passes over all its bytes at once: its skeleton (one
-``translate``), its zero prices (one regex search) and its dates (one
-read of every date, which also finds a repeat).  Any other file, or a
-plain one that fails a pass, goes to the CSV reader, which checks each
-record as it yields it, from bytes decoded a line at a time, and so
-names the first fault in the file by the line it reached.  Each price is
-checked once: by the skeleton, or by the CSV reader as it reads the
-cell, and ``PriceTable(...)`` called directly checks every price.  A
-plain row becomes Decimals only when a function reads it, once; the
-skeleton showed each plain cell to be digits, a point and digits, one
-not 0, so no late conversion can raise.  Tables are immutable (a row's
-first read stores the same Decimals whoever reads first) and all
-functions are pure, so per-date analyses can run concurrently without
-coordination.
+Parsing reads text as its UTF-8 bytes, checks the whole file in bulk
+and converts no price.  A plain file is checked in passes over all its
+bytes at once: its skeleton (one ``translate``), its zero prices (one
+regex search) and its dates (one read of every date, which also finds a
+repeat).  Any other file, or a plain one that fails a pass, goes to the
+CSV reader, which checks each record as it yields it, from bytes decoded
+a line at a time, and so names the first fault in the file by the line
+it reached.  Each price is checked once: by the skeleton, by the CSV
+reader as it reads the cell, or by ``PriceTable(...)``.  Every table
+keeps its rows in one list, ``_rows``, where a plain row waits as its
+line until a function first reads it; the skeleton showed each plain
+cell to be digits, a point and digits, one not 0, so no late conversion
+can raise.  Nothing is removed from a table, a row's first read stores
+the same Decimals whoever reads first, and all functions are pure, so
+per-date analyses can run concurrently without coordination.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import io
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -80,8 +79,8 @@ class PriceTable:
     """Closing prices: ``prices[d][s]`` is stock s on date d.
 
     Tickers are strings, dates strictly increasing ``date``s, and every price a positive Decimal.
-    A parsed table keeps its rows in ``_rows``, a plain row as its line until ``_rows(table, ...)``
-    reads it; reading ``prices`` converts them all.
+    The rows are also kept in the list ``_rows``, where a parsed plain row waits as its line until
+    ``_rows(table, ...)`` reads it; a parsed table builds ``prices`` from them when first read.
     """
 
     tickers: tuple[str, ...]
@@ -114,14 +113,13 @@ class PriceTable:
             for p in row:
                 if not isinstance(p, Decimal) or not p.is_finite() or p <= 0:
                     raise ValueError(f"prices must be positive decimals, got {p!r}")
+        object.__setattr__(self, "_rows", list(self.prices))
 
     def __getattr__(self, name: str):
-        rows = self.__dict__.get("_rows") if name == "prices" else None
-        if rows is None:  # no such attribute, or another thread has just built prices
+        if name != "prices":  # no such attribute
             return object.__getattribute__(self, name)
-        self.__dict__["prices"] = tuple(_rows(self, 0, len(rows) - 1))
-        self.__dict__.pop("_rows", None)
-        return self.__dict__["prices"]
+        self.__dict__["prices"] = prices = tuple(_rows(self, 0, len(self.dates) - 1))  # a parsed table's first read
+        return prices
 
     @property
     def n_stocks(self) -> int:
@@ -195,17 +193,14 @@ def iso_date(text: str) -> date:
     raise ValueError(f"bad ISO-8601 date {text!r}")
 
 
-def _csv_table(data: str | bytes) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
-    """The tickers and rows of any price CSV, each record checked as the CSV reader yields it.
+def _csv_table(data: bytes) -> tuple[tuple[str, ...], dict[date, tuple[Decimal, ...]]]:
+    """The tickers and rows of any price CSV's bytes, each record checked as the CSV reader yields it.
 
-    Bytes reach the reader a line at a time, each decoded alone (no UTF-8
-    sequence holds a line end), and every error names the line the reader
-    has reached, so the first fault in the file is the one named.
+    The bytes reach the reader a line at a time, each decoded alone (no
+    UTF-8 sequence holds a line end), and every error names the line the
+    reader has reached, so the first fault in the file is the one named.
     """
-    if isinstance(data, str):
-        reader = csv.reader(io.StringIO(data, newline=""))
-    else:
-        reader = csv.reader(map(bytes.decode, data.removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)))
+    reader = csv.reader(map(bytes.decode, data.splitlines(keepends=True)))
     try:  # of the statements below, only the reader raises UnicodeDecodeError or csv.Error
         header = next(reader, None)
         if header is None:
@@ -250,10 +245,8 @@ def _plain_row(line: bytes) -> tuple[Decimal, ...]:  # each cell digits, a point
 
 
 def _rows(table: PriceTable, first: int, last: int):
-    """``table.prices[first:last + 1]``, converting each row of the range that waits in ``_rows``, once."""
-    rows = table.__dict__.get("_rows")
-    if rows is None:
-        return table.prices[first:last + 1]
+    """``table.prices[first:last + 1]``, converting each row of the range that waits as its line, once."""
+    rows = table._rows
     rows[first:last + 1] = part = [_plain_row(row) if type(row) is bytes else row for row in rows[first:last + 1]]
     return part
 
@@ -277,7 +270,7 @@ def _plain_table(data: bytes) -> tuple[tuple[str, ...], dict[date, bytes]] | Non
     if _ZERO_PRICE.search(data):
         return None
     try:
-        tickers = _tickers(head.decode("utf-8-sig").split(","), 1)
+        tickers = _tickers(head.decode("utf-8").split(","), 1)
     except UnicodeDecodeError:
         return None
     del lines[0]
@@ -304,13 +297,13 @@ def parse_price_csv(data: str | bytes) -> PriceTable:
     plain file by the skeleton of its bytes and by its dates, any other
     by the CSV reader, row by row and cell by cell.  A plain file's rows
     become Decimals only as they are read, each once, so a caller parses
-    once and ranks any range of dates at that range's cost.  Text loses
-    one byte order mark, as bytes do.
+    once and ranks any range of dates at that range's cost.  Text is
+    read as its UTF-8 bytes, a lone surrogate as the bytes that fail to
+    decode, and the bytes lose one byte order mark.
     """
-    data = data.removeprefix("\ufeff") if isinstance(data, str) else data  # one mark, as bytes lose theirs
-    # Text as UTF-8: the header's decoding strips just the mark utf-8-sig adds, and a surrogate is not plain.
-    raw = data.encode("utf-8-sig", "surrogatepass") if isinstance(data, str) else data
-    return _table(*(_plain_table(raw) or _csv_table(data)))
+    data = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    data = data.removeprefix(codecs.BOM_UTF8)
+    return _table(*(_plain_table(data) or _csv_table(data)))
 
 
 def read_price_csv(path) -> PriceTable:

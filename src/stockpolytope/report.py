@@ -68,7 +68,7 @@ class AnalysisReport:
 def build_report(
     table: PriceTable, ref_date: date, end_date: date, with_facets: bool = False
 ) -> AnalysisReport:
-    """Run the whole pipeline for one date range, from the table's one ranking chain."""
+    """Run the whole pipeline for one date range: its two dates ranked by ``decorate``, then the range."""
     state = decorate(table, ref_date, end_date)
     events = crossing_stream(table, ref_date, end_date)
     nk = necklace_from_decorated(state)
@@ -113,8 +113,6 @@ def check_report(report: AnalysisReport) -> None:
     if affine_lift(report.state) != report.lift:
         raise ConsistencyError("affine lift does not re-derive from the reported state")
     n, k = report.state.n, report.necklace.k
-    if report.cell_dim != k * (n - k) - affine_length(report.lift):
-        raise ConsistencyError("cell dimension differs from k(n-k) - l(f) of the affine lift")
     d, f = report.positroid.closure, report.lift.f  # the listed cell's rank table, and dim = sum r[i, f(i)] - k^2
     if sum(interval_rank(d, i, f[i - 1]) for i in range(1, n + 1)) - k * k != report.cell_dim:
         raise ConsistencyError("cell dimension differs from the sum of the closure's ranks r[i, f(i)], less k^2")

@@ -10,6 +10,7 @@ import operator
 import random
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, timedelta
@@ -784,29 +785,43 @@ def write_decorated_csv(tmp_path, images, left):
     return [str(path), "--ref-date", "2020-01-01", "--end-date", "2020-01-02"]
 
 
-def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list[str]]]:
-    """The ``analyze --facets`` document of a CSV's window ref..end, built from definitions alone.
+def reference_state(path, ref: date, end: date):
+    """A CSV's table, its ranking chain and the decorated permutation of its window ref..end, from definitions.
 
     The file is read by ``oracles.per_cell_parse`` and ranked by
-    ``oracles.first_date_rankings`` from its first date, and every field
-    comes from the oracles and the value types, with no pipeline function.
-    The crossings are left out: the order of a day's swaps is the
-    program's own choice, so they are replayed instead, on the tickers in
-    rank order on each date of the window (returned second, by ISO date).
+    ``oracles.first_date_rankings`` from its first date.
     """
     table = oracles.per_cell_parse(Path(path).read_bytes())
     chain = oracles.first_date_rankings(table)
     ri, ti = table.dates.index(ref), table.dates.index(end)
     order, ranked, before, after = chain[ri], chain[ti], table.prices[ri], table.prices[ti]
-    n = table.n_stocks
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
     # Rank q on the end date holds the stock of reference rank images[q - 1].
     images = [ref_rank[s] for s in ranked]
     colors = {q: perms.Color.LEFT if after[s] < before[s] else perms.Color.RIGHT
               for q, s in enumerate(ranked, start=1) if images[q - 1] == q}
-    state = perms.DecoratedPermutation(perms.Permutation(images), colors)
-    # The lift: pi(i) when it exceeds i, pi(i) + n when it falls short or i is a fixed point that fell.
-    lift = [v + n if v < i or colors.get(i) is perms.Color.LEFT else v for i, v in enumerate(images, start=1)]
+    return table, chain, perms.DecoratedPermutation(perms.Permutation(images), colors)
+
+
+def reference_lift(state) -> list[int]:
+    """The lift: pi(i) when it exceeds i, pi(i) + n when it falls short or i is a fixed point that fell."""
+    left = state.left_fixed_points()
+    return [v + state.n if v < i or i in left else v for i, v in enumerate(state.perm.images, start=1)]
+
+
+def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list[str]]]:
+    """The ``analyze --facets`` document of a CSV's window ref..end, built from definitions alone.
+
+    The window's state comes from ``reference_state``, and every field
+    comes from the oracles and the value types, with no pipeline function.
+    The crossings are left out: the order of a day's swaps is the
+    program's own choice, so they are replayed instead, on the tickers in
+    rank order on each date of the window (returned second, by ISO date).
+    """
+    table, chain, state = reference_state(path, ref, end)
+    ri, ti = table.dates.index(ref), table.dates.index(end)
+    n, images, colors = table.n_stocks, list(state.perm.images), dict(state.colors)
+    lift = reference_lift(state)
     k = sum(v > n for v in lift)
     nk = oracles.necklace_by_definition(state)
     bases = tuple(sorted(tuple(sorted(b)) for b in oracles.subset_filter_bases(nk)))
@@ -932,6 +947,93 @@ def test_analyze_matches_the_reference_on_random_markets(capsys, tmp_path):
                     "left": 44, "seven_stocks": 26, "both_colors": 15}
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def render_windows(tmp_path):
+    """Every cell with n <= 5 as a two-date market, then the windows of ``random_markets``: (path, ref, end)."""
+    for n in range(1, 6):
+        for cell in oracles.all_decorated_permutations(n):
+            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
+            yield path, date.fromisoformat(ref), date.fromisoformat(end)
+    for path, ref, end, _ in random_markets(tmp_path):
+        yield path, ref, end
+
+
+def render_svg(capsys, mode, path, ref: date, end: date):
+    """The root element of ``render <mode>``'s SVG for the window."""
+    code, out, err = run_cli(capsys, "render", mode, str(path), "--ref-date", ref.isoformat(),
+                             "--end-date", end.isoformat())
+    assert (code, err) == (0, "")
+    return ET.fromstring(out.encode("utf-8"))
+
+
+def nearest(xs, x: float) -> int:
+    """The 1-based place in ``xs`` of the coordinate nearest ``x``."""
+    return min(range(len(xs)), key=lambda c: abs(xs[c] - x)) + 1
+
+
+def test_render_chords_matches_a_reference_built_from_definitions(capsys, tmp_path):
+    # The points are the dots, left to right under their numbers 1..n.  An
+    # arc is a path from dot i to dot j with its arrowhead at j; a loop is
+    # a circle beside its dot, and its arrowhead points the same way: to
+    # the right for a RIGHT fixed point, to the left for a LEFT one.
+    seen = collections.Counter()
+    for path, ref, end in render_windows(tmp_path):
+        _, _, state = reference_state(path, ref, end)
+        root = render_svg(capsys, "chords", path, ref, end)
+        dots = sorted(float(c.get("cx")) for c in root.findall(SVG + "circle") if c.get("r") == "3")
+        labels = sorted(root.findall(SVG + "text"), key=lambda t: float(t.get("x")))
+        assert [t.text for t in labels] == [str(i) for i in range(1, state.n + 1)] and len(dots) == state.n
+        arcs, loops, heads = [], {}, {}
+        for shape in root.findall(SVG + "path"):  # not the arrowhead marker's own path, inside <defs>
+            d = shape.get("d").split()
+            if d[0] == "M":  # an arc: M x y A r r 0 0 sweep x' y, its arrowhead at x'
+                assert shape.get("marker-end") == "url(#arrow)"
+                arcs.append((dots.index(float(d[1])) + 1, dots.index(float(d[9])) + 1))
+            else:  # a loop's arrowhead: Mback,y Ltip,y Lback,y z
+                back, tip = (float(corner[1:].split(",")[0]) for corner in d[:2])
+                heads[nearest(dots, back)] = 1 if tip > back else -1
+        for circle in root.findall(SVG + "circle"):
+            if circle.get("r") == "10":
+                at = nearest(dots, float(circle.get("cx")))
+                loops[at] = 1 if float(circle.get("cx")) > dots[at - 1] else -1
+        want = [(i, v) for i, v in enumerate(state.perm.images, start=1) if v != i]
+        assert sorted(arcs) == want, (path, ref, end)
+        assert loops == heads == {i: 1 if c is perms.Color.RIGHT else -1 for i, c in state.colors}, (path, ref, end)
+        seen.update(windows=1, right=1 in loops.values(), left=-1 in loops.values())
+    assert seen == {"windows": 654, "right": 414, "left": 305}
+
+
+def test_render_hooks_matches_a_reference_built_from_definitions(capsys, tmp_path):
+    # Row i, top to bottom, ends in a dot under column f(i), is a line
+    # from column i to that column when f(i) > i, and is noted
+    # r[i,f(i)]=r, the rank by its definition |I_i ∩ [i..f(i)]|.  The
+    # footer reads dim = (their sum) - k^2 = the cell dimension k(n-k) - l(f).
+    for path, ref, end in render_windows(tmp_path):
+        _, _, state = reference_state(path, ref, end)
+        n, lift, nk = state.n, reference_lift(state), oracles.necklace_by_definition(state)
+        k = sum(v > n for v in lift)
+        root = render_svg(capsys, "hooks", path, ref, end)
+        texts = sorted(root.findall(SVG + "text"), key=lambda t: (float(t.get("y")), float(t.get("x"))))
+        header, notes, footer = texts[:2 * n], texts[2 * n:-1], texts[-1].text
+        assert [t.text for t in header] == [str(c) for c in range(1, 2 * n + 1)]
+        columns = [float(t.get("x")) for t in header]
+        dots = sorted(root.findall(SVG + "circle"), key=lambda c: float(c.get("cy")))
+        spans = {float(line.get("y1")): tuple(nearest(columns, float(line.get(x))) for x in ("x1", "x2"))
+                 for line in root.findall(SVG + "line") if line.get("y1") == line.get("y2")}
+        assert len(dots) == len(notes) == n and len(spans) == sum(f > i for i, f in enumerate(lift, start=1))
+        ranks = []
+        for i, (dot, note) in enumerate(zip(dots, notes), start=1):
+            f = lift[i - 1]
+            assert nearest(columns, float(dot.get("cx"))) == f, (path, ref, end, i)
+            assert spans.get(float(dot.get("cy"))) == ((i, f) if f > i else None), (path, ref, end, i)
+            ranks.append(oracles.cyclic_interval_rank(nk, i, f))
+            assert note.text == f"r[{i},{f}]={ranks[-1]}", (path, ref, end)
+        dimension = k * (n - k) - oracles.affine_inversions(perms.BoundedAffinePermutation(n, tuple(lift)))
+        assert footer == f"dim = {sum(ranks)} - {k * k} = {dimension}", (path, ref, end)
+
+
 def reference_chain(path, ri: int, ti: int) -> dict:
     """The ``chain --format json`` document of a CSV's dates ri..ti, built from definitions alone.
 
@@ -1034,6 +1136,50 @@ def test_one_parse_serves_every_sample_window():
     assert len(windows) == 120 and "prices" not in vars(shared)
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["plain", "csv-reader"])
+def test_four_threads_share_one_parsed_table(end):
+    # The concurrency claim: four threads write the sample's 120 windows,
+    # each in its own shuffled order, from one table no thread has read,
+    # while a fifth reads the whole table's prices.  Every output is a
+    # fresh parse's.
+    data = SAMPLE.read_bytes().replace(b"\n", end)
+    shared = prices.parse_price_csv(data)
+    assert type(vars(shared)["_rows"][0]) is (bytes if end == b"\n" else tuple)
+    windows = list(itertools.combinations_with_replacement(shared.dates, 2))
+
+    def outputs(table, order):  # each window's JSON and text, written as soon as it is built
+        reports = ((window, build_report(table, *window, with_facets=True)) for window in order)
+        return {window: (report_to_json(r), report_to_text(r)) for window, r in reports}
+
+    want = outputs(prices.parse_price_csv(data), windows)
+    start, got, errors = threading.Barrier(5, timeout=60), {}, []
+
+    def run(name, job):
+        try:
+            start.wait()
+            got[name] = job()
+        except Exception as exc:  # noqa: BLE001 - reported by the test's thread
+            errors.append(exc)
+
+    jobs = {"prices": lambda: shared.prices}
+    for seed in range(4):
+        order = random.Random(seed).sample(windows, len(windows))
+        jobs[seed] = lambda order=order: outputs(shared, order)
+    threads = [threading.Thread(target=run, args=item) for item in jobs.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert [got[seed] for seed in range(4)] == [want] * 4 and len(want) == 120
+    assert got["prices"] == prices.parse_price_csv(data).prices
+
+
 def test_a_console_that_cannot_encode_the_output_gets_one_error_and_no_byte(monkeypatch, tmp_path):
     # The text is encoded whole before a byte of it is written, inside the
     # command's error handling.  JSON escapes every non-ASCII character.
@@ -1131,10 +1277,11 @@ def test_report_roundtrip_and_check():
 
 
 def test_check_catches_corrupted_cell_dimension():
+    # The closure's rank sum, not the formula build_report used, sees it.
     report = build_report(load_sample_table(), date(2013, 5, 15), date(2013, 6, 3))
-    raised = dataclasses.replace(report, cell_dim=report.cell_dim + 1)
-    with pytest.raises(ConsistencyError, match=r"k\(n-k\) - l\(f\)"):
-        check_report(raised)
+    for step in (1, -1):
+        with pytest.raises(ConsistencyError, match=r"sum of the closure's ranks r\[i, f\(i\)\], less k\^2$"):
+            check_report(dataclasses.replace(report, cell_dim=report.cell_dim + step))
 
 
 def test_check_reads_the_cell_dimension_off_the_listed_closure():
@@ -1148,8 +1295,8 @@ def test_check_reads_the_cell_dimension_off_the_listed_closure():
 
 
 def test_check_catches_a_fault_in_affine_length(capsys, monkeypatch):
-    # build_report and the first check share k(n-k) - l(f), so only the
-    # closure-rank route sees a wrong length.
+    # Only build_report reads the length, in k(n-k) - l(f); the check's
+    # closure-rank route does not, and so sees a wrong one.
     length = perms.affine_length
     monkeypatch.setattr("stockpolytope.report.affine_length", lambda lift: length(lift) + 1)
     code, out, err = run_cli(capsys, "analyze", str(SAMPLE), *RANGE, "--check")

@@ -299,7 +299,8 @@ COPIES = {"pickle": lambda table: pickle.loads(pickle.dumps(table)), "copy": cop
 def test_a_parsed_table_copies_and_compares_as_its_checked_twin(end, read_one):
     # A parsed table keeps its rows unconverted until they are read; its
     # copies, and the table itself, still equal, hash and print as the
-    # table built from its prices, from either side of ==.
+    # table built from its prices, from either side of ==, and keep the
+    # rows they built prices from.
     text = sample_csv_text().replace("\n", end)
     whole = parse_price_csv(text)
     twin = PriceTable(whole.tickers, whole.dates, whole.prices)
@@ -313,7 +314,7 @@ def test_a_parsed_table_copies_and_compares_as_its_checked_twin(end, read_one):
         for other in (made, table):
             assert other == twin and twin == other, name
             assert hash(other) == hash(twin) and repr(other) == repr(twin), name
-            assert type(other.prices) is tuple and "_rows" not in vars(other), name
+            assert type(other.prices) is tuple and vars(other)["_rows"] == list(other.prices), name
 
 
 @pytest.mark.parametrize(
@@ -417,11 +418,18 @@ def assert_parses_as_oracle(data):
         assert got == want
 
 
-def test_a_lone_surrogate_in_text_is_a_malformed_number():
-    with pytest.raises(PriceCsvError) as err:
-        parse_price_csv("date,A,B\n2020-01-01,1.5,2.5\n2020-01-02,1.5,2\ud8005\n")
-    assert (str(err.value), err.value.row, err.value.column) == (
-        "row 3, column B: malformed number " + repr("2\ud8005"), 3, "B")
+@pytest.mark.parametrize("text, row", [
+    ("date,A,B\n2020-01-01,1.5,2.5\n2020-01-02,1.5,2\ud8005\n", 3),
+    ("date,A\ud800,B\n2020-01-01,1.5,2.5\n2020-01-02,1.5,2.5\n", 1),
+], ids=["price", "ticker"])
+def test_a_lone_surrogate_in_text_fails_as_its_bytes(text, row):
+    # Text is read as its UTF-8 bytes; a lone surrogate's three bytes are no UTF-8.
+    errors = []
+    for data in (text, text.encode("utf-8", "surrogatepass")):
+        with pytest.raises(PriceCsvError) as err:
+            parse_price_csv(data)
+        errors.append((str(err.value), err.value.row, err.value.column))
+    assert errors == [(f"row {row}: undecodable byte 0xed, expected UTF-8", row, None)] * 2
 
 
 PLANTED = ["bad date", "duplicate date", "0.00", "0.", ".", "over-long field", "non-ASCII digit",
