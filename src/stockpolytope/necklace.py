@@ -61,12 +61,12 @@ def necklace_from_decorated(dp: DecoratedPermutation) -> GrassmannNecklace:
     and the necklace costs one set step per moved point and one copy per term.
 
     >>> from .perms import Permutation
-    >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
+    >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3))))
     >>> [sorted(t) for t in nk.terms]
     [[1, 3], [2, 3], [3, 4], [1, 4]]
     """
     images = dp.perm.images
-    term = set(dp.left_fixed_points()).union(v for i, v in enumerate(images, start=1) if v < i)
+    term = set(dp.left).union(v for i, v in enumerate(images, start=1) if v < i)
     terms = []
     for i, v in enumerate(images, start=1):
         terms.append(frozenset(term))

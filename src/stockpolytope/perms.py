@@ -4,6 +4,7 @@ One-line notation is 1-based throughout: a permutation of {1..n} is stored
 as the tuple (pi(1), ..., pi(n)).  A wiring word is a time-ordered sequence
 of adjacent transpositions s_p; multiplying its letters left to right from
 the identity gives the arrangement on the right edge of the wiring diagram.
+A decorated permutation is a permutation and its set of LEFT fixed points.
 
 Everything here is immutable and hashable, so values can be shared freely
 between threads and used as cache keys.
@@ -11,10 +12,10 @@ between threads and used as cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import index
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def trusted(cls, *values, **state):
@@ -67,39 +68,29 @@ class Permutation:
 
 @dataclass(frozen=True)
 class DecoratedPermutation:
-    """A permutation whose fixed points each point RIGHT or LEFT.
+    """A permutation whose fixed points each point RIGHT or LEFT (Postnikov, math/0609764).
 
-    ``colors`` may be given as a mapping or as (point, Color) pairs; it must
-    cover every fixed point exactly once and nothing else.
+    ``left``, keyword-only and any iterable of ints, holds the LEFT fixed
+    points; every other fixed point is RIGHT, so nothing else can be wrong.
+    ``colors`` lists every fixed point, ascending, with its Color.
     """
 
     perm: Permutation
-    colors: tuple[tuple[int, Color], ...]
+    left: frozenset[int] = field(default=frozenset(), kw_only=True)
 
     def __post_init__(self) -> None:
-        raw = self.colors.items() if isinstance(self.colors, Mapping) else self.colors
-        pairs = tuple(sorted(((index(i), c) for i, c in raw), key=lambda pair: pair[0]))
-        object.__setattr__(self, "colors", pairs)
-        fixed = set(self.perm.fixed_points())
-        seen: dict[int, Color] = {}
-        for i, c in pairs:
-            if not isinstance(c, Color):
-                raise TypeError(f"color of {i} must be a Color, got {c!r}")
-            if i not in fixed:
-                raise ValueError(f"{i} is not a fixed point and cannot carry a color")
-            if i in seen:
-                raise ValueError(f"fixed point {i} colored twice")
-            seen[i] = c
-        if set(seen) != fixed:
-            missing = sorted(fixed - set(seen))
-            raise ValueError(f"fixed points without a color: {missing}")
+        object.__setattr__(self, "left", frozenset(map(index, self.left)))
+        moved = sorted(self.left.difference(self.perm.fixed_points()))
+        if moved:
+            raise ValueError(f"{moved[0]} is not a fixed point and cannot point LEFT")
 
     @property
     def n(self) -> int:
         return self.perm.n
 
-    def left_fixed_points(self) -> frozenset[int]:
-        return frozenset(i for i, c in self.colors if c is Color.LEFT)
+    @property
+    def colors(self) -> tuple[tuple[int, Color], ...]:
+        return tuple((i, Color.LEFT if i in self.left else Color.RIGHT) for i in self.perm.fixed_points())
 
 
 @dataclass(frozen=True)
@@ -172,11 +163,11 @@ def word_to_permutation(word: WiringWord) -> Permutation:
 def anti_exceedance_count(dp: DecoratedPermutation) -> int:
     """Number of positions with pi(i) < i, plus LEFT-colored fixed points.
 
-    >>> anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
+    >>> anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3))))
     2
     """
     drops = sum(1 for i, v in enumerate(dp.perm.images, start=1) if v < i)
-    return drops + len(dp.left_fixed_points())
+    return drops + len(dp.left)
 
 
 def affine_lift(dp: DecoratedPermutation) -> BoundedAffinePermutation:
@@ -186,11 +177,11 @@ def affine_lift(dp: DecoratedPermutation) -> BoundedAffinePermutation:
     fixed points go to i + n.  The lift is injective and ``k`` equals
     ``anti_exceedance_count``.
 
-    >>> dp = DecoratedPermutation(Permutation((2, 4, 1, 3)), {})
+    >>> dp = DecoratedPermutation(Permutation((2, 4, 1, 3)))
     >>> affine_lift(dp).f
     (2, 4, 5, 7)
     """
-    n, left = dp.n, dp.left_fixed_points()
+    n, left = dp.n, dp.left
     out = []
     for i, v in enumerate(dp.perm.images, start=1):
         if v > i:

@@ -157,7 +157,7 @@ def positroid_from_necklace(nk: GrassmannNecklace) -> Positroid:
 
     >>> from .necklace import necklace_from_decorated
     >>> from .perms import DecoratedPermutation, Permutation
-    >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
+    >>> nk = necklace_from_decorated(DecoratedPermutation(Permutation((2, 4, 1, 3))))
     >>> positroid_from_necklace(nk).bases
     ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     """
@@ -200,10 +200,10 @@ def connected_components(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...
     every block above it, and each of those still has an element to come,
     so they cross it and merge into it.
 
-    >>> from .perms import Color, DecoratedPermutation, Permutation
-    >>> connected_components(DecoratedPermutation(Permutation((3, 2, 1, 4)), {2: Color.RIGHT, 4: Color.RIGHT}))
+    >>> from .perms import DecoratedPermutation, Permutation
+    >>> connected_components(DecoratedPermutation(Permutation((3, 2, 1, 4))))
     ((1, 3), (2,), (4,))
-    >>> connected_components(DecoratedPermutation(Permutation((3, 4, 1, 2)), {}))
+    >>> connected_components(DecoratedPermutation(Permutation((3, 4, 1, 2))))
     ((1, 2, 3, 4),)
     """
     n = dp.n
@@ -240,7 +240,7 @@ def cell_dimension(dp: DecoratedPermutation) -> int:
     the interval ranks r[i, f(i)] minus k squared.
 
     >>> from .perms import DecoratedPermutation, Permutation
-    >>> cell_dimension(DecoratedPermutation(Permutation((2, 4, 1, 3)), {}))
+    >>> cell_dimension(DecoratedPermutation(Permutation((2, 4, 1, 3))))
     3
     """
     return sum(interval_rank_summands(dp, affine_lift(dp))) - anti_exceedance_count(dp) ** 2

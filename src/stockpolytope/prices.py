@@ -56,7 +56,7 @@ from itertools import repeat
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .perms import Color, DecoratedPermutation, Permutation, WiringWord, trusted
+from .perms import DecoratedPermutation, Permutation, WiringWord, trusted
 
 
 class PriceCsvError(ValueError):
@@ -391,19 +391,16 @@ def crossing_word(n: int, events: tuple[CrossingEvent, ...]) -> WiringWord:
 
 
 def decorate(table: PriceTable, ref_date: date, target_date: date) -> DecoratedPermutation:
-    """The permutation of the date range, its fixed points colored by the net price move.
+    """The permutation of the date range, its fixed points decorated by the net price move.
 
     Each of the two dates is ranked once, by ``rankings`` of that date
-    alone.  A fixed point's stock kept its rank; its cord points RIGHT
-    when the price rose or is unchanged, LEFT when it fell.
+    alone.  A fixed point's stock kept its rank; it is LEFT when its price
+    fell, and RIGHT when the price rose or is unchanged.
     """
     ri, ti = _span(table, ref_date, target_date)
     (order,), (before,) = rankings(table, ri, ri), _rows(table, ri, ri)
     (ranked,), (after,) = rankings(table, ti, ti), _rows(table, ti, ti)
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
     perm = Permutation(tuple(ref_rank[s] for s in ranked))
-    colors = {}
-    for i in perm.fixed_points():
-        stock = order[i - 1]
-        colors[i] = Color.RIGHT if after[stock] >= before[stock] else Color.LEFT
-    return DecoratedPermutation(perm, colors)
+    fell = [i for i in perm.fixed_points() if after[order[i - 1]] < before[order[i - 1]]]
+    return DecoratedPermutation(perm, left=fell)

@@ -153,7 +153,8 @@ def _chords_ascii(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
 
 def _chords_svg(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
     n = dp.n
-    gap, y0, margin = 50, 150, 30
+    gap, margin = 50, 30
+    y0 = margin + max((gap * abs(v - i) // 2 for i, v in arcs), default=0)  # room for the largest arc and the loops
 
     def x(i: int) -> int:
         return margin + gap * (i - 1)
@@ -164,9 +165,8 @@ def _chords_svg(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
     ]
     for i, v in arcs:
         r = abs(x(v) - x(i)) // 2
-        sweep = 0 if v > i else 1
         body.append(
-            f'<path d="M {x(i)} {y0} A {r} {r} 0 0 {sweep} {x(v)} {y0}" '
+            f'<path d="M {x(i)} {y0} A {r} {r} 0 0 {int(v > i)} {x(v)} {y0}" '
             'fill="none" stroke="#333333" stroke-width="2" marker-end="url(#arrow)"/>'
         )
     for i, color in dp.colors:

@@ -139,8 +139,8 @@ def components_from_circuits(m) -> tuple[tuple[int, ...], ...]:
 def decorated_permutations(draw, max_n=9, min_n=1):
     n = draw(st.integers(min_n, max_n))
     perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
-    colors = {i: draw(st.sampled_from(Color)) for i in perm.fixed_points()}
-    return DecoratedPermutation(perm, colors)
+    left = {i for i in perm.fixed_points() if draw(st.sampled_from(Color)) is Color.LEFT}
+    return DecoratedPermutation(perm, left=left)
 
 
 @st.composite
@@ -158,12 +158,12 @@ def nested_sums(draw, max_part=7):
     outer_at = lambda p: spot(p if p <= gap else p + b)
     inner_at = lambda q: spot(gap + q)
     images = [0] * (a + b)
-    colors = {}
+    left = set()
     for part, at in ((outer, outer_at), (inner, inner_at)):
         for i, v in enumerate(part.perm.images, start=1):
             images[at(i) - 1] = at(v)
-        colors.update((at(i), c) for i, c in part.colors)
-    return DecoratedPermutation(Permutation(tuple(images)), colors)
+        left.update(map(at, part.left))
+    return DecoratedPermutation(Permutation(tuple(images)), left=left)
 
 
 @lru_cache(maxsize=None)
@@ -214,11 +214,16 @@ DATES = [f"2020-01-0{d}" for d in range(1, 8)] + [" 2020-01-08 "]
 BAD_DATES = st.sampled_from(["2020-1-4", "", "x", "2020-02-30"])
 HEADERS = st.sampled_from(["time,A", "date,A,A", "date,A,", "date", ""])
 STRAY = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xef\xbb\xbf"])
+LONE_SURROGATES = st.sampled_from(["\ud800", "\udfff"])
 
 
 @st.composite
 def price_csv_inputs(draw):
-    """Price CSV text or bytes with a few rare faults: one in eight of each thing is bad."""
+    """Price CSV text or bytes with a few rare faults: one in eight of each thing is bad.
+
+    Text may start with a byte order mark and may hold a lone surrogate,
+    which no UTF-8 file can; bytes may hold a stray byte.
+    """
 
     def rare(good, bad):
         return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
@@ -231,7 +236,8 @@ def price_csv_inputs(draw):
         lines.append(",".join(cells + [rare(GOOD_CELLS, BAD_CELLS) for _ in range(width)]))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
     if draw(st.booleans()):
-        return text
+        at = draw(st.integers(0, len(text)))
+        return rare(st.just(""), st.just("\ufeff")) + text[:at] + rare(st.just(""), LONE_SURROGATES) + text[at:]
     data = text.encode("utf-8")
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(data)))

@@ -113,7 +113,7 @@ def remove_letter(word: WiringWord, index: int) -> WiringWord:
 
 def uniform(perm: Permutation, color: Color = Color.RIGHT) -> DecoratedPermutation:
     """``perm`` with every fixed point decorated by the same color."""
-    return DecoratedPermutation(perm, {i: color for i in perm.fixed_points()})
+    return DecoratedPermutation(perm, left=perm.fixed_points() if color is Color.LEFT else ())
 
 
 def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
@@ -122,7 +122,7 @@ def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
         perm = Permutation(images)
         fixed = perm.fixed_points()
         for combo in itertools.product((Color.RIGHT, Color.LEFT), repeat=len(fixed)):
-            yield DecoratedPermutation(perm, dict(zip(fixed, combo)))
+            yield DecoratedPermutation(perm, left=[i for i, c in zip(fixed, combo) if c is Color.LEFT])
 
 
 def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
@@ -133,20 +133,19 @@ def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
     that element is i itself, the point is a LEFT fixed point.
     """
     images = [0] * nk.n
-    colors: dict[int, Color] = {}
+    left = []
     for i in range(1, nk.n + 1):
         cur = nk.terms[i - 1]
         if i not in cur:
             images[i - 1] = i
-            colors[i] = Color.RIGHT
             continue
         gained = nk.terms[i % nk.n] - (cur - {i})
         if len(gained) != 1:
             raise AssertionError(f"axiom gave {len(gained)} new elements at index {i}")
         (images[i - 1],) = gained
         if images[i - 1] == i:
-            colors[i] = Color.LEFT
-    return DecoratedPermutation(Permutation(tuple(images)), colors)
+            left.append(i)
+    return DecoratedPermutation(Permutation(tuple(images)), left=left)
 
 
 def necklace_by_definition(dp: DecoratedPermutation) -> GrassmannNecklace:
@@ -159,7 +158,7 @@ def necklace_by_definition(dp: DecoratedPermutation) -> GrassmannNecklace:
     n, inv = dp.n, inverse(dp.perm)
     terms = []
     for i in range(1, n + 1):
-        members = set(dp.left_fixed_points())
+        members = set(dp.left)
         members.update(j for j in range(1, n + 1) if inv(j) != j and (inv(j) - i) % n > (j - i) % n)
         terms.append(frozenset(members))
     return GrassmannNecklace(n, anti_exceedance_count(dp), tuple(terms))
@@ -182,8 +181,7 @@ def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
     Its bases are the complements of the bases of ``dp`` (Ardila-Rincon-Williams,
     arXiv:1308.2698; Postnikov, math/0609764).
     """
-    swap = {Color.RIGHT: Color.LEFT, Color.LEFT: Color.RIGHT}
-    return DecoratedPermutation(inverse(dp.perm), {i: swap[c] for i, c in dp.colors})
+    return DecoratedPermutation(inverse(dp.perm), left=set(dp.perm.fixed_points()) - dp.left)
 
 
 def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
@@ -196,7 +194,7 @@ def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
     images = [0] * n
     for i, v in enumerate(dp.perm.images, start=1):
         images[i % n] = v % n + 1
-    return DecoratedPermutation(Permutation(tuple(images)), {i % n + 1: c for i, c in dp.colors})
+    return DecoratedPermutation(Permutation(tuple(images)), left={i % n + 1 for i in dp.left})
 
 
 def restrict(dp: DecoratedPermutation, block: Sequence[int]) -> DecoratedPermutation:
@@ -208,7 +206,7 @@ def restrict(dp: DecoratedPermutation, block: Sequence[int]) -> DecoratedPermuta
     """
     label = {x: t for t, x in enumerate(block, start=1)}
     images = tuple(label[dp.perm(x)] for x in block)
-    return DecoratedPermutation(Permutation(images), {label[i]: c for i, c in dp.colors if i in label})
+    return DecoratedPermutation(Permutation(images), left={label[i] for i in dp.left if i in label})
 
 
 def positroid_from_decorated(dp: DecoratedPermutation) -> Positroid:
@@ -617,30 +615,30 @@ def face_search_facets(p: Positroid) -> tuple[Facet, ...]:
 def per_cell_parse(data: str | bytes) -> PriceTable:
     """Price CSV parsed and checked cell by cell, in file order.
 
-    The file is cut into physical lines, each ended by \\r\\n, \\r or \\n,
-    and fed to the CSV reader one at a time; a record's row is the number
-    of lines fed when it is complete.  Bytes are decoded line by line,
-    after one leading byte order mark, so a byte that is not UTF-8 stops
-    the parse on its own line, as unreadable CSV does on the line that
-    holds it.
+    Text is read as its UTF-8 bytes, a lone surrogate kept as the bytes
+    ``surrogatepass`` gives it.  One leading byte order mark is dropped
+    from the bytes.  They are cut into physical lines, each ended by
+    \\r\\n, \\r or \\n, and fed to the CSV reader one at a time; a
+    record's row is the number of lines fed when it is complete.  Each
+    line is decoded on its own, so a byte that is not UTF-8 stops the
+    parse on its own line, as unreadable CSV does on the line that holds it.
     """
-    if isinstance(data, bytes) and data.startswith(b"\xef\xbb\xbf"):
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
-    ends = r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z"
-    lines = re.findall(ends.encode() if isinstance(data, bytes) else ends, data)
+    lines = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", data)
     fed = 0
 
     def feed() -> Iterator[str]:
         nonlocal fed
         for line in lines:
             fed += 1
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    bad = line[exc.start]
-                    raise PriceCsvError(f"undecodable byte {bad:#04x}, expected UTF-8", row=fed) from None
-            yield line
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PriceCsvError(f"undecodable byte {line[exc.start]:#04x}, expected UTF-8", row=fed) from None
+            yield text
 
     def records() -> Iterator[list[str]]:
         try:

@@ -176,7 +176,7 @@ def test_criterion_6b_top_cells():
                 state = uniform(oracles.identity(n), Color.LEFT)
             else:
                 images = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
-                state = DecoratedPermutation(Permutation(images), {})
+                state = DecoratedPermutation(Permutation(images))
             lift = affine_lift(state)
             assert lift.f == tuple(i + k for i in range(1, n + 1))
             assert cell_dimension(state) == k * (n - k)
@@ -186,9 +186,8 @@ def test_criterion_6b_top_cells():
 @lru_cache(maxsize=None)
 def dim_of_window(n: int, f: tuple[int, ...]) -> int:
     """cell_dimension of the cell whose bounded affine window is f."""
-    colors = {i: Color.RIGHT if v == i else Color.LEFT
-              for i, v in enumerate(f, start=1) if (v - i) % n == 0}
-    state = DecoratedPermutation(Permutation(tuple((v - 1) % n + 1 for v in f)), colors)
+    left = [i for i, v in enumerate(f, start=1) if v == i + n]
+    state = DecoratedPermutation(Permutation(tuple((v - 1) % n + 1 for v in f)), left=left)
     assert affine_lift(state).f == f
     return cell_dimension(state)
 
@@ -234,7 +233,7 @@ def test_criterion_7_polytope_suite():
     assert len(market_facets) == 5
     assert sorted(len(tight_vertices(market, f)) for f in market_facets) == [3, 3, 3, 3, 4]
 
-    top = DecoratedPermutation(Permutation((3, 4, 1, 2)), {})
+    top = DecoratedPermutation(Permutation((3, 4, 1, 2)))
     hyper = polytope_from_positroid(positroid_from_decorated(top))
     assert len(hyper.vertices) == 6
     assert len(enumerate_facets(hyper)) == 8
@@ -264,7 +263,7 @@ def test_criterion_8_noncrossing_partitions():
             blocks = connected_components(state)
             assert not crosses(blocks, n)
 
-    double_swap = DecoratedPermutation(Permutation((2, 1, 4, 3)), {})
+    double_swap = DecoratedPermutation(Permutation((2, 1, 4, 3)))
     assert connected_components(double_swap) == ((1, 2), (3, 4))
     announce(8, "components are non-crossing for all cells n <= 5; {2,1,4,3} splits {1,2},{3,4}")
 

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import random
+import runpy
 import subprocess
 import sys
 import threading
@@ -798,15 +799,13 @@ def reference_state(path, ref: date, end: date):
     ref_rank = {s: r for r, s in enumerate(order, start=1)}
     # Rank q on the end date holds the stock of reference rank images[q - 1].
     images = [ref_rank[s] for s in ranked]
-    colors = {q: perms.Color.LEFT if after[s] < before[s] else perms.Color.RIGHT
-              for q, s in enumerate(ranked, start=1) if images[q - 1] == q}
-    return table, chain, perms.DecoratedPermutation(perms.Permutation(images), colors)
+    left = [q for q, s in enumerate(ranked, start=1) if images[q - 1] == q and after[s] < before[s]]
+    return table, chain, perms.DecoratedPermutation(perms.Permutation(images), left=left)
 
 
 def reference_lift(state) -> list[int]:
     """The lift: pi(i) when it exceeds i, pi(i) + n when it falls short or i is a fixed point that fell."""
-    left = state.left_fixed_points()
-    return [v + state.n if v < i or i in left else v for i, v in enumerate(state.perm.images, start=1)]
+    return [v + state.n if v < i or i in state.left else v for i, v in enumerate(state.perm.images, start=1)]
 
 
 def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list[str]]]:
@@ -886,7 +885,7 @@ def test_analyze_matches_a_reference_built_from_definitions(capsys, tmp_path):
     cells = 0
     for n in range(1, 6):
         for cell in oracles.all_decorated_permutations(n):
-            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
+            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left)
             doc = assert_analyze_matches_the_reference(capsys, path, date.fromisoformat(ref), date.fromisoformat(end))
             assert doc["permutation"] == list(cell.perm.images)  # the file holds the cell written
             cells += 1
@@ -954,7 +953,7 @@ def render_windows(tmp_path):
     """Every cell with n <= 5 as a two-date market, then the windows of ``random_markets``: (path, ref, end)."""
     for n in range(1, 6):
         for cell in oracles.all_decorated_permutations(n):
-            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left_fixed_points())
+            path, _, ref, _, end = write_decorated_csv(tmp_path, cell.perm.images, cell.left)
             yield path, date.fromisoformat(ref), date.fromisoformat(end)
     for path, ref, end, _ in random_markets(tmp_path):
         yield path, ref, end
@@ -977,24 +976,34 @@ def test_render_chords_matches_a_reference_built_from_definitions(capsys, tmp_pa
     # The points are the dots, left to right under their numbers 1..n.  An
     # arc is a path from dot i to dot j with its arrowhead at j; a loop is
     # a circle beside its dot, and its arrowhead points the same way: to
-    # the right for a RIGHT fixed point, to the left for a LEFT one.
+    # the right for a RIGHT fixed point, to the left for a LEFT one.  Each
+    # arc is the half circle above the dots, and the whole drawing is on
+    # the canvas.  Also on the 30-stock reversal, whose arcs are the largest.
     seen = collections.Counter()
-    for path, ref, end in render_windows(tmp_path):
+    reversal = write_decorated_csv(tmp_path, tuple(range(30, 0, -1)), set())
+    windows = [(reversal[0], date.fromisoformat(reversal[2]), date.fromisoformat(reversal[4]))]
+    for path, ref, end in itertools.chain(render_windows(tmp_path), windows):
         _, _, state = reference_state(path, ref, end)
         root = render_svg(capsys, "chords", path, ref, end)
         dots = sorted(float(c.get("cx")) for c in root.findall(SVG + "circle") if c.get("r") == "3")
         labels = sorted(root.findall(SVG + "text"), key=lambda t: float(t.get("x")))
         assert [t.text for t in labels] == [str(i) for i in range(1, state.n + 1)] and len(dots) == state.n
+        assert all(float(t.get("y")) <= float(root.get("height")) for t in labels)
         arcs, loops, heads = [], {}, {}
         for shape in root.findall(SVG + "path"):  # not the arrowhead marker's own path, inside <defs>
             d = shape.get("d").split()
             if d[0] == "M":  # an arc: M x y A r r 0 0 sweep x' y, its arrowhead at x'
                 assert shape.get("marker-end") == "url(#arrow)"
                 arcs.append((dots.index(float(d[1])) + 1, dots.index(float(d[9])) + 1))
+                # From left to right the arc bends up when it sweeps the positive way, from right to left the other.
+                assert d[8] == ("1" if float(d[9]) > float(d[1]) else "0"), (path, ref, end, d)
+                assert float(d[2]) - float(d[4]) >= 0, (path, ref, end, d)  # its top, y0 - r, on the canvas
             else:  # a loop's arrowhead: Mback,y Ltip,y Lback,y z
                 back, tip = (float(corner[1:].split(",")[0]) for corner in d[:2])
                 heads[nearest(dots, back)] = 1 if tip > back else -1
+                assert min(float(corner[1:].split(",")[1]) for corner in d[:3]) >= 0, (path, ref, end, d)
         for circle in root.findall(SVG + "circle"):
+            assert float(circle.get("cy")) - float(circle.get("r")) >= 0, (path, ref, end)
             if circle.get("r") == "10":
                 at = nearest(dots, float(circle.get("cx")))
                 loops[at] = 1 if float(circle.get("cx")) > dots[at - 1] else -1
@@ -1002,7 +1011,7 @@ def test_render_chords_matches_a_reference_built_from_definitions(capsys, tmp_pa
         assert sorted(arcs) == want, (path, ref, end)
         assert loops == heads == {i: 1 if c is perms.Color.RIGHT else -1 for i, c in state.colors}, (path, ref, end)
         seen.update(windows=1, right=1 in loops.values(), left=-1 in loops.values())
-    assert seen == {"windows": 654, "right": 414, "left": 305}
+    assert seen == {"windows": 655, "right": 414, "left": 305}
 
 
 def test_render_hooks_matches_a_reference_built_from_definitions(capsys, tmp_path):
@@ -1267,6 +1276,15 @@ def test_module_entry_point_runs():
     assert json.loads(result.stdout)["permutation"] == [2, 4, 1, 3]
 
 
+def test_module_entry_point_runs_in_process(capsys, monkeypatch):
+    # ``python -m stockpolytope`` run in this process, where a line tracer sees ``__main__.py`` run.
+    monkeypatch.setattr(sys, "argv", ["stockpolytope", "analyze", str(SAMPLE), *RANGE, "--facets"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("stockpolytope", run_name="__main__", alter_sys=True)
+    assert stop.value.code == 0
+    assert capsys.readouterr() == ((GOLDEN / "analyze_2013-05-15_2013-06-03.json").read_text(), "")
+
+
 def test_report_roundtrip_and_check():
     table = load_sample_table()
     report = build_report(table, date(2013, 5, 15), date(2013, 6, 3), with_facets=True)
@@ -1326,8 +1344,8 @@ def test_check_finds_each_necklace_term_among_the_bases(bases, message):
 
 
 # Two cells on 1..4 to plant in the sample's report (k = 2): the top cell, also k = 2, and the identity, k = 0.
-TOP_CELL = perms.DecoratedPermutation(perms.Permutation((3, 4, 1, 2)), {})
-IDENTITY = perms.DecoratedPermutation(perms.Permutation((1, 2, 3, 4)), dict.fromkeys(range(1, 5), perms.Color.RIGHT))
+TOP_CELL = perms.DecoratedPermutation(perms.Permutation((3, 4, 1, 2)))
+IDENTITY = perms.DecoratedPermutation(perms.Permutation((1, 2, 3, 4)))
 
 
 @pytest.mark.parametrize("field, fault, message", [
@@ -1370,7 +1388,7 @@ FUZZ_COMMANDS = st.sampled_from([
 def test_the_cli_exits_cleanly_on_random_files(tmp_path_factory, data, command, ref, end):
     # Exit 0, 2 or 3 and no exception; an error is one line on stderr, with nothing on stdout.
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
     (verb, options), out, err = command, io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([*verb, str(path), "--ref-date", ref, "--end-date", end, *options])

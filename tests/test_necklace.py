@@ -24,8 +24,8 @@ from oracles import (
 )
 
 
-def dp(images, colors=None):
-    return DecoratedPermutation(Permutation(images), colors or {})
+def dp(images, left=()):
+    return DecoratedPermutation(Permutation(images), left=left)
 
 
 @pytest.mark.parametrize("n, k, terms, message", [

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -37,14 +40,57 @@ def test_identity_and_inverse():
 
 
 def test_decoration_must_cover_fixed_points_exactly():
+    # A fixed point not in ``left`` is RIGHT, so the colors cover the fixed
+    # points by construction; a moved point cannot be LEFT.
     p = Permutation((1, 3, 2, 4))
+    assert DecoratedPermutation(p).colors == ((1, Color.RIGHT), (4, Color.RIGHT))
     with pytest.raises(ValueError):
-        DecoratedPermutation(p, {1: Color.RIGHT})  # 4 missing
-    with pytest.raises(ValueError):
-        DecoratedPermutation(p, {1: Color.RIGHT, 2: Color.LEFT, 4: Color.LEFT})
-    dp = DecoratedPermutation(p, {1: Color.RIGHT, 4: Color.LEFT})
-    assert dict(dp.colors)[1] is Color.RIGHT
-    assert dp.left_fixed_points() == frozenset({4})
+        DecoratedPermutation(p, left={2, 4})
+    dp = DecoratedPermutation(p, left={4})
+    assert dp.colors == ((1, Color.RIGHT), (4, Color.LEFT))
+    assert dp.left == frozenset({4})
+
+
+def test_left_points_become_one_frozenset_whatever_the_iterable():
+    p = Permutation((1, 3, 2, 4))
+    made = [DecoratedPermutation(p, left=left) for left in ([4, 1], (1, 4), {1, 4}, frozenset({4, 1}), iter([1, 4]))]
+    assert all(type(dp.left) is frozenset and dp.left == {1, 4} for dp in made)
+    assert made.count(made[0]) == len(made) and len({hash(dp) for dp in made}) == 1
+
+
+def test_a_moved_left_point_or_a_positional_color_map_is_refused():
+    # A non-integer point is refused in test_value_types_refuse_non_integers.
+    p = Permutation((1, 3, 2, 4))
+    for moved, first in (([2], 2), ([3, 4], 3), ([4, 3, 2, 1], 2)):
+        with pytest.raises(ValueError, match=f"^{first} is not a fixed point and cannot point LEFT$"):
+            DecoratedPermutation(p, left=moved)
+    with pytest.raises(TypeError):
+        DecoratedPermutation(p, {1: Color.RIGHT, 4: Color.LEFT})
+    with pytest.raises(TypeError):
+        DecoratedPermutation(p, frozenset({4}))
+
+
+def test_colors_list_each_fixed_point_in_order_left_exactly_when_in_left():
+    for n in range(1, 7):
+        for dp in all_decorated_permutations(n):
+            assert [i for i, _ in dp.colors] == list(dp.perm.fixed_points()), dp
+            assert all(isinstance(c, Color) and (c is Color.LEFT) == (i in dp.left) for i, c in dp.colors), dp
+
+
+def test_a_cell_pickles_copies_and_replaces_as_one_built_directly():
+    for dp in all_decorated_permutations(4):
+        twin = DecoratedPermutation(Permutation(dp.perm.images), left=sorted(dp.left))
+        flipped = DecoratedPermutation(dp.perm, left=set(dp.perm.fixed_points()) - dp.left)
+        made = [pickle.loads(pickle.dumps(dp)), copy.copy(dp), copy.deepcopy(dp), dataclasses.replace(dp)]
+        for other in made + [dataclasses.replace(flipped, left=dp.left)]:
+            assert other == twin and hash(other) == hash(twin) and other.colors == twin.colors, dp
+            assert type(other.left) is frozenset, dp
+        assert dataclasses.replace(dp, left=flipped.left) == flipped
+        assert (flipped == dp) == (not dp.perm.fixed_points())
+        moved = [i for i, v in enumerate(dp.perm.images, start=1) if v != i]
+        if moved:
+            with pytest.raises(ValueError):
+                dataclasses.replace(dp, left=moved)
 
 
 def test_word_examples():
@@ -67,17 +113,17 @@ def test_inversions_examples():
 
 
 def test_anti_exceedances():
-    assert anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3)), {})) == 2
+    assert anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3)))) == 2
     identity = oracles.identity(4)
     assert anti_exceedance_count(uniform(identity, Color.RIGHT)) == 0
     assert anti_exceedance_count(uniform(identity, Color.LEFT)) == 4
 
 
 def test_affine_lift_examples():
-    assert affine_lift(DecoratedPermutation(Permutation((2, 4, 1, 3)), {})).f == (2, 4, 5, 7)
+    assert affine_lift(DecoratedPermutation(Permutation((2, 4, 1, 3)))).f == (2, 4, 5, 7)
     identity = oracles.identity(4)
     assert affine_lift(uniform(identity, Color.RIGHT)).f == (1, 2, 3, 4)
-    dp = DecoratedPermutation(Permutation((1, 3, 2, 4)), {1: Color.RIGHT, 4: Color.LEFT})
+    dp = DecoratedPermutation(Permutation((1, 3, 2, 4)), left={4})
     assert affine_lift(dp).f == (1, 3, 6, 8)
 
 
@@ -87,12 +133,7 @@ def test_affine_lift_validation():
     # f(1) = 1 + 4 is the upper bound itself: 1 is a LEFT fixed point
     left_one = BoundedAffinePermutation(4, (5, 2, 3, 4))
     assert left_one.k == 1
-    assert left_one == affine_lift(
-        DecoratedPermutation(
-            oracles.identity(4),
-            {1: Color.LEFT, 2: Color.RIGHT, 3: Color.RIGHT, 4: Color.RIGHT},
-        )
-    )
+    assert left_one == affine_lift(DecoratedPermutation(oracles.identity(4), left={1}))
     with pytest.raises(ValueError):
         BoundedAffinePermutation(4, (1, 2, 3, 7))  # residues collide
 
@@ -139,7 +180,7 @@ def test_value_types_refuse_non_integers(bad):
     with pytest.raises(TypeError):
         Permutation((bad, 1))
     with pytest.raises(TypeError):
-        DecoratedPermutation(Permutation((1, 2)), [(bad, Color.RIGHT), (1, Color.RIGHT)])
+        DecoratedPermutation(Permutation((1, 2)), left=[bad, 1])
     with pytest.raises(TypeError):
         WiringWord(3, (bad,))
     with pytest.raises(TypeError):
@@ -163,13 +204,13 @@ def test_value_types_refuse_non_integers(bad):
 @pytest.mark.parametrize("build, kind, message", [
     (lambda: Permutation((2, 1))(3), ValueError, "index 3 outside 1..2"),
     (lambda: Permutation((2, 1))(0), ValueError, "index 0 outside 1..2"),
-    (lambda: DecoratedPermutation(Permutation((1, 2)), {1: "right", 2: Color.RIGHT}), TypeError,
-     "color of 1 must be a Color, got 'right'"),
+    (lambda: DecoratedPermutation(Permutation((1, 2)), left=[Color.LEFT]), TypeError,
+     "'Color' object cannot be interpreted as an integer"),
     (lambda: WiringWord(0, ()), ValueError, "wiring words need at least one wire"),
     (lambda: WiringWord(3, (1,)).prefix(2), IndexError, "prefix length 2 outside 0..1"),
     (lambda: WiringWord(3, (1,)).prefix(-1), IndexError, "prefix length -1 outside 0..1"),
     (lambda: BoundedAffinePermutation(2, (1,)), ValueError, "expected 2 values, got 1"),
-], ids=["call above n", "call below 1", "color not a Color", "no wire", "prefix too long", "prefix negative",
+], ids=["call above n", "call below 1", "a Color for a point", "no wire", "prefix too long", "prefix negative",
         "lift length"])
 def test_the_value_types_refuse_what_they_cannot_hold(build, kind, message):
     with pytest.raises(kind) as err:
@@ -177,9 +218,12 @@ def test_the_value_types_refuse_what_they_cannot_hold(build, kind, message):
     assert type(err.value) is kind and str(err.value) == message
 
 
-def test_a_fixed_point_colored_twice_with_two_colors_is_a_value_error():
-    with pytest.raises(ValueError, match="^fixed point 1 colored twice$"):
-        DecoratedPermutation(Permutation((1, 2)), [(1, Color.RIGHT), (1, Color.LEFT), (2, Color.RIGHT)])
+def test_a_fixed_point_named_twice_in_left_is_one_left_point():
+    # Two colors for one point cannot be written down: a point is in ``left`` or not.
+    twice = DecoratedPermutation(Permutation((1, 2)), left=[1, 1])
+    assert twice == DecoratedPermutation(Permutation((1, 2)), left={1})
+    assert twice.colors == ((1, Color.LEFT), (2, Color.RIGHT))
+
 
 def test_k_invariant_under_cyclic_shift():
     # Conjugating by the n-cycle shifts positions and colors together.
@@ -189,10 +233,8 @@ def test_k_invariant_under_cyclic_shift():
             shifted_images = tuple(
                 (perm((i % n) + 1) - 2) % n + 1 for i in range(1, n + 1)
             )
-            shifted_colors = {
-                ((i - 2) % n) + 1: c for i, c in dp.colors
-            }
-            shifted = DecoratedPermutation(Permutation(shifted_images), shifted_colors)
+            shifted_left = {((i - 2) % n) + 1 for i in dp.left}
+            shifted = DecoratedPermutation(Permutation(shifted_images), left=shifted_left)
             assert anti_exceedance_count(shifted) == anti_exceedance_count(dp)
 
 

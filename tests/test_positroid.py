@@ -49,8 +49,8 @@ def bases_of(m):
     return sorted(sorted(b) for b in m.bases)
 
 
-def dp(images, colors=None):
-    return DecoratedPermutation(Permutation(images), colors or {})
+def dp(images, left=()):
+    return DecoratedPermutation(Permutation(images), left=left)
 
 
 def test_gale_examples():
@@ -275,7 +275,7 @@ def seeded_derangement(n, seed):
 @pytest.mark.parametrize("state", [
     uniform(Permutation(tuple((i + 14) % 30 + 1 for i in range(1, 31)))),
     uniform(Permutation(tuple(range(30, 0, -1)))),
-    DecoratedPermutation(oracles.identity(30), {i: Color.LEFT if i % 3 else Color.RIGHT for i in range(1, 31)}),
+    DecoratedPermutation(oracles.identity(30), left=[i for i in range(1, 31) if i % 3]),
     seeded_derangement(90, 17),
 ], ids=["half-turn-30", "reversal-30", "mixed-identity-30", "derangement-90"])
 def test_closure_matches_floyd_warshall_on_named_cells(state):
