@@ -3,7 +3,7 @@
 The pipeline: closing prices give per-date price rankings; rank
 reversals between consecutive dates are crossing events (adjacent
 transpositions); the accumulated crossings form a permutation of the
-reference-date ranks; net price moves color its fixed points.  The
+reference-date ranks; net price moves decorate its fixed points.  The
 decorated permutation then determines a Grassmann necklace, a positroid,
 a cell dimension, and the positroid polytope whose vertices are the 0/1
 indicator vectors of the bases.
@@ -12,7 +12,6 @@ indicator vectors of the bases.
 from .necklace import GrassmannNecklace, necklace_from_decorated
 from .perms import (
     BoundedAffinePermutation,
-    Color,
     DecoratedPermutation,
     Permutation,
     WiringWord,
@@ -63,7 +62,6 @@ __all__ = [
     "AnalysisReport",
     "BoundedAffinePermutation",
     "CellChain",
-    "Color",
     "ConsistencyError",
     "CrossingEvent",
     "DecoratedPermutation",

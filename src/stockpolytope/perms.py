@@ -4,7 +4,8 @@ One-line notation is 1-based throughout: a permutation of {1..n} is stored
 as the tuple (pi(1), ..., pi(n)).  A wiring word is a time-ordered sequence
 of adjacent transpositions s_p; multiplying its letters left to right from
 the identity gives the arrangement on the right edge of the wiring diagram.
-A decorated permutation is a permutation and its set of LEFT fixed points.
+A decorated permutation is a permutation and its set of LEFT fixed points;
+a fixed point outside that set points RIGHT.
 
 Everything here is immutable and hashable, so values can be shared freely
 between threads and used as cache keys.
@@ -13,7 +14,6 @@ between threads and used as cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import index
 from typing import Sequence
 
@@ -26,13 +26,6 @@ def trusted(cls, *values, **state):
     made = object.__new__(cls)
     made.__dict__.update(zip(cls.__dataclass_fields__, values), **state)
     return made
-
-
-class Color(Enum):
-    """Direction tag carried by a fixed point of a decorated permutation."""
-
-    RIGHT = "right"
-    LEFT = "left"
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class DecoratedPermutation:
 
     ``left``, keyword-only and any iterable of ints, holds the LEFT fixed
     points; every other fixed point is RIGHT, so nothing else can be wrong.
-    ``colors`` lists every fixed point, ascending, with its Color.
+    A writer reads ``perm.fixed_points()`` and tests each with ``i in left``.
     """
 
     perm: Permutation
@@ -87,10 +80,6 @@ class DecoratedPermutation:
     @property
     def n(self) -> int:
         return self.perm.n
-
-    @property
-    def colors(self) -> tuple[tuple[int, Color], ...]:
-        return tuple((i, Color.LEFT if i in self.left else Color.RIGHT) for i in self.perm.fixed_points())
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,7 @@ def word_to_permutation(word: WiringWord) -> Permutation:
 
 
 def anti_exceedance_count(dp: DecoratedPermutation) -> int:
-    """Number of positions with pi(i) < i, plus LEFT-colored fixed points.
+    """Number of positions with pi(i) < i, plus LEFT fixed points.
 
     >>> anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3))))
     2

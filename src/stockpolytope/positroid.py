@@ -15,9 +15,10 @@ cuts, the cell dimension and ``--check`` alike.  ``positroid_from_necklace``
 builds that closure once, lists the bases from it, one search node per
 distinct set of bounds a fixed prefix leaves on the rest, and keeps it:
 the positroid is its own polytope, and ``polytope`` reads the dimension
-and facets off it.  The bases stay as the listing builds them, increasing tuples in lexicographic
-order; the listing makes that form, so it builds its ``Positroid``
-unchecked, and no later stage wraps, sorts or checks them again.
+and facets off it.  The bases stay as the listing builds them, increasing
+tuples in lexicographic order; the listing makes that form, so it builds
+its ``Positroid`` unchecked, and no later stage wraps, sorts or checks
+them again.
 Components and dimensions come from the decorated permutation without
 the bases.
 """

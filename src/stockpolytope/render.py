@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Sequence
 
-from .perms import BoundedAffinePermutation, Color, DecoratedPermutation, WiringWord
+from .perms import BoundedAffinePermutation, DecoratedPermutation, WiringWord
 
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # what XML 1.0 cannot carry
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b", "#e377c2")
@@ -132,11 +132,11 @@ def _chords_ascii(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
     gap = max(4, len(str(n)) + 1)  # a space between column numbers, however many digits
     cols = gap * (n - 1) + max(2, len(str(n)) + 1)
     rows: list[str] = []
-    if dp.colors:
+    if fixed := dp.perm.fixed_points():
         loop_row = [" "] * cols
-        for i, color in dp.colors:
+        for i in fixed:
             c = gap * (i - 1)
-            loop_row[c:c + 2] = "o>" if color is Color.RIGHT else "o<"
+            loop_row[c:c + 2] = "o<" if i in dp.left else "o>"
         rows.append("".join(loop_row))
     for i, v in sorted(arcs, key=lambda a: (abs(a[1] - a[0]), min(a))):
         lo, hi = min(i, v), max(i, v)
@@ -169,8 +169,8 @@ def _chords_svg(dp: DecoratedPermutation, arcs: list[tuple[int, int]]) -> str:
             f'<path d="M {x(i)} {y0} A {r} {r} 0 0 {int(v > i)} {x(v)} {y0}" '
             'fill="none" stroke="#333333" stroke-width="2" marker-end="url(#arrow)"/>'
         )
-    for i, color in dp.colors:
-        direction = 1 if color is Color.RIGHT else -1
+    for i in dp.perm.fixed_points():
+        direction = -1 if i in dp.left else 1
         cx = x(i) + 12 * direction
         body.append(f'<circle cx="{cx}" cy="{y0 - 12}" r="10" fill="none" stroke="#333333" stroke-width="2"/>')
         back = cx - 4 * direction
@@ -231,4 +231,6 @@ def _hooks_svg(n: int, rows: list[tuple[int, int, str]], footer: str) -> str:
         body.append(f'<circle cx="{x(f_i)}" cy="{y}" r="3" fill="{color}"/>')
         body.append(f'<text x="{x(f_i) + 8}" y="{y + 4}">{note}</text>')
     body.append(f'<text x="{x0}" y="{height - 12}">{footer}</text>')
-    return _svg(x(2 * n) + 60, height, body)
+    # A monospace character at 12 px advances 0.6 em, 7.2 px: leave 12 px past the longest note or footer.
+    ends = [x(f_i) + 8 + len(note) * 36 // 5 for _, f_i, note in rows] + [x0 + len(footer) * 36 // 5]
+    return _svg(max(x(2 * n) + 60, max(ends) + 12), height, body)

@@ -144,13 +144,17 @@ def _null(value: int | None) -> str:
     return "null" if value is None else str(value)
 
 
+def _decorations(dp: DecoratedPermutation) -> list[tuple[int, str]]:
+    return [(i, "left" if i in dp.left else "right") for i in dp.perm.fixed_points()]
+
+
 def report_to_json(report: AnalysisReport) -> str:
     """The report as canonical JSON, laid out straight from its fields."""
     names = [_str(t) for t in report.tickers]
     crossing = (f'{{{_P3}"date": "%s",{_P3}"position": %d,{_P3}"seq": %d,'
                 f'{_P3}"stocks": [{_P4}%s,{_P4}%s{_P3}]{_P2}}}')
     crossings = [crossing % (d, p, s, names[a], names[b]) for d, s, p, (a, b) in report.crossings]
-    decorations = [f'{{{_P3}"color": "{c.value}",{_P3}"point": {i}{_P2}}}' for i, c in report.state.colors]
+    decorations = [f'{{{_P3}"color": "{c}",{_P3}"point": {i}{_P2}}}' for i, c in _decorations(report.state)]
     sets = lambda groups: _array([_array(s, _P2) for s in groups], _P1)
     bases = list(map(_array(["%d"] * report.positroid.k, _P2).__mod__, report.positroid.bases))
     return (
@@ -202,7 +206,7 @@ def _word(ticker: str) -> str:
 def report_to_text(report: AnalysisReport) -> str:
     tickers = report.tickers
     sets = lambda groups: " ".join("{" + ",".join(map(str, s)) + "}" for s in groups)
-    decorations = "  ".join(f"{i} -> {c.value}" for i, c in report.state.colors)
+    decorations = "  ".join(f"{i} -> {c}" for i, c in _decorations(report.state))
     facets = "not computed" if report.facet_count is None else f"{report.facet_count} facets"
     lines = [
         f"reference date : {report.ref_date}",

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import strategies as st
 
 from stockpolytope import (
-    Color,
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
@@ -139,7 +138,7 @@ def components_from_circuits(m) -> tuple[tuple[int, ...], ...]:
 def decorated_permutations(draw, max_n=9, min_n=1):
     n = draw(st.integers(min_n, max_n))
     perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
-    left = {i for i in perm.fixed_points() if draw(st.sampled_from(Color)) is Color.LEFT}
+    left = {i for i in perm.fixed_points() if draw(st.sampled_from((False, True)))}  # shrinks toward RIGHT
     return DecoratedPermutation(perm, left=left)
 
 

@@ -19,7 +19,7 @@ and the ranking chain that always starts at the first date.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
 positroids from their definitions, on the bases as sets from
 ``basis_sets``, whatever form the package keeps them in; ``uniform``
-colors every fixed point alike; ``necklace_by_definition`` builds the
+decorates every fixed point alike; ``necklace_by_definition`` builds the
 necklace term by term from its definition, where the package runs
 Postnikov's recurrence; ``cyclic_interval_rank`` is the definition-side
 route to r[a, b] = |I_a ∩ [a..b]|, one window of ``cyclic_interval``
@@ -48,7 +48,6 @@ from typing import Iterable, Iterator, Sequence
 
 from stockpolytope import (
     BoundedAffinePermutation,
-    Color,
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
@@ -111,18 +110,18 @@ def remove_letter(word: WiringWord, index: int) -> WiringWord:
     return WiringWord(word.n, word.letters[:index] + word.letters[index + 1 :])
 
 
-def uniform(perm: Permutation, color: Color = Color.RIGHT) -> DecoratedPermutation:
-    """``perm`` with every fixed point decorated by the same color."""
-    return DecoratedPermutation(perm, left=perm.fixed_points() if color is Color.LEFT else ())
+def uniform(perm: Permutation, left: bool = False) -> DecoratedPermutation:
+    """``perm`` with every fixed point LEFT, or with every one RIGHT."""
+    return DecoratedPermutation(perm, left=perm.fixed_points() if left else ())
 
 
 def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
-    """Every permutation of {1..n} with every fixed-point coloring."""
+    """Every permutation of {1..n} with every decoration of its fixed points."""
     for images in itertools.permutations(range(1, n + 1)):
         perm = Permutation(images)
         fixed = perm.fixed_points()
-        for combo in itertools.product((Color.RIGHT, Color.LEFT), repeat=len(fixed)):
-            yield DecoratedPermutation(perm, left=[i for i, c in zip(fixed, combo) if c is Color.LEFT])
+        for combo in itertools.product((False, True), repeat=len(fixed)):
+            yield DecoratedPermutation(perm, left=[i for i, is_left in zip(fixed, combo) if is_left])
 
 
 def decorated_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
@@ -176,7 +175,7 @@ def cyclic_interval_rank(nk: GrassmannNecklace, a: int, b: int) -> int:
 
 
 def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
-    """The dual positroid's decorated permutation: pi^-1, every fixed point's color swapped.
+    """The dual positroid's decorated permutation: pi^-1, every fixed point's decoration swapped.
 
     Its bases are the complements of the bases of ``dp`` (Ardila-Rincon-Williams,
     arXiv:1308.2698; Postnikov, math/0609764).
@@ -185,7 +184,7 @@ def dual(dp: DecoratedPermutation) -> DecoratedPermutation:
 
 
 def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
-    """``dp`` conjugated by the shift i -> i + 1 mod n, each color carried along.
+    """``dp`` conjugated by the shift i -> i + 1 mod n, each decoration carried along.
 
     Its bases are those of ``dp`` shifted by one: the cyclic symmetry of
     the positive Grassmannian.
@@ -198,7 +197,7 @@ def rotate(dp: DecoratedPermutation) -> DecoratedPermutation:
 
 
 def restrict(dp: DecoratedPermutation, block: Sequence[int]) -> DecoratedPermutation:
-    """pi on a union of its cycles, relabelled 1..|block| in order, each color carried along.
+    """pi on a union of its cycles, relabelled 1..|block| in order, each decoration carried along.
 
     On a connected component this is the component's own positroid: a
     positroid is the direct sum of its components (Ardila-Rincon-Williams,
@@ -816,7 +815,7 @@ class RemovalFace:
     contained: bool
 
 
-def face_of_removal(word: WiringWord, index: int, fixed_point_color: Color = Color.RIGHT) -> RemovalFace:
+def face_of_removal(word: WiringWord, index: int, left: bool = False) -> RemovalFace:
     """Drop one crossing and compare the new cell against the old one.
 
     ``contained`` reports whether every basis of the new positroid is
@@ -825,11 +824,11 @@ def face_of_removal(word: WiringWord, index: int, fixed_point_color: Color = Col
     turns the state into a smaller Grassmannian) it still captures the
     face relation.  A re-crossing removal can raise the dimension or
     break containment, and the flag reports whatever actually happened.
-    Every fixed point takes the color ``fixed_point_color``.
+    Every fixed point is LEFT when ``left`` holds, and RIGHT otherwise.
     """
     original = word_to_permutation(word)
-    dp_old = uniform(original, fixed_point_color)
-    dp_new = uniform(word_to_permutation(remove_letter(word, index)), fixed_point_color)
+    dp_old = uniform(original, left)
+    dp_new = uniform(word_to_permutation(remove_letter(word, index)), left)
     old = positroid_from_decorated(dp_old)
     new = positroid_from_decorated(dp_new)
     contained = all(matroid_rank(old, b) == len(b) for b in basis_sets(new))

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from stockpolytope import (
-    Color,
     DecoratedPermutation,
     Permutation,
     PriceTable,
@@ -105,7 +104,7 @@ def test_criterion_2_decoration_reproduction():
     assert perm.images == (1, 3, 2, 4)
     state = decorate(table, date(2013, 5, 15), date(2013, 6, 5))
     assert state.perm == perm
-    assert dict(state.colors) == {1: Color.RIGHT, 4: Color.LEFT}
+    assert state.perm.fixed_points() == (1, 4) and state.left == frozenset({4})
 
     # the bundled fixture embeds the same two rows and must agree
     sample = load_sample_table()
@@ -113,7 +112,7 @@ def test_criterion_2_decoration_reproduction():
     state2 = decorate(sample, date(2013, 5, 15), date(2013, 6, 5))
     assert perm2.images == (1, 3, 2, 4)
     assert state2.perm == perm2
-    assert dict(state2.colors) == {1: Color.RIGHT, 4: Color.LEFT}
+    assert state2.perm.fixed_points() == (1, 4) and state2.left == frozenset({4})
     announce(2, "6/5/2013 prices give {1,3,2,4} with 1->RIGHT, 4->LEFT")
 
 
@@ -171,9 +170,9 @@ def test_criterion_6b_top_cells():
     for n in range(1, 9):
         for k in range(0, n + 1):
             if k == 0:
-                state = uniform(oracles.identity(n), Color.RIGHT)
+                state = uniform(oracles.identity(n))
             elif k == n:
-                state = uniform(oracles.identity(n), Color.LEFT)
+                state = uniform(oracles.identity(n), left=True)
             else:
                 images = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
                 state = DecoratedPermutation(Permutation(images))

@@ -819,7 +819,7 @@ def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list
     """
     table, chain, state = reference_state(path, ref, end)
     ri, ti = table.dates.index(ref), table.dates.index(end)
-    n, images, colors = table.n_stocks, list(state.perm.images), dict(state.colors)
+    n, images = table.n_stocks, list(state.perm.images)
     lift = reference_lift(state)
     k = sum(v > n for v in lift)
     nk = oracles.necklace_by_definition(state)
@@ -831,7 +831,8 @@ def reference_analysis(path, ref: date, end: date) -> tuple[dict, dict[str, list
         "affine_lift": lift,
         "bases": [list(b) for b in bases],
         "cell_dimension": k * (n - k) - oracles.affine_inversions(perms.BoundedAffinePermutation(n, tuple(lift))),
-        "decorations": [{"color": c.value, "point": q} for q, c in sorted(colors.items())],
+        "decorations": [{"color": "left" if q in state.left else "right", "point": q}
+                        for q in range(1, n + 1) if images[q - 1] == q],
         "k": k,
         "necklace": [sorted(t) for t in nk.terms],
         "noncrossing_partition": [list(block) for block in oracles.exchange_components(m)],
@@ -852,7 +853,10 @@ def assert_analyze_matches_the_reference(capsys, path, ref: date, end: date) -> 
     The crossings are replayed date by date, one adjacent swap each, from
     the reference date's order: each date's swaps, numbered from 0, must
     reach that date's order, and there must be as many as the pairs of
-    stocks whose order that date flips.
+    stocks whose order that date flips.  The text report's decorations
+    line reads ``i -> left`` or ``i -> right`` for each fixed point,
+    ascending, or ``(no fixed points)``; a ticker holding whitespace other
+    than a space stops the text report instead.
     """
     code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", ref.isoformat(),
                              "--end-date", end.isoformat(), "--facets")
@@ -877,6 +881,13 @@ def assert_analyze_matches_the_reference(capsys, path, ref: date, end: date) -> 
         assert line == order, (path, day)
         replayed += len(todays)
     assert replayed == len(days)  # no swap dated outside the window's later dates
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ref-date", ref.isoformat(),
+                             "--end-date", end.isoformat(), "--format", "text")
+    if any(c.isspace() and c != " " for ticker in reference["tickers"] for c in ticker):
+        assert (code, out) == (2, "") and "holds a line break or whitespace other than a space" in err
+    else:
+        decorations = "  ".join(f"{d['point']} -> {d['color']}" for d in reference["decorations"])
+        assert (code, err) == (0, "") and out.split("\n")[4] == "decorations    : " + (decorations or "(no fixed points)")
     return doc
 
 
@@ -1009,7 +1020,8 @@ def test_render_chords_matches_a_reference_built_from_definitions(capsys, tmp_pa
                 loops[at] = 1 if float(circle.get("cx")) > dots[at - 1] else -1
         want = [(i, v) for i, v in enumerate(state.perm.images, start=1) if v != i]
         assert sorted(arcs) == want, (path, ref, end)
-        assert loops == heads == {i: 1 if c is perms.Color.RIGHT else -1 for i, c in state.colors}, (path, ref, end)
+        fixed = [i for i, v in enumerate(state.perm.images, start=1) if v == i]
+        assert loops == heads == {i: -1 if i in state.left else 1 for i in fixed}, (path, ref, end)
         seen.update(windows=1, right=1 in loops.values(), left=-1 in loops.values())
     assert seen == {"windows": 655, "right": 414, "left": 305}
 
@@ -1018,7 +1030,9 @@ def test_render_hooks_matches_a_reference_built_from_definitions(capsys, tmp_pat
     # Row i, top to bottom, ends in a dot under column f(i), is a line
     # from column i to that column when f(i) > i, and is noted
     # r[i,f(i)]=r, the rank by its definition |I_i ∩ [i..f(i)]|.  The
-    # footer reads dim = (their sum) - k^2 = the cell dimension k(n-k) - l(f).
+    # footer, the last text, reads dim = (their sum) - k^2 = the cell
+    # dimension k(n-k) - l(f).  Every text ends on the canvas at 7.2 px a
+    # character, the advance of a monospace font at 12 px (0.6 em).
     for path, ref, end in render_windows(tmp_path):
         _, _, state = reference_state(path, ref, end)
         n, lift, nk = state.n, reference_lift(state), oracles.necklace_by_definition(state)
@@ -1026,6 +1040,9 @@ def test_render_hooks_matches_a_reference_built_from_definitions(capsys, tmp_pat
         root = render_svg(capsys, "hooks", path, ref, end)
         texts = sorted(root.findall(SVG + "text"), key=lambda t: (float(t.get("y")), float(t.get("x"))))
         header, notes, footer = texts[:2 * n], texts[2 * n:-1], texts[-1].text
+        assert root.findall(SVG + "text")[-1].text == footer
+        width = float(root.get("width"))
+        assert all(float(t.get("x")) + 7.2 * len(t.text) <= width for t in texts), (path, ref, end)
         assert [t.text for t in header] == [str(c) for c in range(1, 2 * n + 1)]
         columns = [float(t.get("x")) for t in header]
         dots = sorted(root.findall(SVG + "circle"), key=lambda c: float(c.get("cy")))

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 
 from stockpolytope import (
-    Color,
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
@@ -47,7 +46,7 @@ def test_necklace_of_market_permutation():
 
 
 def test_necklace_of_identity_all_right():
-    identity = uniform(oracles.identity(4), Color.RIGHT)
+    identity = uniform(oracles.identity(4))
     nk = necklace_from_decorated(identity)
     assert nk.k == 0
     assert nk.terms == (frozenset(), frozenset(), frozenset(), frozenset())
@@ -77,15 +76,15 @@ def test_validate_reports_first_violation():
 def test_decode_examples():
     state = decorated_from_necklace(eq1())
     assert state.perm.images == (2, 4, 1, 3)
-    assert state.colors == ()
+    assert state.perm.fixed_points() == () and state.left == frozenset()
 
     empty = decorated_from_necklace(GrassmannNecklace(4, 0, (set(),) * 4))
     assert empty.perm == oracles.identity(4)
-    assert all(c is Color.RIGHT for _, c in empty.colors)
+    assert empty.left == frozenset()
 
     full = decorated_from_necklace(GrassmannNecklace(4, 4, ({1, 2, 3, 4},) * 4))
     assert full.perm == oracles.identity(4)
-    assert all(c is Color.LEFT for _, c in full.colors)
+    assert full.left == frozenset({1, 2, 3, 4})
 
 
 def test_decode_rejects_invalid():

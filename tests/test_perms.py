@@ -7,7 +7,6 @@ import pytest
 
 from stockpolytope import (
     BoundedAffinePermutation,
-    Color,
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
@@ -40,14 +39,13 @@ def test_identity_and_inverse():
 
 
 def test_decoration_must_cover_fixed_points_exactly():
-    # A fixed point not in ``left`` is RIGHT, so the colors cover the fixed
-    # points by construction; a moved point cannot be LEFT.
+    # A fixed point not in ``left`` is RIGHT, so the decorations cover the
+    # fixed points by construction; a moved point cannot be LEFT.
     p = Permutation((1, 3, 2, 4))
-    assert DecoratedPermutation(p).colors == ((1, Color.RIGHT), (4, Color.RIGHT))
+    assert p.fixed_points() == (1, 4) and DecoratedPermutation(p).left == frozenset()
     with pytest.raises(ValueError):
         DecoratedPermutation(p, left={2, 4})
     dp = DecoratedPermutation(p, left={4})
-    assert dp.colors == ((1, Color.RIGHT), (4, Color.LEFT))
     assert dp.left == frozenset({4})
 
 
@@ -65,16 +63,9 @@ def test_a_moved_left_point_or_a_positional_color_map_is_refused():
         with pytest.raises(ValueError, match=f"^{first} is not a fixed point and cannot point LEFT$"):
             DecoratedPermutation(p, left=moved)
     with pytest.raises(TypeError):
-        DecoratedPermutation(p, {1: Color.RIGHT, 4: Color.LEFT})
+        DecoratedPermutation(p, {1: "right", 4: "left"})
     with pytest.raises(TypeError):
         DecoratedPermutation(p, frozenset({4}))
-
-
-def test_colors_list_each_fixed_point_in_order_left_exactly_when_in_left():
-    for n in range(1, 7):
-        for dp in all_decorated_permutations(n):
-            assert [i for i, _ in dp.colors] == list(dp.perm.fixed_points()), dp
-            assert all(isinstance(c, Color) and (c is Color.LEFT) == (i in dp.left) for i, c in dp.colors), dp
 
 
 def test_a_cell_pickles_copies_and_replaces_as_one_built_directly():
@@ -83,7 +74,7 @@ def test_a_cell_pickles_copies_and_replaces_as_one_built_directly():
         flipped = DecoratedPermutation(dp.perm, left=set(dp.perm.fixed_points()) - dp.left)
         made = [pickle.loads(pickle.dumps(dp)), copy.copy(dp), copy.deepcopy(dp), dataclasses.replace(dp)]
         for other in made + [dataclasses.replace(flipped, left=dp.left)]:
-            assert other == twin and hash(other) == hash(twin) and other.colors == twin.colors, dp
+            assert other == twin and hash(other) == hash(twin) and other.left == twin.left, dp
             assert type(other.left) is frozenset, dp
         assert dataclasses.replace(dp, left=flipped.left) == flipped
         assert (flipped == dp) == (not dp.perm.fixed_points())
@@ -115,14 +106,14 @@ def test_inversions_examples():
 def test_anti_exceedances():
     assert anti_exceedance_count(DecoratedPermutation(Permutation((2, 4, 1, 3)))) == 2
     identity = oracles.identity(4)
-    assert anti_exceedance_count(uniform(identity, Color.RIGHT)) == 0
-    assert anti_exceedance_count(uniform(identity, Color.LEFT)) == 4
+    assert anti_exceedance_count(uniform(identity)) == 0
+    assert anti_exceedance_count(uniform(identity, left=True)) == 4
 
 
 def test_affine_lift_examples():
     assert affine_lift(DecoratedPermutation(Permutation((2, 4, 1, 3)))).f == (2, 4, 5, 7)
     identity = oracles.identity(4)
-    assert affine_lift(uniform(identity, Color.RIGHT)).f == (1, 2, 3, 4)
+    assert affine_lift(uniform(identity)).f == (1, 2, 3, 4)
     dp = DecoratedPermutation(Permutation((1, 3, 2, 4)), left={4})
     assert affine_lift(dp).f == (1, 3, 6, 8)
 
@@ -169,7 +160,7 @@ def test_affine_length_near_gives_the_length_change_of_a_color_flip():
         for dp in all_decorated_permutations(n):
             lift = affine_lift(dp)
             f = lift.f
-            for p, _ in dp.colors:
+            for p in dp.perm.fixed_points():
                 g = f[:p - 1] + (2 * p + n - f[p - 1],) + f[p:]
                 change = affine_inversions(BoundedAffinePermutation(n, g)) - affine_inversions(lift)
                 assert change == affine_length_near(g, n, p) - affine_length_near(f, n, p), (dp, p)
@@ -204,13 +195,13 @@ def test_value_types_refuse_non_integers(bad):
 @pytest.mark.parametrize("build, kind, message", [
     (lambda: Permutation((2, 1))(3), ValueError, "index 3 outside 1..2"),
     (lambda: Permutation((2, 1))(0), ValueError, "index 0 outside 1..2"),
-    (lambda: DecoratedPermutation(Permutation((1, 2)), left=[Color.LEFT]), TypeError,
-     "'Color' object cannot be interpreted as an integer"),
+    (lambda: DecoratedPermutation(Permutation((1, 2)), left=["left"]), TypeError,
+     "'str' object cannot be interpreted as an integer"),
     (lambda: WiringWord(0, ()), ValueError, "wiring words need at least one wire"),
     (lambda: WiringWord(3, (1,)).prefix(2), IndexError, "prefix length 2 outside 0..1"),
     (lambda: WiringWord(3, (1,)).prefix(-1), IndexError, "prefix length -1 outside 0..1"),
     (lambda: BoundedAffinePermutation(2, (1,)), ValueError, "expected 2 values, got 1"),
-], ids=["call above n", "call below 1", "a Color for a point", "no wire", "prefix too long", "prefix negative",
+], ids=["call above n", "call below 1", "a word for a point", "no wire", "prefix too long", "prefix negative",
         "lift length"])
 def test_the_value_types_refuse_what_they_cannot_hold(build, kind, message):
     with pytest.raises(kind) as err:
@@ -219,14 +210,14 @@ def test_the_value_types_refuse_what_they_cannot_hold(build, kind, message):
 
 
 def test_a_fixed_point_named_twice_in_left_is_one_left_point():
-    # Two colors for one point cannot be written down: a point is in ``left`` or not.
+    # Two decorations for one point cannot be written down: a point is in ``left`` or not.
     twice = DecoratedPermutation(Permutation((1, 2)), left=[1, 1])
     assert twice == DecoratedPermutation(Permutation((1, 2)), left={1})
-    assert twice.colors == ((1, Color.LEFT), (2, Color.RIGHT))
+    assert twice.left == frozenset({1}) and twice.perm.fixed_points() == (1, 2)
 
 
 def test_k_invariant_under_cyclic_shift():
-    # Conjugating by the n-cycle shifts positions and colors together.
+    # Conjugating by the n-cycle shifts positions and decorations together.
     for n in range(1, 7):
         for dp in all_decorated_permutations(n):
             perm = dp.perm

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from stockpolytope import (
-    Color,
     Permutation,
     Positroid,
     WiringWord,
@@ -288,13 +287,13 @@ def test_hull_facets_valid_on_h_system_vertices_n4():
 def test_chain_of_market_word():
     chain = decomposition_chain(WiringWord(4, (1, 3, 2)))
     assert [s[1] for s in chain.steps] == [0, 1, 2, 3]
-    assert uniform(Permutation(chain.steps[-1][0]), Color.RIGHT).perm.images == (2, 4, 1, 3)
+    assert uniform(Permutation(chain.steps[-1][0])).perm.images == (2, 4, 1, 3)
 
 
 def test_chain_empty_word():
     chain = decomposition_chain(WiringWord(4, ()))
     assert [s[1] for s in chain.steps] == [0]
-    assert uniform(Permutation(chain.steps[0][0]), Color.RIGHT).perm == oracles.identity(4)
+    assert uniform(Permutation(chain.steps[0][0])).perm == oracles.identity(4)
 
 
 def test_chain_reports_recrossing():
@@ -304,9 +303,9 @@ def test_chain_reports_recrossing():
 
 def test_chain_labels_and_right_fixed_points():
     chain = decomposition_chain(WiringWord(3, (1,)))
-    states = [uniform(Permutation(s[0]), Color.RIGHT) for s in chain.steps]
-    assert states[0] == uniform(oracles.identity(3), Color.RIGHT)
-    assert states[1] == uniform(Permutation((2, 1, 3)), Color.RIGHT)
+    states = [uniform(Permutation(s[0])) for s in chain.steps]
+    assert states[0] == uniform(oracles.identity(3))
+    assert states[1] == uniform(Permutation((2, 1, 3)))
 
 
 def _random_word(rng, n, m):
@@ -323,8 +322,8 @@ def assert_chain_matches_oracles(word):
     chain = decomposition_chain(word)
     assert len(chain.steps) == len(word.letters) + 1
     for t, step in enumerate(chain.steps):
-        perm, state = word_to_permutation(word.prefix(t)), uniform(Permutation(step[0]), Color.RIGHT)
-        assert state == uniform(perm, Color.RIGHT), (word, t)
+        perm, state = word_to_permutation(word.prefix(t)), uniform(Permutation(step[0]))
+        assert state == uniform(perm), (word, t)
         assert step[0] == perm.images, (word, t)
         assert step[1] == cell_dimension(state), (word, t)
 
@@ -350,7 +349,7 @@ def test_chain_is_linear_in_the_word_length():
     started = time.perf_counter()
     chain = decomposition_chain(word)
     assert time.perf_counter() - started < 1.0
-    assert uniform(Permutation(chain.steps[-1][0]), Color.RIGHT).perm == word_to_permutation(word)
+    assert uniform(Permutation(chain.steps[-1][0])).perm == word_to_permutation(word)
 
 
 def test_face_of_removal_examples():

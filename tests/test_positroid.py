@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stockpolytope import (
-    Color,
     DecoratedPermutation,
     GrassmannNecklace,
     Permutation,
@@ -141,14 +140,14 @@ def test_cell_dimension_examples():
     assert cell_dimension(dp((2, 4, 1, 3))) == 3
     market = dp((2, 4, 1, 3))
     assert interval_rank_summands(market, affine_lift(market)) == (1, 2, 2, 2)
-    identity = uniform(oracles.identity(4), Color.RIGHT)
+    identity = uniform(oracles.identity(4))
     assert cell_dimension(identity) == 0
     assert cell_dimension(dp((3, 4, 1, 2))) == 4
 
 
 def test_connected_components_examples():
     assert connected_components(decorated_from_necklace(eq1())) == ((1, 2, 3, 4),)
-    identity = uniform(oracles.identity(4), Color.RIGHT)
+    identity = uniform(oracles.identity(4))
     assert connected_components(identity) == ((1,), (2,), (3,), (4,))
     assert connected_components(dp((2, 1, 4, 3))) == ((1, 2), (3, 4))
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockpolytope import (
-    Color,
     PriceCsvError,
     PriceTable,
     WiringWord,
@@ -172,7 +171,7 @@ def test_decorate_paper_example(sample_table):
     target = date(2013, 6, 5)
     dp = decorate(sample_table, REF, target)
     assert dp.perm == permutation_at(sample_table, REF, target)
-    assert dict(dp.colors) == {1: Color.RIGHT, 4: Color.LEFT}
+    assert dp.perm.fixed_points() == (1, 4) and dp.left == frozenset({4})
 
 
 def test_decorate_all_up_and_zero_change():
@@ -180,7 +179,7 @@ def test_decorate_all_up_and_zero_change():
     dp = decorate(table, date(2020, 1, 1), date(2020, 1, 2))
     assert dp.perm == permutation_at(table, date(2020, 1, 1), date(2020, 1, 2))
     # B is unchanged and still points RIGHT
-    assert dict(dp.colors) == {1: Color.RIGHT, 2: Color.RIGHT, 3: Color.RIGHT}
+    assert dp.perm.fixed_points() == (1, 2, 3) and dp.left == frozenset()
 
 
 def test_stream_multiplies_to_permutation_on_random_tables():
@@ -498,10 +497,9 @@ def test_price_layers_match_first_date_chain(table):
                 assert tuple(arrangement) == oracle[di]
             state = decorate(table, ref, end)
             assert state.perm == perm
-            assert dict(state.colors) == {
-                i: Color.RIGHT if table.prices[ti][s] >= table.prices[ri][s] else Color.LEFT
-                for i, s in enumerate(ref_order, start=1)
-                if perm.images[i - 1] == i
+            assert state.left == {
+                i for i, s in enumerate(ref_order, start=1)
+                if perm.images[i - 1] == i and table.prices[ti][s] < table.prices[ri][s]
             }
 
 
@@ -623,9 +621,9 @@ def test_each_date_ranks_as_the_chain_ranks_it(newline):
                 ref_order, end_order = oracle[ri], oracle[ti]
                 assert perm.images == tuple(ref_order.index(s) + 1 for s in end_order)
                 assert state.perm == perm
-                assert dict(state.colors) == {
-                    i: Color.RIGHT if cents[ti][s] >= cents[ri][s] else Color.LEFT
-                    for i, s in enumerate(ref_order, start=1) if perm.images[i - 1] == i
+                assert state.left == {
+                    i for i, s in enumerate(ref_order, start=1)
+                    if perm.images[i - 1] == i and cents[ti][s] < cents[ri][s]
                 }
                 assert rankings(table, ri, ti) == oracle[ri:ti + 1]
                 seen.update(len(set(cents[i])) < len(tickers) for i in (ri, ti))

@@ -41,7 +41,8 @@ def report_dict(report) -> dict:
         "target_date": report.target_date.isoformat(),
         "tickers": list(report.tickers),
         "permutation": list(report.state.perm.images),
-        "decorations": [{"point": i, "color": c.value} for i, c in report.state.colors],
+        "decorations": [{"point": i, "color": "left" if i in report.state.left else "right"}
+                        for i, v in enumerate(report.state.perm.images, start=1) if v == i],
         "crossings": [
             {
                 "date": e.date.isoformat(),
