@@ -23,8 +23,8 @@ came before it: its ranking is its prices sorted.  So ``rankings`` ranks
 any range of dates from the last such date at or before the range's
 first (else the table's first date) and keeps the tie convention
 exactly, at the cost of the range and of that walk back.  ``decorate``
-ranks each of its two dates that way, ``crossing_stream`` its whole
-range, and ``permutation_at`` is ``decorate``'s permutation.
+ranks each of its two dates that way, ``crossing_stream`` only its
+reference date, and ``permutation_at`` is ``decorate``'s permutation.
 
 Parsing reads text as its UTF-8 bytes, checks the whole file in bulk
 and converts no price.  A plain file is checked in passes over all its
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import NamedTuple
 
 from .perms import DecoratedPermutation, Permutation, WiringWord, trusted
@@ -359,29 +359,24 @@ def permutation_at(table: PriceTable, ref_date: date, target_date: date) -> Perm
 def crossing_stream(table: PriceTable, ref_date: date, end_date: date) -> tuple[CrossingEvent, ...]:
     """All crossing events between consecutive dates of the range.
 
-    Each daily transition decomposes into adjacent swaps by bubble sort,
-    in repeated left-to-right passes over the previous ranking: applying
-    a date's events in ``seq`` order to it yields the date's ranking, and
-    the concatenated stream multiplies to ``permutation_at(ref_date,
-    end_date)``.  The passes cover only the ranks between the first and
-    the last that change, and a day's prices decide each swap: its
-    ranking sorts by them and keeps equal prices in their old order.
+    Only the reference date is ranked.  Each later date's events are the
+    adjacent swaps of bubble sort by its prices, in left-to-right passes
+    over the order carried from the date before, each ending at the last
+    swap of the one before.  A strict ``>`` keeps equal prices in their
+    old order, so the order reached is the date's ranking.
     """
     ri, ti = _span(table, ref_date, end_date)
-    chain, events = rankings(table, ri, ti), []
-    for day, prev, cur, row in zip(table.dates[ri + 1:ti + 1], chain, chain[1:], _rows(table, ri + 1, ti)):
-        if prev == cur:
-            continue
-        moved = list(map(ne, prev, cur))
-        lo, hi = moved.index(True), len(moved) - moved[::-1].index(True)
-        arrangement, target, seq = list(prev[lo:hi]), list(cur[lo:hi]), 0
-        while arrangement != target:
-            for p in range(1, len(arrangement)):
-                lower, upper = arrangement[p - 1], arrangement[p]
+    order, events = list(rankings(table, ri, ri)[0]), []
+    for day, row in zip(table.dates[ri + 1:ti + 1], _rows(table, ri + 1, ti)):
+        seq, bound = 0, len(order)
+        while bound > 1:
+            last = 0
+            for p in range(1, bound):
+                lower, upper = order[p - 1], order[p]
                 if row[lower] > row[upper]:
-                    events.append((day, seq, lo + p, (lower, upper)))
-                    arrangement[p - 1], arrangement[p] = upper, lower
-                    seq += 1
+                    events.append((day, seq, p, (lower, upper)))
+                    order[p - 1], order[p], seq, last = upper, lower, seq + 1, p
+            bound = last
     return tuple(map(tuple.__new__, repeat(CrossingEvent), events))  # each record made in C
 
 

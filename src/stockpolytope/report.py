@@ -148,12 +148,16 @@ def _decorations(dp: DecoratedPermutation) -> list[tuple[int, str]]:
     return [(i, "left" if i in dp.left else "right") for i in dp.perm.fixed_points()]
 
 
+def _days(events: tuple[CrossingEvent, ...]) -> dict[date, str]:
+    return {d: str(d) for d in {e.date for e in events}}  # each distinct date formatted once
+
+
 def report_to_json(report: AnalysisReport) -> str:
     """The report as canonical JSON, laid out straight from its fields."""
-    names = [_str(t) for t in report.tickers]
+    names, days = [_str(t) for t in report.tickers], _days(report.crossings)
     crossing = (f'{{{_P3}"date": "%s",{_P3}"position": %d,{_P3}"seq": %d,'
                 f'{_P3}"stocks": [{_P4}%s,{_P4}%s{_P3}]{_P2}}}')
-    crossings = [crossing % (d, p, s, names[a], names[b]) for d, s, p, (a, b) in report.crossings]
+    crossings = [crossing % (days[d], p, s, names[a], names[b]) for d, s, p, (a, b) in report.crossings]
     decorations = [f'{{{_P3}"color": "{c}",{_P3}"point": {i}{_P2}}}' for i, c in _decorations(report.state)]
     sets = lambda groups: _array([_array(s, _P2) for s in groups], _P1)
     bases = list(map(_array(["%d"] * report.positroid.k, _P2).__mod__, report.positroid.bases))
@@ -180,7 +184,8 @@ def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain
     """The ``chain --format json`` document: one step per prefix of the crossings."""
     step = (f'{{{_P3}"date": "%s",{_P3}"dimension": %d,{_P3}"index": %d,'
             f'{_P3}"permutation": {_array(["%d"] * len(chain.steps[0][0]), _P3)},{_P3}"position": %s{_P2}}}')
-    dated = [(ref, "null"), *((e.date, e.position) for e in events)]
+    days = _days(events)
+    dated = [(ref, "null"), *((days[e.date], e.position) for e in events)]
     steps = [step % (when, dimension, t, *images, position)
              for t, ((images, dimension), (when, position)) in enumerate(zip(chain.steps, dated))]
     return f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "steps": {_array(steps, _P1)}\n}}\n'
@@ -188,9 +193,9 @@ def chain_to_json(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain
 
 def chain_to_text(ref: date, events: tuple[CrossingEvent, ...], chain: CellChain) -> str:
     """The ``chain`` text: one line per prefix of the crossings."""
-    line = "step %-3d %s  %-4s %-20s dim %d"
+    line, days = "step %-3d %s  %-4s %-20s dim %d", _days(events)
     perm = "{" + ",".join(["%d"] * len(chain.steps[0][0])) + "}"
-    dated = [(ref, "-"), *((e.date, "s%d" % e.position) for e in events)]
+    dated = [(ref, "-"), *((days[e.date], "s%d" % e.position) for e in events)]
     lines = [line % (t, when, crossing, perm % images, dimension)
              for t, ((images, dimension), (when, crossing)) in enumerate(zip(chain.steps, dated))]
     return "\n".join(lines) + "\n"
@@ -204,7 +209,7 @@ def _word(ticker: str) -> str:
 
 
 def report_to_text(report: AnalysisReport) -> str:
-    tickers = report.tickers
+    tickers, days = report.tickers, _days(report.crossings)
     sets = lambda groups: " ".join("{" + ",".join(map(str, s)) + "}" for s in groups)
     decorations = "  ".join(f"{i} -> {c}" for i, c in _decorations(report.state))
     facets = "not computed" if report.facet_count is None else f"{report.facet_count} facets"
@@ -216,7 +221,7 @@ def report_to_text(report: AnalysisReport) -> str:
         f"decorations    : {decorations or '(no fixed points)'}",
         f"k              : {report.necklace.k}",
         "crossings      :" if report.crossings else "crossings      : (none)",
-        *(f"  {e.date}  seq {e.seq}  position {e.position}  {tickers[e.stocks[0]]} x {tickers[e.stocks[1]]}"
+        *(f"  {days[e.date]}  seq {e.seq}  position {e.position}  {tickers[e.stocks[0]]} x {tickers[e.stocks[1]]}"
           for e in report.crossings),
         f"necklace       : {sets(sorted(t) for t in report.necklace.terms)}",
         f"affine lift    : ({', '.join(map(str, report.lift.f))})",

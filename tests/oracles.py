@@ -15,7 +15,8 @@ package's facets, node pairs of the closure, into inequalities over x,
 and ``tight_vertices`` gives a facet's incidence set to compare with them.
 ``identity`` and ``inverse`` are the permutations the package never
 builds.  The price oracles are the earlier parser, which checks cell by cell,
-and the ranking chain that always starts at the first date.  The Gale
+the ranking chain that always starts at the first date, and the
+crossings bubbled from that chain in full passes over every rank.  The Gale
 order, basis exchange, circuit and matroid rank helpers check
 positroids from their definitions, on the bases as sets from
 ``basis_sets``, whatever form the package keeps them in; ``uniform``
@@ -715,6 +716,28 @@ def first_date_rankings(table: PriceTable) -> tuple[tuple[int, ...], ...]:
 def rankings_from_the_first_date(table: PriceTable, first: int = 0, last: int | None = None):
     """``prices.rankings``' range read off ``first_date_rankings``: the chain from the table's first date."""
     return first_date_rankings(table)[first:None if last is None else last + 1]
+
+
+def crossing_stream_by_definition(table: PriceTable, ref_date: date, end_date: date) -> tuple[tuple, ...]:
+    """The range's crossings as (date, seq, position, stocks), by the definition in ``prices``.
+
+    The order starts as ``first_date_rankings``' at the reference date.
+    Each later date runs full left-to-right bubble passes over all n
+    ranks until a pass makes no swap; neighbours swap when the lower
+    ranked stock's price that day is strictly above the other's.
+    """
+    ri, ti = table.dates.index(ref_date), table.dates.index(end_date)
+    order, events = list(first_date_rankings(table)[ri]), []
+    for day, row in zip(table.dates[ri + 1:ti + 1], table.prices[ri + 1:ti + 1]):
+        seq, swapped = 0, True
+        while swapped:
+            swapped = False
+            for p in range(1, len(order)):
+                if row[order[p - 1]] > row[order[p]]:
+                    events.append((day, seq, p, (order[p - 1], order[p])))
+                    order[p - 1], order[p] = order[p], order[p - 1]
+                    seq, swapped = seq + 1, True
+    return tuple(events)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,7 @@ RANKING_RUNS = [
     (["render", "wiring"], []), (["render", "chords"], []), (["render", "hooks"], []),
 ]
 RANKING_IDS = ["analyze", "chain", "wiring", "chords", "hooks"]
-RANKED = {"analyze": [1, 1, 252], "chain": [252], "wiring": [252, 1], "chords": [1, 1], "hooks": [1, 1]}
+RANKED = {"analyze": [1, 1, 1], "chain": [1], "wiring": [1, 1], "chords": [1, 1], "hooks": [1, 1]}
 RANKING_CASES = [
     *((*run, nl, None, RANKED[name], 0 if nl == "\r\n" else 2 if name in ("chords", "hooks") else 252)
       for nl in ("\n", "\r\n") for run, name in zip(RANKING_RUNS, RANKING_IDS)),
@@ -198,8 +198,9 @@ RANKING_CASES = [
                          + [f"{name}-tie-on-{end}" for end in ("end", "ref") for name in RANKING_IDS[3:]])
 def test_each_command_ranks_its_window_once(capsys, monkeypatch, tmp_path, command, flags, newline, tie_date,
                                             dates_ranked, rows_converted):
-    # Each command ranks only the dates it reads: analyze, chain and wiring
-    # rank the window's 252 dates once, for the crossings; the decoration
+    # Each command ranks only the dates it must: the crossings of analyze,
+    # chain and wiring rank the reference date and carry its order through
+    # the window's other 251 dates, converting each row once; the decoration
     # of analyze, chords and hooks ranks its two dates, and wiring ranks
     # the reference date for its labels.  A date with no tie ranks by its
     # own prices; a tie on the reference or the end date walks back one
@@ -231,8 +232,8 @@ def test_each_layer_runs_only_as_often_as_it_is_read(capsys, monkeypatch, comman
     # shares it only when --facets reads it.  The chain never counts its
     # length in full and lifts no validated state per step.  The decoration
     # is built once, and it ranks each of its two dates once; analyze ranks
-    # its range once more, for the crossings.  The hooks diagram lifts its
-    # state once, for the hooks and the ranks alike.
+    # the reference date once more, for the crossings.  The hooks diagram
+    # lifts its state once, for the hooks and the ranks alike.
     results = {fn: record_calls(monkeypatch, fn) for fn in calls}
     code, _, err = run_cli(capsys, *command, str(SAMPLE), *RANGE)
     assert code == 0, err

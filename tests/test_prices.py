@@ -18,6 +18,7 @@ from stockpolytope import (
     PriceCsvError,
     PriceTable,
     WiringWord,
+    build_report,
     crossing_stream,
     decorate,
     parse_price_csv,
@@ -189,6 +190,7 @@ def test_stream_multiplies_to_permutation_on_random_tables():
         for i, ref in enumerate(table.dates):
             for end in table.dates[i:]:
                 events = crossing_stream(table, ref, end)
+                assert events == oracles.crossing_stream_by_definition(table, ref, end)
                 word = WiringWord(n, tuple(e.position for e in events))
                 assert word_to_permutation(word) == permutation_at(table, ref, end)
 
@@ -540,6 +542,44 @@ def test_each_range_ranks_as_the_chain_from_the_first_date(text):
                     assert rankings(table, i, j) == oracle[i:j + 1]
                 converted = sorted(c.args[0][:10].decode() for c in convert.call_args_list)
                 assert converted == (days[start:j + 1] if plain else []), (data, i, j)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_csv())
+def test_crossing_stream_matches_full_bubble_passes_from_the_first_date(text):
+    # Every window, most of them starting after date 0, of a fresh table
+    # read by each parse path: LF text is plain unless a cell is an
+    # integer, and CRLF text goes to the CSV reader.  The oracle reads the
+    # per-cell parse of the same text.
+    whole = per_cell_parse(text)
+    for data in (text, text.replace("\n", "\r\n")):
+        for i, ref in enumerate(whole.dates):
+            for end in whole.dates[i:]:
+                events = crossing_stream(parse_price_csv(data), ref, end)
+                assert events == oracles.crossing_stream_by_definition(whole, ref, end), (data, ref, end)
+
+
+def test_a_report_sorts_as_often_over_a_year_as_over_a_month(monkeypatch):
+    # On a table with no tie only the reference date and the decoration's
+    # two dates are sorted; the crossings carry the reference order
+    # through the window, so the count of sorts does not grow with it.
+    rng = random.Random(12)
+    lines = [(date(2001, 1, 1) + timedelta(days=d)).isoformat() + ","
+             + ",".join(f"{rng.randrange(10, 99)}.{s:02d}" for s in range(12)) for d in range(252)]
+    table = parse_price_csv("date," + ",".join(f"S{s}" for s in range(12)) + "\n" + "\n".join(lines) + "\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(prices, "sorted", counted, raising=False)
+    counts = []
+    for end in (19, 251):
+        calls.clear()
+        build_report(table, table.dates[0], table.dates[end])
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("first, last", [(-1, 3), (0, 15), (4, 3), (15, None), (0, -1)],
